@@ -2,10 +2,8 @@
 recognition from motion-capture and sEMG features."""
 
 from .data import (
-    FrameRecord,
     SequenceData,
     SyntheticConfig,
-    Window,
     generate_synthetic,
     make_windows,
     parse_emopain_file,
@@ -31,12 +29,11 @@ from .evaluate import (
     run_experiment,
     run_matrix,
 )
-from .fusion import FusedPrediction, fuse, fuse_batch
+from .fusion import fuse_batch
 from .modality import (
     JointSegmentMap,
     ModalityScheme,
     bifurcated_scheme,
-    project,
     quadrifurcated_scheme,
     scheme_by_name,
     singular_scheme,
@@ -66,8 +63,6 @@ __all__ = [
     "DataError",
     "ExperimentConfig",
     "ExperimentResult",
-    "FrameRecord",
-    "FusedPrediction",
     "FusionWeights",
     "InternalError",
     "JointSegmentMap",
@@ -80,12 +75,10 @@ __all__ = [
     "SequenceData",
     "SyntheticConfig",
     "TrainedClassifier",
-    "Window",
     "average_weights",
     "bifurcated_scheme",
     "confusion",
     "fit",
-    "fuse",
     "fuse_batch",
     "generate_synthetic",
     "grad_check",
@@ -98,7 +91,6 @@ __all__ = [
     "normality_report",
     "parse_emopain_file",
     "pearson_r",
-    "project",
     "quadrifurcated_scheme",
     "rank_with_ties",
     "run_experiment",

@@ -133,7 +133,7 @@ def cmd_weights(run: RunConfig, args) -> int:
     config = run.experiment
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
     if config.weighting == STATISTICAL:
-        windows, labels = collect_windows(train, config)
+        windows, labels, _ = collect_windows(train, config)
         weights = modality_weights(windows, labels, scheme, config.reduction)
     else:
         weights = average_weights(scheme)

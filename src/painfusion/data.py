@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyFile,
@@ -43,24 +44,6 @@ _LABEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    """One frame: 22 joints x 3 axes, 4 sEMG channels, binary label."""
-
-    coords_x: tuple[float, ...]
-    coords_y: tuple[float, ...]
-    coords_z: tuple[float, ...]
-    semg: tuple[float, ...]
-    label: int
-    extras: tuple[float, float] = (0.0, 0.0)
-
-    def feature_row(self) -> np.ndarray:
-        return np.array(
-            self.coords_x + self.coords_y + self.coords_z + self.semg,
-            dtype=np.float64,
-        )
-
-
-@dataclass(frozen=True)
 class SequenceData:
     """One subject-session time series, stored column-major friendly:
     ``features`` is [n_frames x 70], ``labels`` is the per-frame binary
@@ -80,31 +63,6 @@ class SequenceData:
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
-
-    def frame(self, i: int) -> FrameRecord:
-        row = self.features[i]
-        return FrameRecord(
-            coords_x=tuple(float(v) for v in row[0:22]),
-            coords_y=tuple(float(v) for v in row[22:44]),
-            coords_z=tuple(float(v) for v in row[44:66]),
-            semg=tuple(float(v) for v in row[66:70]),
-            label=int(self.labels[i]),
-            extras=(float(self.extras[i, 0]), float(self.extras[i, 1])),
-        )
-
-    @property
-    def frames(self) -> list[FrameRecord]:
-        return [self.frame(i) for i in range(self.n_frames)]
-
-
-@dataclass(frozen=True)
-class Window:
-    """Fixed-length frame slab with one derived binary label. ``features``
-    is a [window_length x 70] view into the source sequence."""
-
-    subject_id: str
-    features: np.ndarray
-    label: int
 
 
 def _decode(data) -> str:
@@ -227,10 +185,16 @@ def make_windows(
     length: int,
     stride: int,
     positive_fraction_threshold: float = 0.5,
-) -> list[Window]:
+    columns=None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Slice a sequence into fixed-length windows at offsets 0, stride,
     2*stride, ...; a window is labeled 1 iff the fraction of label-1
     frames reaches the threshold. The trailing partial window is dropped.
+
+    Returns the windows as a read-only [n_windows, length, n_columns]
+    strided view and the int8 window labels. With ``columns`` None the
+    view is of the sequence's 70 feature columns and copies nothing;
+    otherwise it is of one copy of the selected columns.
     """
     if length < 1 or stride < 1:
         raise InvalidConfig(f"length and stride must be positive, got {length}, {stride}")
@@ -241,13 +205,13 @@ def make_windows(
     n = seq.n_frames
     if length > n:
         raise WindowLongerThanSequence(f"window length {length} > {n} frames")
+    features = seq.features if columns is None else seq.features[:, list(columns)]
+    windows = sliding_window_view(features, length, axis=0)[::stride].transpose(0, 2, 1)
     cum = np.concatenate([[0], np.cumsum(seq.labels, dtype=np.int64)])
-    windows = []
-    for offset in range(0, n - length + 1, stride):
-        positives = int(cum[offset + length] - cum[offset])
-        label = 1 if positives / length >= positive_fraction_threshold else 0
-        windows.append(Window(seq.subject_id, seq.features[offset:offset + length], label))
-    return windows
+    starts = np.arange(0, n - length + 1, stride)
+    positives = cum[starts + length] - cum[starts]
+    labels = (positives / length >= positive_fraction_threshold).astype(np.int8)
+    return windows, labels
 
 
 def window_count(n_frames: int, length: int, stride: int) -> int:

@@ -111,10 +111,6 @@ class InvalidScheme(ConfigError):
     pass
 
 
-class UnknownModality(ConfigError):
-    pass
-
-
 # --- models ---
 
 class ShapeMismatch(DataError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SequenceData, Window, _stable_key, make_windows
+from .data import SequenceData, _stable_key, make_windows
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -23,7 +23,7 @@ from .errors import (
     TooFewSubjects,
 )
 from .fusion import VOTE_MODES, fuse_batch
-from .modality import JointSegmentMap, SCHEME_NAMES, project, scheme_by_name
+from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import ClassifierSpec, TrainedClassifier, fit
 from .stats import (
     AVERAGE,
@@ -165,6 +165,11 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidConfig("seed must be a nonnegative integer")
         self.classifier.validate()
+        kernel_width = self.classifier.kernel_width
+        if self.classifier.kind == "cnn1d" and self.window_length < kernel_width:
+            raise InvalidConfig(
+                f"window length {self.window_length} shorter than kernel width {kernel_width}"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,21 +194,29 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(key.generate_state(1, dtype=np.uint64)[0])
 
 
-def collect_windows(sequences, config: ExperimentConfig):
-    """All windows from the sequences under the config's window rule,
-    plus the window label vector."""
-    windows: list[Window] = []
-    for seq in sequences:
-        windows.extend(
-            make_windows(
-                seq,
-                config.window_length,
-                config.window_stride,
-                config.positive_fraction_threshold,
-            )
+def collect_windows(sequences, config: ExperimentConfig, columns=None):
+    """All windows of the sequences under the config's window rule, as
+    one C-ordered [n_windows, window_length, n_columns] array of the
+    selected feature columns (all 70 when ``columns`` is None), plus the
+    int8 window labels and the subject id of every window."""
+    parts = [
+        make_windows(
+            seq,
+            config.window_length,
+            config.window_stride,
+            config.positive_fraction_threshold,
+            columns,
         )
-    labels = np.array([w.label for w in windows], dtype=np.int8)
-    return windows, labels
+        for seq in sequences
+    ]
+    counts = [len(labels) for _, labels in parts]
+    width = N_FEATURES if columns is None else len(columns)
+    windows = np.empty((sum(counts), config.window_length, width))
+    if parts:
+        np.concatenate([w for w, _ in parts], out=windows)
+    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [y for _, y in parts])
+    subjects = np.repeat([seq.subject_id for seq in sequences], counts)
+    return windows, labels, subjects
 
 
 def _map_indexed(fn, items, threads: int):
@@ -240,17 +253,23 @@ def run_experiment(
     if shared:
         raise SubjectInBothSplits(f"subject(s) in both splits: {sorted(shared)}")
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
-    train_windows, train_labels = _stage("windowing", lambda: collect_windows(train_seqs, config))
-    valid_windows, valid_labels = _stage("windowing", lambda: collect_windows(valid_seqs, config))
-    if not train_windows:
+    # An empty column selection yields the labels and subject ids of the
+    # windows without copying any feature data.
+    _, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, config, ()))
+    _, valid_labels, valid_subjects = _stage(
+        "windowing", lambda: collect_windows(valid_seqs, config, ())
+    )
+    if not len(train_labels):
         raise EmptyDataset("windowing: train split produced no windows")
-    if not valid_windows:
+    if not len(valid_labels):
         raise EmptyDataset("windowing: validation split produced no windows")
 
     if config.weighting == STATISTICAL:
         weights = _stage(
             "weighting",
-            lambda: modality_weights(train_windows, train_labels, scheme, config.reduction),
+            lambda: modality_weights(
+                collect_windows(train_seqs, config)[0], train_labels, scheme, config.reduction
+            ),
         )
     else:
         weights = average_weights(scheme)
@@ -258,15 +277,14 @@ def run_experiment(
     names = sorted(scheme.names)
 
     def train_one(name: str):
+        # Each tensor holds one modality's columns and is built only for
+        # the call that reads it, so the train and validation tensors of
+        # a modality are never held at once.
+        columns = scheme.modalities[name]
         spec = replace(config.classifier, seed=derive_seed(config.classifier.seed, "clf:" + name))
-        projected_train = [
-            Window(w.subject_id, project(w, scheme, name), w.label) for w in train_windows
-        ]
-        model = fit(projected_train, train_labels, spec)
-        projected_valid = [
-            Window(w.subject_id, project(w, scheme, name), w.label) for w in valid_windows
-        ]
-        return model, model.predict_proba_windows(projected_valid)
+        model = fit(collect_windows(train_seqs, config, columns)[0], train_labels, spec)
+        valid_windows = collect_windows(valid_seqs, config, columns)[0]
+        return model, model.predict_proba_windows(valid_windows)
 
     outcomes = _stage("training", lambda: _map_indexed(train_one, names, threads))
     classifiers = {name: model for name, (model, _) in zip(names, outcomes)}
@@ -281,8 +299,8 @@ def run_experiment(
         config=config,
         weights=weights,
         classifiers=classifiers,
-        n_train_windows=len(train_windows),
-        valid_subjects=tuple(w.subject_id for w in valid_windows),
+        n_train_windows=len(train_labels),
+        valid_subjects=tuple(valid_subjects.tolist()),
         valid_labels=valid_labels.astype(np.int64),
         per_modality_probas=probas,
         fused_probabilities=fused,

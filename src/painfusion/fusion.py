@@ -6,7 +6,6 @@ Hard voting first thresholds each modality, then weighs the votes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,19 +13,6 @@ from .errors import InvalidConfig, KeyMismatch, LengthMismatch, ProbabilityOutOf
 from .stats import FusionWeights
 
 VOTE_MODES = ("soft", "hard")
-
-
-@dataclass(frozen=True)
-class FusedPrediction:
-    """One fused decision. ``fused_probability`` is the convex
-    combination of the per-modality values (for hard voting, of their
-    thresholded votes) and ``label`` is 1 exactly when it reaches the
-    threshold."""
-
-    per_modality: dict[str, float]
-    fused_probability: float
-    label: int
-    threshold: float
 
 
 def _check_threshold(threshold: float) -> None:
@@ -48,46 +34,18 @@ def _check_keys(probas_keys, weights: FusionWeights) -> list[str]:
     return sorted(want)
 
 
-def fuse(
-    probas: dict[str, float],
-    weights: FusionWeights,
-    threshold: float = 0.5,
-    mode: str = "soft",
-) -> FusedPrediction:
-    """Combine one probability per modality into a single decision.
-
-    Accumulation runs in sorted key order, so the result is independent
-    of the dict's insertion order.
-    """
-    _check_threshold(threshold)
-    _check_mode(mode)
-    names = _check_keys(probas.keys(), weights)
-    for name in names:
-        p = probas[name]
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ProbabilityOutOfRange(f"modality {name!r}: probability {p!r}")
-    # Left-to-right accumulation in sorted key order: bit-identical to
-    # fuse_batch and independent of dict insertion order.
-    fused = 0.0
-    for name in names:
-        vote = probas[name] if mode == "soft" else (1.0 if probas[name] >= threshold else 0.0)
-        fused += weights.weights[name] * vote
-    return FusedPrediction(
-        per_modality={name: float(probas[name]) for name in names},
-        fused_probability=fused,
-        label=1 if fused >= threshold else 0,
-        threshold=threshold,
-    )
-
-
 def fuse_batch(
     probas: dict[str, np.ndarray],
     weights: FusionWeights,
     threshold: float = 0.5,
     mode: str = "soft",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized fuse over aligned probability arrays; returns
-    (fused_probabilities, labels) in input order."""
+    """Combine aligned per-modality probability arrays into one decision
+    per window; returns (fused_probabilities, labels) in input order.
+
+    Accumulation runs in sorted key order, so the result is independent
+    of the dict's insertion order.
+    """
     _check_threshold(threshold)
     _check_mode(mode)
     names = _check_keys(probas.keys(), weights)

@@ -10,9 +10,7 @@ overridden from a mapping file.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidJointMap, InvalidScheme, UnknownModality
+from .errors import InvalidJointMap, InvalidScheme
 
 N_JOINTS = 22
 N_FEATURES = 70
@@ -153,18 +151,3 @@ def scheme_by_name(name: str, joint_map: JointSegmentMap | None = None) -> Modal
         return quadrifurcated_scheme(joint_map)
     raise InvalidScheme(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
-
-def project(window, scheme: ModalityScheme, modality: str) -> np.ndarray:
-    """Select a modality's feature columns from a window, in sorted index
-    order, without touching values or row order. A contiguous column run
-    comes back as a view instead of a copy."""
-    if modality not in scheme.modalities:
-        raise UnknownModality(
-            f"{modality!r} not in scheme {scheme.name!r} (has {list(scheme.modalities)})"
-        )
-    features = np.asarray(window.features, dtype=np.float64)
-    indices = scheme.modalities[modality]
-    first, last = indices[0], indices[-1]
-    if last - first + 1 == len(indices):
-        return features[:, first : last + 1]
-    return features[:, list(indices)]

@@ -262,31 +262,33 @@ def _check_training_inputs(windows, labels):
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
         raise InvalidLabel("training labels must be 0 or 1")
-    d = windows[0].features.shape[1]
-    for i, w in enumerate(windows):
-        if w.features.ndim != 2 or w.features.shape[1] != d:
-            raise ShapeMismatch(f"window {i}: shape {w.features.shape}, expected [*, {d}]")
-    return y, d
+    return _as_windows(windows), y
+
+
+def _as_windows(windows, width=None) -> np.ndarray:
+    """Windows as a float64 [n, length, columns] array; ``width``, when
+    given, is the required number of columns."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or width not in (None, windows.shape[2]):
+        raise ShapeMismatch(
+            f"windows have shape {windows.shape}, expected [n, length, {width or 'columns'}]"
+        )
+    return windows
 
 
 def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and std over every frame of every window, with
-    the std floored at STD_FLOOR to keep constant features harmless."""
-    frames = np.concatenate([w.features for w in windows], axis=0)
-    mean = frames.mean(axis=0)
-    std = np.maximum(frames.std(axis=0), STD_FLOOR)
+    """Per-feature mean and std over every frame of every window (a frame
+    shared by overlapping windows counts once per window), with the std
+    floored at STD_FLOOR to keep constant features harmless."""
+    mean = windows.mean(axis=(0, 1))
+    std = np.maximum(windows.std(axis=(0, 1)), STD_FLOOR)
     return mean, std
 
 
 def _prepare(arch, windows, mean, std):
     if arch.pooled:
-        pooled = np.stack([w.features.mean(axis=0) for w in windows])
-        return (pooled - mean) / std
-    lengths = {w.features.shape[0] for w in windows}
-    if len(lengths) > 1:
-        raise ShapeMismatch(f"convolutional batches need equal window lengths, got {sorted(lengths)}")
-    stacked = np.stack([w.features for w in windows])
-    return (stacked - mean) / std
+        return (windows.mean(axis=1) - mean) / std
+    return (windows - mean) / std
 
 
 def resolve_positive_weight(spec: ClassifierSpec, y: np.ndarray) -> tuple[float, bool]:
@@ -319,16 +321,15 @@ class TrainedClassifier:
         return _architecture(self.spec, self.n_features)
 
     def predict_proba_windows(self, windows) -> np.ndarray:
-        """Probability of the positive class for each window."""
+        """Probability of the positive class for each window of a
+        [n, length, n_features] array."""
         if len(windows) == 0:
             return np.zeros(0)
         arch = self._arch()
+        windows = _as_windows(windows, self.n_features)
         X = _prepare(arch, windows, self.feature_mean, self.feature_std)
         z, _ = arch.raw_scores(self.params, X)
         return _sigmoid(z)
-
-    def predict_proba(self, window) -> float:
-        return float(self.predict_proba_windows([window])[0])
 
 
 def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
@@ -340,9 +341,9 @@ def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
     the finite range; a single-label training set only sets a flag.
     """
     spec.validate()
-    y, d = _check_training_inputs(windows, labels)
+    windows, y = _check_training_inputs(windows, labels)
     mean, std = frame_statistics(windows)
-    arch = _architecture(spec, d)
+    arch = _architecture(spec, windows.shape[2])
     X = _prepare(arch, windows, mean, std)
     pos_weight, single_class = resolve_positive_weight(spec, y)
 
@@ -368,7 +369,7 @@ def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
 
     return TrainedClassifier(
         spec=spec,
-        n_features=d,
+        n_features=windows.shape[2],
         feature_mean=mean,
         feature_std=std,
         params=params,
@@ -392,9 +393,9 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
     the finite difference straddles a kink.
     """
     spec.validate()
-    y, d = _check_training_inputs(windows, labels)
+    windows, y = _check_training_inputs(windows, labels)
     mean, std = frame_statistics(windows)
-    arch = _architecture(spec, d)
+    arch = _architecture(spec, windows.shape[2])
     X = _prepare(arch, windows, mean, std)
     pos_weight, _ = resolve_positive_weight(spec, y)
 

@@ -360,17 +360,6 @@ def recommend_method(pooled: NormalityReport, alpha: float = 0.05) -> list[str]:
     return lines
 
 
-def _reduce_windows(windows, reduction: str) -> np.ndarray:
-    stacked = np.stack([np.asarray(w.features, dtype=np.float64) for w in windows])
-    if reduction == "mean":
-        return stacked.mean(axis=1)
-    if reduction == "max":
-        return stacked.max(axis=1)
-    if reduction == "std":
-        return stacked.std(axis=1)
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 def normalize_relevances(raw: dict[str, float]) -> dict[str, float] | None:
     """Relevances -> weights by total-sum normalization; None if all zero."""
     total = math.fsum(raw.values())
@@ -387,7 +376,8 @@ def modality_weights(
 ) -> FusionWeights:
     """Fusion weights from per-feature Spearman correlation against labels.
 
-    Each feature is reduced over time within its window (mean by default),
+    ``windows`` is a [n_windows, window_length, n_features] array. Each
+    feature is reduced over time within its window (mean by default),
     correlated with the window labels, and a modality's raw relevance is
     the mean |rho| over its features (degenerate features contribute 0).
     All-zero relevance falls back to equal weights with provenance
@@ -398,7 +388,9 @@ def modality_weights(
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if y.size != len(windows):
         raise LengthMismatch(f"{len(windows)} windows vs {y.size} labels")
-    reduced = _reduce_windows(windows, reduction)
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"unknown reduction {reduction!r}")
+    reduced = getattr(np.asarray(windows, dtype=np.float64), reduction)(axis=1)
     n_features = reduced.shape[1]
     for name, indices in scheme.modalities.items():
         if indices and (indices[-1] >= n_features or indices[0] < 0):

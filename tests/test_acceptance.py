@@ -25,7 +25,6 @@ from painfusion import (
     ConfusionMatrix,
     ExperimentConfig,
     SequenceData,
-    Window,
     generate_synthetic,
     grad_check,
     kendall_tau_b,
@@ -135,11 +134,9 @@ def test_gradient_checks():
         errs = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            windows = [
-                Window("s", rng.standard_normal((8, 6)), int(rng.integers(2)))
-                for _ in range(6)
-            ]
-            labels = np.array([w.label for w in windows])
+            draws = [(rng.standard_normal((8, 6)), int(rng.integers(2))) for _ in range(6)]
+            windows = np.stack([features for features, _ in draws])
+            labels = np.array([label for _, label in draws])
             spec = ClassifierSpec(
                 kind=kind, seed=seed, hidden_units=5, conv_channels=3, kernel_width=3
             )
@@ -159,8 +156,8 @@ def test_weight_contract():
     datasets = {}
 
     def windows_of(seqs):
-        wins = [w for s in seqs for w in make_windows(s, 20, 10)]
-        return wins, np.array([w.label for w in wins])
+        pairs = [make_windows(s, 20, 10) for s in seqs]
+        return np.concatenate([w for w, _ in pairs]), np.concatenate([y for _, y in pairs])
 
     datasets["signal"] = windows_of(_small_corpus(seed=0))
     datasets["noise"] = windows_of(
@@ -319,7 +316,7 @@ def test_loocv_structure():
 
     subjects = sorted({s.subject_id for s in seqs})
     corpus_windows = sum(
-        len(make_windows(s, config.window_length, config.window_stride)) for s in seqs
+        len(make_windows(s, config.window_length, config.window_stride)[1]) for s in seqs
     )
     fold_ok = [f.fold_id for f in result.folds] == subjects
     tested_once = all(

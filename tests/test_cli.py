@@ -127,6 +127,21 @@ class TestFailureModes:
         )
         assert code == 2
 
+    def test_window_shorter_than_kernel_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(
+            SMALL_INI.replace("kind = logistic", "kind = cnn1d\nkernel_width = 5").replace(
+                "length = 20", "length = 4"
+            )
+        )
+        out = tmp_path / "o"
+        code = main(["matrix", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ")
+        assert "window length 4 shorter than kernel width 5" in err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_artifacts_written(self, ini, tmp_path, capsys):

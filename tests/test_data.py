@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from painfusion import (
+    ClassifierSpec,
+    ExperimentConfig,
     SequenceData,
     generate_synthetic,
     make_windows,
@@ -23,6 +25,8 @@ from painfusion.data import (
     write_manifest,
     write_sequence_file,
 )
+from painfusion.evaluate import collect_windows
+from painfusion.modality import quadrifurcated_scheme
 from painfusion.errors import (
     InvalidConfig,
     InvalidLabel,
@@ -154,21 +158,22 @@ class TestSplit:
 class TestWindows:
     def test_offsets(self):
         seq = _make_sequence("A", n_frames=10)
-        wins = make_windows(seq, 4, 2)
-        assert len(wins) == 4
-        for k, w in enumerate(wins):
-            assert_array_equal(w.features, seq.features[2 * k : 2 * k + 4])
+        wins, labels = make_windows(seq, 4, 2)
+        assert wins.shape == (4, 4, 70) and labels.shape == (4,)
+        for k in range(4):
+            assert_array_equal(wins[k], seq.features[2 * k : 2 * k + 4])
 
     def test_all_zero_labels(self):
         seq = SequenceData(
             "A", "healthy", np.zeros((12, 70)), np.zeros(12, dtype=np.int8), np.zeros((12, 2))
         )
-        assert all(w.label == 0 for w in make_windows(seq, 4, 2))
+        _, labels = make_windows(seq, 4, 2)
+        assert (labels == 0).all()
 
     def test_half_fraction_is_positive(self):
         labels = np.array([0, 0, 1, 1], dtype=np.int8)
         seq = SequenceData("A", "healthy", np.zeros((4, 70)), labels, np.zeros((4, 2)))
-        assert make_windows(seq, 4, 4)[0].label == 1
+        assert make_windows(seq, 4, 4)[1][0] == 1
 
     def test_window_longer_than_sequence(self):
         seq = _make_sequence("A", n_frames=3)
@@ -186,8 +191,8 @@ class TestWindows:
         """Windows must not copy frame data; 10k windows over a large
         corpus would otherwise blow up memory."""
         seq = _make_sequence("A", n_frames=20)
-        w = make_windows(seq, 4, 2)[1]
-        assert w.features.base is seq.features
+        wins, _ = make_windows(seq, 4, 2)
+        assert np.shares_memory(wins, seq.features)
 
     @given(
         st.integers(1, 200),
@@ -207,9 +212,60 @@ class TestWindows:
             with pytest.raises(WindowLongerThanSequence):
                 make_windows(seq, length, stride)
             return
-        wins = make_windows(seq, length, stride)
-        assert len(wins) == window_count(n_frames, length, stride)
+        wins, labels = make_windows(seq, length, stride)
+        assert len(wins) == len(labels) == window_count(n_frames, length, stride)
         assert len(wins) >= 1
+
+    @given(
+        n_frames=st.integers(1, 120),
+        length=st.integers(1, 40),
+        stride=st.integers(1, 40),
+        threshold=st.floats(0.01, 1.0),
+        columns=st.sampled_from([None, "upper_limbs", "semg", "trunk"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_tensor(self, n_frames, length, stride, threshold, columns, seed):
+        """The collected window tensor against a per-window reference:
+        contents, threshold labels, dropped partial window, count and
+        memory layout, for contiguous and scattered column sets."""
+        length = min(length, n_frames)
+        rng = np.random.default_rng(seed)
+        seq = SequenceData(
+            "A",
+            "healthy",
+            rng.standard_normal((n_frames, 70)),
+            (rng.random(n_frames) < 0.4).astype(np.int8),
+            np.zeros((n_frames, 2)),
+        )
+        idx = list(range(70)) if columns is None else list(
+            quadrifurcated_scheme().modalities[columns]
+        )
+        config = ExperimentConfig(
+            scheme_name="quadrifurcated",
+            weighting="statistical",
+            classifier=ClassifierSpec(kind="logistic", seed=0),
+            seed=0,
+            window_length=length,
+            window_stride=stride,
+            positive_fraction_threshold=threshold,
+        )
+        selected = None if columns is None else idx
+        windows, labels, subjects = collect_windows([seq], config, selected)
+
+        n = window_count(n_frames, length, stride)
+        assert windows.shape == (n, length, len(idx))
+        assert labels.shape == (n,) and labels.dtype == np.int8
+        assert subjects.tolist() == ["A"] * n
+        assert windows.flags.c_contiguous
+        for k in range(n):
+            rows = slice(k * stride, k * stride + length)
+            assert_array_equal(windows[k], seq.features[rows][:, idx])
+            positives = int(seq.labels[rows].sum())
+            assert labels[k] == (1 if positives / length >= threshold else 0)
+        # The trailing partial window is dropped: one more stride would
+        # run past the last frame.
+        assert (n - 1) * stride + length <= n_frames < n * stride + length
 
 
 class TestSynthetic:
@@ -217,9 +273,11 @@ class TestSynthetic:
         """At the shipped size (over 10k windows) the window-level
         positive rate stays within 0.01 of the configured 0.0596."""
         seqs = generate_synthetic(default_synthetic_config(7))
-        wins = [w for s in seqs for w in make_windows(s, WINDOW_LENGTH, WINDOW_STRIDE)]
-        assert len(wins) >= 10_000
-        rate = float(np.mean([w.label for w in wins]))
+        labels = np.concatenate(
+            [make_windows(s, WINDOW_LENGTH, WINDOW_STRIDE)[1] for s in seqs]
+        )
+        assert len(labels) >= 10_000
+        rate = float(np.mean(labels))
         assert abs(rate - 0.0596) < 0.01
 
     def test_zero_snr_is_label_independent(self):

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from painfusion import FusionWeights, fuse, fuse_batch
+from painfusion import FusionWeights, fuse_batch
 from painfusion.errors import (
     InvalidConfig,
     KeyMismatch,
@@ -25,74 +24,84 @@ FOUR = _weights(
 ONE = _weights({"all": 1.0}, scheme="singular")
 
 
+def fuse_one(probas, weights, **kwargs):
+    """fuse_batch on length-1 arrays: (fused probability, label)."""
+    fused, labels = fuse_batch(
+        {name: np.array([p]) for name, p in probas.items()}, weights, **kwargs
+    )
+    return fused[0], labels[0]
+
+
 class TestSoftVote:
     def test_weighted_two_modality_example(self):
-        out = fuse({"coords": 0.8, "semg": 0.2}, TWO)
-        assert out.fused_probability == pytest.approx(0.65, abs=1e-12)
-        assert out.label == 1
+        fused, label = fuse_one({"coords": 0.8, "semg": 0.2}, TWO)
+        assert fused == pytest.approx(0.65, abs=1e-12)
+        assert label == 1
 
     def test_equal_four_modality_example(self):
-        out = fuse(
+        fused, label = fuse_one(
             {"trunk": 0.2, "upper_limbs": 0.2, "lower_limbs": 0.2, "semg": 0.2}, FOUR
         )
-        assert out.fused_probability == pytest.approx(0.2, abs=1e-12)
-        assert out.label == 0
+        assert fused == pytest.approx(0.2, abs=1e-12)
+        assert label == 0
 
     def test_singular_is_identity(self):
         for p in (0.0, 0.3, 0.5, 0.999, 1.0):
-            out = fuse({"all": p}, ONE)
-            assert out.fused_probability == p
-            assert out.label == (1 if p >= 0.5 else 0)
+            fused, label = fuse_one({"all": p}, ONE)
+            assert fused == p
+            assert label == (1 if p >= 0.5 else 0)
 
     def test_tie_goes_positive(self):
-        out = fuse({"coords": 0.5, "semg": 0.5}, TWO)
-        assert out.fused_probability == 0.5
-        assert out.label == 1
+        fused, label = fuse_one({"coords": 0.5, "semg": 0.5}, TWO)
+        assert fused == 0.5
+        assert label == 1
 
     def test_insertion_order_does_not_matter(self):
-        a = fuse({"coords": 0.731, "semg": 0.118}, TWO)
-        b = fuse({"semg": 0.118, "coords": 0.731}, TWO)
-        assert a.fused_probability == b.fused_probability
+        a, _ = fuse_one({"coords": 0.731, "semg": 0.118}, TWO)
+        b, _ = fuse_one({"semg": 0.118, "coords": 0.731}, TWO)
+        assert a == b
 
 
 class TestHardVote:
     def test_votes_are_thresholded_first(self):
         # coords votes 1, semg votes 0: fused = 0.75 over threshold 0.5.
-        out = fuse({"coords": 0.51, "semg": 0.49}, TWO, mode="hard")
-        assert out.fused_probability == 0.75
-        assert out.label == 1
+        fused, label = fuse_one({"coords": 0.51, "semg": 0.49}, TWO, mode="hard")
+        assert fused == 0.75
+        assert label == 1
 
     def test_minority_vote_loses(self):
-        out = fuse({"coords": 0.1, "semg": 0.99}, TWO, mode="hard")
-        assert out.fused_probability == 0.25
-        assert out.label == 0
+        fused, label = fuse_one({"coords": 0.1, "semg": 0.99}, TWO, mode="hard")
+        assert fused == 0.25
+        assert label == 0
 
     def test_both_stages_use_the_same_threshold(self):
-        out = fuse({"coords": 0.35, "semg": 0.35}, TWO, threshold=0.3, mode="hard")
-        assert out.fused_probability == 1.0
-        assert out.label == 1
+        fused, label = fuse_one(
+            {"coords": 0.35, "semg": 0.35}, TWO, threshold=0.3, mode="hard"
+        )
+        assert fused == 1.0
+        assert label == 1
 
 
 class TestValidation:
     def test_key_mismatch(self):
         with pytest.raises(KeyMismatch):
-            fuse({"coords": 0.5}, TWO)
+            fuse_one({"coords": 0.5}, TWO)
         with pytest.raises(KeyMismatch):
-            fuse({"coords": 0.5, "semg": 0.5, "extra": 0.5}, TWO)
+            fuse_one({"coords": 0.5, "semg": 0.5, "extra": 0.5}, TWO)
 
     def test_probability_out_of_range(self):
         for bad in (-0.1, 1.1, float("nan"), float("inf")):
             with pytest.raises(ProbabilityOutOfRange, match="semg"):
-                fuse({"coords": 0.5, "semg": bad}, TWO)
+                fuse_one({"coords": 0.5, "semg": bad}, TWO)
 
     def test_threshold_domain(self):
         for bad in (0.0, 1.0, -1.0, float("nan")):
             with pytest.raises(InvalidConfig):
-                fuse({"coords": 0.5, "semg": 0.5}, TWO, threshold=bad)
+                fuse_one({"coords": 0.5, "semg": 0.5}, TWO, threshold=bad)
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidConfig):
-            fuse({"coords": 0.5, "semg": 0.5}, TWO, mode="ranked")
+            fuse_one({"coords": 0.5, "semg": 0.5}, TWO, mode="ranked")
 
     def test_batch_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -117,27 +126,3 @@ class TestBatch:
         fused, labels = fuse_batch(probas, TWO)
         assert fused == pytest.approx([0.9, 0.1, 0.5], abs=1e-12)
         assert labels.tolist() == [1, 0, 1]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1.0, allow_nan=False),
-                st.floats(0.0, 1.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        st.sampled_from(["soft", "hard"]),
-    )
-    @settings(max_examples=80)
-    def test_batch_agrees_with_scalar_fuse(self, pairs, mode):
-        """fuse_batch must be bit-identical to calling fuse per window."""
-        probas = {
-            "coords": np.array([a for a, _ in pairs]),
-            "semg": np.array([b for _, b in pairs]),
-        }
-        fused, labels = fuse_batch(probas, TWO, mode=mode)
-        for i, (a, b) in enumerate(pairs):
-            one = fuse({"coords": a, "semg": b}, TWO, mode=mode)
-            assert fused[i] == one.fused_probability
-            assert labels[i] == one.label

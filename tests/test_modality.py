@@ -1,4 +1,4 @@
-"""Feature partitioning schemes and window projection."""
+"""Feature partitioning schemes and modality column selection."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
 from painfusion import (
+    SequenceData,
     bifurcated_scheme,
-    project,
+    make_windows,
     quadrifurcated_scheme,
     scheme_by_name,
     singular_scheme,
 )
-from painfusion.data import Window
-from painfusion.errors import InvalidJointMap, UnknownModality
+from painfusion.errors import InvalidJointMap
 from painfusion.modality import (
     JointSegmentMap,
     N_FEATURES,
@@ -97,30 +97,33 @@ class TestJointMapParsing:
             parse_joint_segment_map(text)
 
 
+def _window(features, columns=None):
+    """The single window spanning all frames, with the selected columns."""
+    n = len(features)
+    seq = SequenceData("s1", "healthy", features, np.zeros(n, dtype=np.int8), np.zeros((n, 2)))
+    windows, _ = make_windows(seq, n, n, columns=columns)
+    return windows[0]
+
+
 class TestProjection:
     def test_singular_is_identity(self):
         rng = np.random.default_rng(0)
-        w = Window("s1", rng.standard_normal((5, 70)), 0)
-        assert_array_equal(project(w, singular_scheme(), "all"), w.features)
-
-    def test_unknown_modality(self):
-        w = Window("s1", np.zeros((5, 70)), 0)
-        with pytest.raises(UnknownModality):
-            project(w, bifurcated_scheme(), "torso")
+        features = rng.standard_normal((5, 70))
+        assert_array_equal(_window(features, singular_scheme().modalities["all"]), features)
 
     def test_concatenation_is_column_permutation(self):
         rng = np.random.default_rng(1)
-        w = Window("s1", rng.standard_normal((4, 70)), 1)
+        features = rng.standard_normal((4, 70))
         for scheme in (bifurcated_scheme(), quadrifurcated_scheme()):
-            parts = [project(w, scheme, name) for name in scheme.modalities]
+            parts = [_window(features, idx) for idx in scheme.modalities.values()]
             stacked = np.concatenate(parts, axis=1)
             order = [i for idx in scheme.modalities.values() for i in idx]
-            assert_array_equal(stacked, w.features[:, order])
+            assert_array_equal(stacked, features[:, order])
 
     @given(st.integers(0, 2**32 - 1))
     def test_projection_width_matches_scheme(self, seed):
         rng = np.random.default_rng(seed)
-        w = Window("s1", rng.standard_normal((3, 70)), 0)
+        features = rng.standard_normal((3, 70))
         scheme = quadrifurcated_scheme()
         for name, idx in scheme.modalities.items():
-            assert project(w, scheme, name).shape == (3, len(idx))
+            assert _window(features, idx).shape == (3, len(idx))

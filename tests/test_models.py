@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from painfusion import (
     ClassifierSpec,
     TrainedClassifier,
-    Window,
     fit,
     grad_check,
     make_windows,
@@ -30,23 +29,24 @@ from painfusion.evaluate import confusion, metrics
 def _separable(n=40, d=6, frames=5, seed=0, margin=2.0):
     """Windows whose pooled first feature sits at +/-margin by class."""
     rng = np.random.default_rng(seed)
-    windows, labels = [], []
+    windows, labels = np.empty((n, frames, d)), []
     for i in range(n):
         label = i % 2
-        feats = 0.1 * rng.standard_normal((frames, d))
-        feats[:, 0] += margin if label else -margin
-        windows.append(Window(subject_id="S", features=feats, label=label))
+        windows[i] = 0.1 * rng.standard_normal((frames, d))
+        windows[i, :, 0] += margin if label else -margin
         labels.append(label)
     return windows, labels
 
 
 def _random_windows(n=16, d=6, frames=8, seed=1):
     rng = np.random.default_rng(seed)
-    windows = [
-        Window(subject_id="S", features=rng.standard_normal((frames, d)), label=int(i % 2))
-        for i in range(n)
-    ]
-    return windows, [w.label for w in windows]
+    windows = np.stack([rng.standard_normal((frames, d)) for _ in range(n)])
+    return windows, [i % 2 for i in range(n)]
+
+
+def _windows_of(seqs, length, stride):
+    pairs = [make_windows(s, length, stride) for s in seqs]
+    return np.concatenate([w for w, _ in pairs]), np.concatenate([y for _, y in pairs])
 
 
 def _hand_built(params, d=4):
@@ -89,9 +89,11 @@ class TestFit:
 
     def test_inconsistent_feature_width(self):
         windows, labels = _random_windows(n=4, d=6)
-        bad = Window(subject_id="S", features=np.zeros((8, 5)), label=0)
-        with pytest.raises(ShapeMismatch, match="window 4"):
-            fit(windows + [bad], labels + [0], ClassifierSpec(kind="logistic", seed=0))
+        with pytest.raises(ShapeMismatch, match=r"\(4, 8\)"):
+            fit(windows[:, :, 0], labels, ClassifierSpec(kind="logistic", seed=0))
+        model = fit(windows, labels, ClassifierSpec(kind="logistic", seed=0, epochs=2))
+        with pytest.raises(ShapeMismatch, match=r"\(4, 8, 5\)"):
+            model.predict_proba_windows(windows[:, :, :5])
 
     def test_huge_learning_rate_diverges(self):
         windows, labels = _separable()
@@ -115,15 +117,14 @@ class TestFit:
 class TestPredict:
     def test_zero_parameters_give_half(self):
         model = _hand_built(np.zeros(5))
-        window = Window(subject_id="S", features=np.ones((3, 4)), label=0)
-        assert model.predict_proba(window) == 0.5
+        window = np.ones((1, 3, 4))
+        assert model.predict_proba_windows(window)[0] == 0.5
 
     def test_hand_set_weight_matches_sigmoid(self):
         model = _hand_built([1.0, 0.0, 0.0, 0.0, 0.0])
-        feats = np.zeros((4, 4))
-        feats[:, 0] = 2.0
-        window = Window(subject_id="S", features=feats, label=1)
-        assert model.predict_proba(window) == 1.0 / (1.0 + math.exp(-2.0))
+        window = np.zeros((1, 4, 4))
+        window[:, :, 0] = 2.0
+        assert model.predict_proba_windows(window)[0] == 1.0 / (1.0 + math.exp(-2.0))
 
     def test_repeated_prediction_is_identical(self):
         windows, labels = _random_windows()
@@ -132,16 +133,15 @@ class TestPredict:
         second = model.predict_proba_windows(windows)
         assert first.tobytes() == second.tobytes()
 
-    def test_conv_needs_equal_window_lengths(self):
+    def test_conv_rejects_windows_shorter_than_kernel(self):
         windows, labels = _random_windows(frames=8)
         model = fit(windows, labels, ClassifierSpec(kind="cnn1d", seed=0, epochs=2))
-        odd = Window(subject_id="S", features=np.zeros((9, 6)), label=0)
-        with pytest.raises(ShapeMismatch):
-            model.predict_proba_windows([windows[0], odd])
+        with pytest.raises(ShapeMismatch, match="kernel width 5"):
+            model.predict_proba_windows(windows[:, :4])
 
     def test_empty_batch(self):
         model = _hand_built(np.zeros(5))
-        assert model.predict_proba_windows([]).shape == (0,)
+        assert model.predict_proba_windows(np.zeros((0, 3, 4))).shape == (0,)
 
 
 class TestGradients:
@@ -180,14 +180,14 @@ class TestConvRegression:
             mean_positive_bout=60,
         )
         seqs = generate_synthetic(config)
-        train = [w for s in seqs[:4] for w in make_windows(s, 30, 15)]
-        valid = [w for s in seqs[4:] for w in make_windows(s, 30, 15)]
+        train, train_labels = _windows_of(seqs[:4], 30, 15)
+        valid, valid_labels = _windows_of(seqs[4:], 30, 15)
         spec = ClassifierSpec(
             kind="cnn1d", seed=0, learning_rate=0.02, epochs=20, batch_size=64
         )
-        model = fit(train, [w.label for w in train], spec)
+        model = fit(train, train_labels, spec)
         predicted = (model.predict_proba_windows(valid) >= 0.5).astype(int)
-        report = metrics(confusion(predicted, [w.label for w in valid]))
+        report = metrics(confusion(predicted, valid_labels))
         assert report.f1_pos >= 0.6
 
 

@@ -30,9 +30,15 @@ from painfusion import (
     singular_scheme,
     spearman_rho,
 )
-from painfusion.data import SyntheticConfig, Window
+from painfusion.data import SyntheticConfig
 from painfusion.errors import TooFewSamples, ZeroVariance
 from painfusion.stats import normalize_relevances, recommend_method
+
+def _windows_of(seqs, length, stride):
+    """Windows and labels of all sequences, concatenated in order."""
+    pairs = [make_windows(s, length, stride) for s in seqs]
+    return np.concatenate([w for w, _ in pairs]), np.concatenate([y for _, y in pairs])
+
 
 # Vectors with planted ties: duplicates are likely because draws come
 # from a small integer alphabet.
@@ -213,11 +219,7 @@ class TestWeights:
         assert weights == pytest.approx({"A": 0.75, "B": 0.25}, abs=1e-12)
 
     def test_all_constant_falls_back_to_average(self):
-        wins = [
-            Window("s1", np.ones((6, 70)), 0),
-            Window("s1", np.ones((6, 70)), 1),
-            Window("s1", np.ones((6, 70)), 0),
-        ]
+        wins = np.ones((3, 6, 70))
         labels = np.array([0, 1, 0])
         fw = modality_weights(wins, labels, bifurcated_scheme())
         assert fw.provenance == "average"
@@ -275,10 +277,7 @@ class TestWeights:
                 seed=seed,
                 mean_positive_bout=60,
             )
-            wins = [
-                w for s in generate_synthetic(syn) for w in make_windows(s, 30, 15)
-            ]
-            labels = np.array([w.label for w in wins])
+            wins, labels = _windows_of(generate_synthetic(syn), 30, 15)
             fw = modality_weights(wins, labels, bifurcated_scheme())
             if fw.weights["coords"] > 0.8:
                 hits += 1
@@ -295,10 +294,7 @@ class TestWeights:
                 seed=seed,
                 mean_positive_bout=60,
             )
-            wins = [
-                w for s in generate_synthetic(syn) for w in make_windows(s, 30, 15)
-            ]
-            labels = np.array([w.label for w in wins])
+            wins, labels = _windows_of(generate_synthetic(syn), 30, 15)
             fw = modality_weights(wins, labels, quadrifurcated_scheme())
             if min(fw.weights, key=fw.weights.get) == "semg":
                 hits += 1
@@ -306,12 +302,12 @@ class TestWeights:
 
     def test_constant_modality_gets_zero(self):
         rng = np.random.default_rng(3)
-        wins = []
+        wins = np.empty((40, 6, 70))
+        labels = np.empty(40, dtype=int)
         for i in range(40):
-            f = rng.standard_normal((6, 70))
-            f[:, 66:] = 5.0
-            wins.append(Window("s1", f, int(i % 7 == 0)))
-        labels = np.array([w.label for w in wins])
+            wins[i] = rng.standard_normal((6, 70))
+            wins[i, :, 66:] = 5.0
+            labels[i] = int(i % 7 == 0)
         fw = modality_weights(wins, labels, bifurcated_scheme())
         assert fw.weights["semg"] == 0.0
         assert fw.weights["coords"] == 1.0
