@@ -41,13 +41,7 @@ from .evaluate import (
 from .errors import PainFusionError, ZeroVariance
 from .modality import scheme_by_name
 from .presets import synthetic_split
-from .stats import (
-    STATISTICAL,
-    average_weights,
-    modality_weights,
-    normality_report,
-    recommend_method,
-)
+from .stats import feature_relevance, fusion_weights, normality_report, recommend_method
 
 _POOLED_QQ_POINTS = 512
 _FEATURE_QQ_POINTS = 64
@@ -132,11 +126,12 @@ def cmd_weights(run: RunConfig, args) -> int:
     train, _, _ = _load_dataset(run)
     config = run.experiment
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
-    if config.weighting == STATISTICAL:
+
+    def relevance():
         windows, labels, _ = collect_windows(train, config)
-        weights = modality_weights(windows, labels, scheme, config.reduction)
-    else:
-        weights = average_weights(scheme)
+        return feature_relevance(windows, labels, config.reduction)
+
+    weights = fusion_weights(config.weighting, scheme, relevance)
     _write(run, "weights.csv", weights_csv(weights))
     _write(run, "weights.txt", weights.to_text())
     print(weights.to_text(), end="")
@@ -162,10 +157,16 @@ def cmd_synth(run: RunConfig, args) -> int:
     return 0
 
 
-def _experiment_rows(named_results):
-    metric_rows = [(name, r.config, r.metric_set) for name, r in named_results]
-    confusion_rows = [(name, r.confusion_matrix, r.metric_set) for name, r in named_results]
-    return metric_rows, confusion_rows
+def _write_report(run: RunConfig, rows) -> int:
+    """Write metrics.csv, confusion.csv and report.txt from (name, config,
+    confusion matrix, metric set) rows, and print the report."""
+    _write(run, "metrics.csv", metrics_csv([(n, c, ms) for n, c, _, ms in rows]))
+    confusion_rows = [(n, cm, ms) for n, _, cm, ms in rows]
+    _write(run, "confusion.csv", confusion_csv(confusion_rows))
+    table = metrics_table(confusion_rows)
+    _write(run, "report.txt", table)
+    print(table, end="")
+    return 0
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
@@ -178,48 +179,31 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     train, valid, _ = _load_dataset(run)
     result = run_experiment(train, valid, config, threads=run.threads)
     name = f"{config.scheme_name}_{config.weighting}"
-    metric_rows, confusion_rows = _experiment_rows([(name, result)])
-    _write(run, "metrics.csv", metrics_csv(metric_rows))
-    _write(run, "confusion.csv", confusion_csv(confusion_rows))
     _write(run, "weights.csv", weights_csv(result.weights))
     _write(run, "predictions.csv", predictions_csv(result))
-    table = metrics_table(confusion_rows)
-    _write(run, "report.txt", table)
-    print(table, end="")
-    return 0
+    return _write_report(run, [(name, config, result.confusion_matrix, result.metric_set)])
 
 
 def cmd_matrix(run: RunConfig, args) -> int:
     train, valid, _ = _load_dataset(run)
     results = run_matrix(train, valid, run.experiment, threads=run.threads)
-    metric_rows, confusion_rows = _experiment_rows(results)
-    _write(run, "metrics.csv", metrics_csv(metric_rows))
-    _write(run, "confusion.csv", confusion_csv(confusion_rows))
     for arm_name, result in results:
         _write(run, f"weights_{arm_name}.csv", weights_csv(result.weights))
         _write(run, f"predictions_{arm_name}.csv", predictions_csv(result))
-    table = metrics_table(confusion_rows)
-    _write(run, "report.txt", table)
-    print(table, end="")
-    return 0
+    rows = [(name, r.config, r.confusion_matrix, r.metric_set) for name, r in results]
+    return _write_report(run, rows)
 
 
 def cmd_loocv(run: RunConfig, args) -> int:
     granularity = getattr(args, "granularity", None) or run.granularity
     _, _, sequences = _load_dataset(run)
     result = loocv(sequences, run.experiment, granularity, threads=run.threads)
-    metric_rows = [(f.fold_id, f.result.config, f.result.metric_set) for f in result.folds]
-    metric_rows.append(("pooled", result.config, result.pooled_metrics))
-    confusion_rows = [
-        (f.fold_id, f.result.confusion_matrix, f.result.metric_set) for f in result.folds
+    rows = [
+        (f.fold_id, f.result.config, f.result.confusion_matrix, f.result.metric_set)
+        for f in result.folds
     ]
-    confusion_rows.append(("pooled", result.pooled_confusion, result.pooled_metrics))
-    _write(run, "metrics.csv", metrics_csv(metric_rows))
-    _write(run, "confusion.csv", confusion_csv(confusion_rows))
-    table = metrics_table(confusion_rows)
-    _write(run, "report.txt", table)
-    print(table, end="")
-    return 0
+    rows.append(("pooled", result.config, result.pooled_confusion, result.pooled_metrics))
+    return _write_report(run, rows)
 
 
 _COMMANDS = {

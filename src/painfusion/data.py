@@ -180,6 +180,15 @@ def split_train_valid(
     return train, valid
 
 
+def check_window_rule(length: int, stride: int, positive_fraction_threshold: float) -> None:
+    if length < 1 or stride < 1:
+        raise InvalidConfig(f"length and stride must be positive, got {length}, {stride}")
+    if not (0.0 < positive_fraction_threshold <= 1.0):
+        raise InvalidConfig(
+            f"positive_fraction_threshold must lie in (0, 1], got {positive_fraction_threshold}"
+        )
+
+
 def make_windows(
     seq: SequenceData,
     length: int,
@@ -196,12 +205,7 @@ def make_windows(
     view is of the sequence's 70 feature columns and copies nothing;
     otherwise it is of one copy of the selected columns.
     """
-    if length < 1 or stride < 1:
-        raise InvalidConfig(f"length and stride must be positive, got {length}, {stride}")
-    if not (0.0 < positive_fraction_threshold <= 1.0):
-        raise InvalidConfig(
-            f"positive_fraction_threshold must lie in (0, 1], got {positive_fraction_threshold}"
-        )
+    check_window_rule(length, stride, positive_fraction_threshold)
     n = seq.n_frames
     if length > n:
         raise WindowLongerThanSequence(f"window length {length} > {n} frames")

@@ -125,10 +125,6 @@ class NonFiniteGradient(NumericError):
     pass
 
 
-class CheckpointError(DataError):
-    pass
-
-
 # --- fusion ---
 
 class KeyMismatch(InternalError):

@@ -9,10 +9,11 @@ raised, so heavily imbalanced splits still produce a full report.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
-from .data import SequenceData, _stable_key, make_windows
+from .data import SequenceData, _stable_key, check_window_rule, make_windows
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -22,7 +23,7 @@ from .errors import (
     SubjectInBothSplits,
     TooFewSubjects,
 )
-from .fusion import VOTE_MODES, fuse_batch
+from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import ClassifierSpec, TrainedClassifier, fit
 from .stats import (
@@ -30,8 +31,8 @@ from .stats import (
     REDUCTIONS,
     STATISTICAL,
     FusionWeights,
-    average_weights,
-    modality_weights,
+    feature_relevance,
+    fusion_weights,
 )
 
 WEIGHTINGS = (STATISTICAL, AVERAGE)
@@ -158,8 +159,9 @@ class ExperimentConfig:
             raise InvalidConfig(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
             )
-        if self.vote_mode not in VOTE_MODES:
-            raise InvalidConfig(f"vote_mode must be one of {VOTE_MODES}, got {self.vote_mode!r}")
+        check_mode(self.vote_mode)
+        check_threshold(self.decision_threshold)
+        check_window_rule(self.window_length, self.window_stride, self.positive_fraction_threshold)
         if self.reduction not in REDUCTIONS:
             raise InvalidConfig(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if self.seed < 0:
@@ -235,6 +237,97 @@ def _stage(name: str, fn):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def _run_arms(
+    train_seqs: list[SequenceData],
+    valid_seqs: list[SequenceData],
+    base: ExperimentConfig,
+    arms: list[tuple[str, str]],
+    threads: int,
+) -> list[ExperimentResult]:
+    """Score one arm per (scheme name, weighting) pair, all on the base
+    config's windowing, classifier, and seed.
+
+    Each distinct modality is trained once, whichever arms use it (its
+    classifier seed depends only on its name); weighting and voting are
+    pure functions of the train-split relevance and the cached validation
+    probabilities. Fusion weights and standardization constants come from
+    the train split only. Errors are re-raised with the stage prefixed.
+    """
+    configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
+    for config in configs:
+        config.validate()
+    shared = {s.subject_id for s in train_seqs} & {s.subject_id for s in valid_seqs}
+    if shared:
+        raise SubjectInBothSplits(f"subject(s) in both splits: {sorted(shared)}")
+    schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
+    # An empty column selection yields the labels and subject ids of the
+    # windows without copying any feature data.
+    _, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, base, ()))
+    _, valid_labels, valid_subjects = _stage(
+        "windowing", lambda: collect_windows(valid_seqs, base, ())
+    )
+    if not len(train_labels):
+        raise EmptyDataset("windowing: train split produced no windows")
+    if not len(valid_labels):
+        raise EmptyDataset("windowing: validation split produced no windows")
+
+    # The 70-column train tensor lives only inside this call, which runs
+    # at most once and before any training starts.
+    @cache
+    def relevance():
+        windows = collect_windows(train_seqs, base)[0]
+        return feature_relevance(windows, train_labels, base.reduction)
+
+    weights = [
+        _stage("weighting", lambda: fusion_weights(c.weighting, scheme, relevance))
+        for c, scheme in zip(configs, schemes)
+    ]
+
+    def train_one(key):
+        # Each tensor holds one modality's columns and is built only for
+        # the call that reads it, so the train and validation tensors of
+        # a modality are never held at once.
+        name, columns = key
+        spec = replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
+        model = fit(collect_windows(train_seqs, base, columns)[0], train_labels, spec)
+        valid_windows = collect_windows(valid_seqs, base, columns)[0]
+        return model, model.predict_proba_windows(valid_windows)
+
+    # Scheme by scheme, so that the pool never holds the tensors of two
+    # schemes' modalities (say the 70-column and 66-column ones) at once.
+    trained = {}
+    for scheme in schemes:
+        keys = [k for k in sorted(scheme.modalities.items()) if k not in trained]
+        outcomes = _stage("training", lambda: _map_indexed(train_one, keys, threads))
+        trained.update(zip(keys, outcomes))
+
+    results = []
+    for config, scheme, arm_weights in zip(configs, schemes, weights):
+        outcomes = {name: trained[name, scheme.modalities[name]] for name in sorted(scheme.names)}
+        probas = {name: p for name, (_, p) in outcomes.items()}
+        threshold, mode = config.decision_threshold, config.vote_mode
+        fused, predicted = _stage(
+            "fusion", lambda: fuse_batch(probas, arm_weights, threshold, mode)
+        )
+        cm = _stage("scoring", lambda: confusion(predicted, valid_labels))
+        results.append(
+            ExperimentResult(
+                config=config,
+                weights=arm_weights,
+                classifiers={name: model for name, (model, _) in outcomes.items()},
+                n_train_windows=len(train_labels),
+                valid_subjects=tuple(valid_subjects.tolist()),
+                valid_labels=valid_labels.astype(np.int64),
+                per_modality_probas=probas,
+                fused_probabilities=fused,
+                predicted=predicted.astype(np.int64),
+                confusion_matrix=cm,
+                metric_set=metrics(cm),
+            )
+        )
+    return results
+
+
 def run_experiment(
     train_seqs: list[SequenceData],
     valid_seqs: list[SequenceData],
@@ -242,72 +335,9 @@ def run_experiment(
     threads: int = 1,
 ) -> ExperimentResult:
     """Train per-modality classifiers on the train split, fuse their
-    validation probabilities, and score the result.
-
-    Fusion weights and standardization constants come from the train
-    split only; the validation split is only ever scored. Errors from
-    the pipeline are re-raised with the failing stage prefixed.
-    """
-    config.validate()
-    shared = {s.subject_id for s in train_seqs} & {s.subject_id for s in valid_seqs}
-    if shared:
-        raise SubjectInBothSplits(f"subject(s) in both splits: {sorted(shared)}")
-    scheme = scheme_by_name(config.scheme_name, config.joint_map)
-    # An empty column selection yields the labels and subject ids of the
-    # windows without copying any feature data.
-    _, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, config, ()))
-    _, valid_labels, valid_subjects = _stage(
-        "windowing", lambda: collect_windows(valid_seqs, config, ())
-    )
-    if not len(train_labels):
-        raise EmptyDataset("windowing: train split produced no windows")
-    if not len(valid_labels):
-        raise EmptyDataset("windowing: validation split produced no windows")
-
-    if config.weighting == STATISTICAL:
-        weights = _stage(
-            "weighting",
-            lambda: modality_weights(
-                collect_windows(train_seqs, config)[0], train_labels, scheme, config.reduction
-            ),
-        )
-    else:
-        weights = average_weights(scheme)
-
-    names = sorted(scheme.names)
-
-    def train_one(name: str):
-        # Each tensor holds one modality's columns and is built only for
-        # the call that reads it, so the train and validation tensors of
-        # a modality are never held at once.
-        columns = scheme.modalities[name]
-        spec = replace(config.classifier, seed=derive_seed(config.classifier.seed, "clf:" + name))
-        model = fit(collect_windows(train_seqs, config, columns)[0], train_labels, spec)
-        valid_windows = collect_windows(valid_seqs, config, columns)[0]
-        return model, model.predict_proba_windows(valid_windows)
-
-    outcomes = _stage("training", lambda: _map_indexed(train_one, names, threads))
-    classifiers = {name: model for name, (model, _) in zip(names, outcomes)}
-    probas = {name: p for name, (_, p) in zip(names, outcomes)}
-
-    fused, predicted = _stage(
-        "fusion",
-        lambda: fuse_batch(probas, weights, config.decision_threshold, config.vote_mode),
-    )
-    cm = _stage("scoring", lambda: confusion(predicted, valid_labels))
-    return ExperimentResult(
-        config=config,
-        weights=weights,
-        classifiers=classifiers,
-        n_train_windows=len(train_labels),
-        valid_subjects=tuple(valid_subjects.tolist()),
-        valid_labels=valid_labels.astype(np.int64),
-        per_modality_probas=probas,
-        fused_probabilities=fused,
-        predicted=predicted.astype(np.int64),
-        confusion_matrix=cm,
-        metric_set=metrics(cm),
-    )
+    validation probabilities, and score the result (see ``_run_arms``)."""
+    arm = [(config.scheme_name, config.weighting)]
+    return _run_arms(train_seqs, valid_seqs, config, arm, threads)[0]
 
 
 MATRIX_ARMS = (
@@ -325,14 +355,13 @@ def run_matrix(
     threads: int = 1,
 ) -> list[tuple[str, ExperimentResult]]:
     """Run the four standard arms (one scheme/weighting pair each) with
-    shared windowing, classifier, and seed settings. Arms sharing a
-    scheme train identical models, so weighting is the only difference
-    between the two quadrifurcated rows."""
-    results = []
-    for arm_name, scheme_name, weighting in MATRIX_ARMS:
-        config = replace(base, scheme_name=scheme_name, weighting=weighting)
-        results.append((arm_name, run_experiment(train_seqs, valid_seqs, config, threads)))
-    return results
+    shared windowing, classifier, and seed settings. Each of the six
+    distinct modalities is trained once, so the two quadrifurcated rows
+    share their models and differ only in weighting. Every arm equals a
+    ``run_experiment`` on its own config, bit for bit."""
+    arms = [arm[1:] for arm in MATRIX_ARMS]
+    results = _run_arms(train_seqs, valid_seqs, base, arms, threads)
+    return [(arm[0], result) for arm, result in zip(MATRIX_ARMS, results)]
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ from .stats import FusionWeights
 VOTE_MODES = ("soft", "hard")
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
-        raise InvalidConfig(f"threshold must lie strictly in (0, 1), got {threshold!r}")
+        raise InvalidConfig(f"decision threshold must lie strictly in (0, 1), got {threshold!r}")
 
 
-def _check_mode(mode: str) -> None:
+def check_mode(mode: str) -> None:
     if mode not in VOTE_MODES:
-        raise InvalidConfig(f"mode must be one of {VOTE_MODES}, got {mode!r}")
+        raise InvalidConfig(f"vote mode must be one of {VOTE_MODES}, got {mode!r}")
 
 
 def _check_keys(probas_keys, weights: FusionWeights) -> list[str]:
@@ -46,8 +46,8 @@ def fuse_batch(
     Accumulation runs in sorted key order, so the result is independent
     of the dict's insertion order.
     """
-    _check_threshold(threshold)
-    _check_mode(mode)
+    check_threshold(threshold)
+    check_mode(mode)
     names = _check_keys(probas.keys(), weights)
     lengths = {name: len(probas[name]) for name in names}
     if len(set(lengths.values())) > 1:

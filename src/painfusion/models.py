@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CheckpointError,
     DivergedLoss,
     EmptyDataset,
     InvalidConfig,
@@ -33,9 +32,6 @@ from .errors import (
 CLASSIFIER_KINDS = ("logistic", "mlp", "cnn1d")
 
 STD_FLOOR = 1e-8
-
-_CHECKPOINT_HEADER = "painfusion-classifier 1"
-
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -431,92 +427,3 @@ def _loss_only(arch, params, X, y, pos_weight, l2):
     z, _ = arch.raw_scores(params, X)
     return _weighted_bce(z, y, pos_weight) + l2 * float(params @ params), None
 
-
-# --- checkpoints ----------------------------------------------------------
-
-
-def save_checkpoint(model: TrainedClassifier, path) -> None:
-    """Write a model as versioned plain text (floats via repr, so a
-    load reproduces every value bit for bit)."""
-    s = model.spec
-    lines = [
-        _CHECKPOINT_HEADER,
-        f"kind = {s.kind}",
-        f"seed = {s.seed}",
-        f"hidden_units = {s.hidden_units}",
-        f"conv_channels = {s.conv_channels}",
-        f"kernel_width = {s.kernel_width}",
-        f"learning_rate = {s.learning_rate!r}",
-        f"epochs = {s.epochs}",
-        f"batch_size = {s.batch_size}",
-        f"momentum = {s.momentum!r}",
-        f"l2 = {s.l2!r}",
-        f"positive_class_weight = {s.positive_class_weight!r}",
-        f"n_features = {model.n_features}",
-        f"positive_weight = {model.positive_weight!r}",
-        f"single_class = {int(model.single_class)}",
-    ]
-    for name in ("feature_mean", "feature_std", "params"):
-        vector = getattr(model, name)
-        lines.append(f"{name}: " + " ".join(repr(float(v)) for v in vector))
-    lines.append("training_log: " + " ".join(repr(float(v)) for v in model.training_log))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path) -> TrainedClassifier:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CHECKPOINT_HEADER:
-        found = lines[0] if lines else "<empty file>"
-        raise CheckpointError(
-            f"unsupported checkpoint header {found!r}; expected {_CHECKPOINT_HEADER!r}"
-        )
-    scalars: dict[str, str] = {}
-    vectors: dict[str, np.ndarray] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if ": " in line and " = " not in line:
-            name, _, payload = line.partition(": ")
-            vectors[name] = np.array([float(t) for t in payload.split()], dtype=np.float64)
-        elif line.endswith(":"):
-            vectors[line[:-1]] = np.zeros(0)
-        else:
-            key, _, value = line.partition(" = ")
-            scalars[key] = value
-    try:
-        pcw = scalars["positive_class_weight"]
-        spec = ClassifierSpec(
-            kind=scalars["kind"],
-            seed=int(scalars["seed"]),
-            hidden_units=int(scalars["hidden_units"]),
-            conv_channels=int(scalars["conv_channels"]),
-            kernel_width=int(scalars["kernel_width"]),
-            learning_rate=float(scalars["learning_rate"]),
-            epochs=int(scalars["epochs"]),
-            batch_size=int(scalars["batch_size"]),
-            momentum=float(scalars["momentum"]),
-            l2=float(scalars["l2"]),
-            positive_class_weight=None if pcw == "None" else float(pcw),
-        )
-        model = TrainedClassifier(
-            spec=spec,
-            n_features=int(scalars["n_features"]),
-            feature_mean=vectors["feature_mean"],
-            feature_std=vectors["feature_std"],
-            params=vectors["params"],
-            positive_weight=float(scalars["positive_weight"]),
-            single_class=bool(int(scalars["single_class"])),
-            training_log=tuple(float(v) for v in vectors.get("training_log", ())),
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint missing field {exc.args[0]!r}") from None
-    if len(model.feature_mean) != model.n_features or len(model.feature_std) != model.n_features:
-        raise CheckpointError("checkpoint standardization vectors disagree with n_features")
-    expected = _architecture(spec, model.n_features).n_params
-    if len(model.params) != expected:
-        raise CheckpointError(
-            f"checkpoint has {len(model.params)} parameters, architecture needs {expected}"
-        )
-    return model

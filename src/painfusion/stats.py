@@ -7,7 +7,7 @@ convention, which downstream weighting treats as "no relevance".
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -368,20 +368,12 @@ def normalize_relevances(raw: dict[str, float]) -> dict[str, float] | None:
     return {name: value / total for name, value in raw.items()}
 
 
-def modality_weights(
-    windows,
-    labels,
-    scheme: ModalityScheme,
-    reduction: str = "mean",
-) -> FusionWeights:
-    """Fusion weights from per-feature Spearman correlation against labels.
+def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
+    """|rho| of every feature column against the window labels.
 
     ``windows`` is a [n_windows, window_length, n_features] array. Each
-    feature is reduced over time within its window (mean by default),
-    correlated with the window labels, and a modality's raw relevance is
-    the mean |rho| over its features (degenerate features contribute 0).
-    All-zero relevance falls back to equal weights with provenance
-    downgraded to "average".
+    feature is reduced over time within its window (mean by default) and
+    Spearman-correlated with the labels; a degenerate column scores 0.
     """
     if len(windows) == 0:
         raise EmptyDataset("no windows")
@@ -391,30 +383,42 @@ def modality_weights(
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}")
     reduced = getattr(np.asarray(windows, dtype=np.float64), reduction)(axis=1)
-    n_features = reduced.shape[1]
+    abs_rho = np.empty(reduced.shape[1])
+    for j in range(reduced.shape[1]):
+        result = spearman_rho(reduced[:, j], y)
+        abs_rho[j] = 0.0 if result.degenerate else abs(result.coefficient)
+    return abs_rho
+
+
+def relevance_weights(abs_rho, scheme: ModalityScheme) -> FusionWeights:
+    """Fusion weights from per-feature relevance: a modality's raw
+    relevance is the mean |rho| over its features, normalized to sum 1.
+    All-zero relevance falls back to equal weights with provenance
+    downgraded to "average"."""
+    abs_rho = np.asarray(abs_rho, dtype=np.float64)
+    n_features = len(abs_rho)
     for name, indices in scheme.modalities.items():
         if indices and (indices[-1] >= n_features or indices[0] < 0):
             raise SchemeFeatureOutOfRange(
                 f"modality {name!r} references feature outside [0, {n_features})"
             )
-
-    abs_rho = np.empty(n_features)
-    for j in range(n_features):
-        result = spearman_rho(reduced[:, j], y)
-        abs_rho[j] = 0.0 if result.degenerate else abs(result.coefficient)
-
     raw = {
         name: float(np.mean(abs_rho[np.asarray(indices)]))
         for name, indices in scheme.modalities.items()
     }
     weights = normalize_relevances(raw)
     if weights is None:
-        m = len(scheme.modalities)
-        weights = {name: 1.0 / m for name in scheme.modalities}
-        provenance = SINGULAR if m == 1 else AVERAGE
-    else:
-        provenance = SINGULAR if len(scheme.modalities) == 1 else STATISTICAL
+        return replace(average_weights(scheme), raw_relevance=raw)
+    provenance = SINGULAR if len(scheme.modalities) == 1 else STATISTICAL
     return FusionWeights(scheme.name, weights, provenance, raw)
+
+
+def modality_weights(
+    windows, labels, scheme: ModalityScheme, reduction: str = "mean"
+) -> FusionWeights:
+    """Fusion weights from per-feature Spearman correlation against
+    labels: ``feature_relevance`` followed by ``relevance_weights``."""
+    return relevance_weights(feature_relevance(windows, labels, reduction), scheme)
 
 
 def average_weights(scheme: ModalityScheme) -> FusionWeights:
@@ -424,3 +428,12 @@ def average_weights(scheme: ModalityScheme) -> FusionWeights:
     raw = {name: 1.0 for name in scheme.modalities}
     provenance = SINGULAR if m == 1 else AVERAGE
     return FusionWeights(scheme.name, weights, provenance, raw)
+
+
+def fusion_weights(weighting: str, scheme: ModalityScheme, relevance) -> FusionWeights:
+    """The scheme's weights under a weighting rule: ``relevance_weights``
+    for "statistical", ``average_weights`` for "average". ``relevance()``
+    is called only for "statistical" and returns ``feature_relevance``."""
+    if weighting == STATISTICAL:
+        return relevance_weights(relevance(), scheme)
+    return average_weights(scheme)

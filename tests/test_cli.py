@@ -33,6 +33,10 @@ snr.semg = 1.5
 """
 
 
+AVERAGE = ("weighting = statistical", "weighting = average")
+NO_POSITIVES = "positive_fraction_threshold = 0"
+
+
 @pytest.fixture
 def ini(tmp_path):
     path = tmp_path / "run.ini"
@@ -127,20 +131,46 @@ class TestFailureModes:
         )
         assert code == 2
 
-    def test_window_shorter_than_kernel_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def _exits_2_before_loading(tmp_path, capsys, edits, command, message):
+        text = SMALL_INI
+        for old, new in edits:
+            text = text.replace(old, new)
         bad = tmp_path / "bad.ini"
-        bad.write_text(
-            SMALL_INI.replace("kind = logistic", "kind = cnn1d\nkernel_width = 5").replace(
-                "length = 20", "length = 4"
-            )
-        )
+        bad.write_text(text)
         out = tmp_path / "o"
-        code = main(["matrix", "--config", str(bad), "--out", str(out)])
+        code = main([command, "--config", str(bad), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ")
-        assert "window length 4 shorter than kernel width 5" in err
+        assert message in err
         assert not out.exists()
+
+    def test_window_shorter_than_kernel_exits_2(self, tmp_path, capsys):
+        edits = [
+            ("kind = logistic", "kind = cnn1d\nkernel_width = 5"),
+            ("length = 20", "length = 4"),
+        ]
+        self._exits_2_before_loading(
+            tmp_path, capsys, edits, "matrix", "window length 4 shorter than kernel width 5"
+        )
+
+    @pytest.mark.parametrize(
+        "edits, command, message",
+        [
+            ([AVERAGE, ("length = 20", "length = 0")], "weights", "length and stride"),
+            ([("stride = 10", "stride = 0")], "evaluate", "length and stride"),
+            ([AVERAGE, ("stride = 10", "stride = 10\n" + NO_POSITIVES)], "weights", "(0, 1]"),
+            ([("seed = 3", "seed = 3\ndecision_threshold = 1.5")], "weights", "(0, 1)"),
+            ([("seed = 3", "seed = 3\ndecision_threshold = 1.5")], "evaluate", "(0, 1)"),
+        ],
+        ids=["length-weights", "stride-evaluate", "fraction-weights", "decision-weights",
+             "decision-evaluate"],
+    )
+    def test_invalid_window_rule_or_threshold_exits_2(
+        self, tmp_path, capsys, edits, command, message
+    ):
+        self._exits_2_before_loading(tmp_path, capsys, edits, command, message)
 
 
 class TestEvaluate:

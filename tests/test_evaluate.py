@@ -218,6 +218,34 @@ class TestRunExperiment:
         assert by_name["singular"].config.scheme_name == "singular"
         assert by_name["quadrifurcated_average"].config.weighting == "average"
 
+    def test_matrix_trains_each_modality_once(self, monkeypatch):
+        """Six distinct modalities give six fits, and every arm is bit for
+        bit the standalone run of its own config."""
+        import painfusion.evaluate as evaluate_module
+
+        seqs = _corpus()
+        real_fit, calls = evaluate_module.fit, []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[2].seed)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "fit", counting_fit)
+        rows = run_matrix(seqs[:4], seqs[4:], _config(), threads=2)
+        assert len(calls) == 6
+        assert len(set(calls)) == 6
+        for _, arm in rows:
+            alone = run_experiment(seqs[:4], seqs[4:], arm.config)
+            assert arm.fused_probabilities.tobytes() == alone.fused_probabilities.tobytes()
+            assert sorted(arm.classifiers) == sorted(alone.classifiers)
+            for name in arm.classifiers:
+                assert (
+                    arm.classifiers[name].params.tobytes()
+                    == alone.classifiers[name].params.tobytes()
+                )
+            assert arm.weights == alone.weights
+            assert arm.confusion_matrix == alone.confusion_matrix
+
 
 class TestLoocv:
     def test_subject_folds(self):

@@ -1,4 +1,4 @@
-"""Classifier training, gradients, prediction, and checkpoints."""
+"""Classifier training, gradients, and prediction."""
 
 import math
 
@@ -14,9 +14,7 @@ from painfusion import (
     make_windows,
 )
 from painfusion.data import SyntheticConfig, generate_synthetic
-from painfusion.models import load_checkpoint, save_checkpoint
 from painfusion.errors import (
-    CheckpointError,
     DivergedLoss,
     EmptyDataset,
     InvalidLabel,
@@ -189,48 +187,3 @@ class TestConvRegression:
         predicted = (model.predict_proba_windows(valid) >= 0.5).astype(int)
         report = metrics(confusion(predicted, valid_labels))
         assert report.f1_pos >= 0.6
-
-
-class TestCheckpoints:
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        windows, labels = _random_windows()
-        model = fit(windows, labels, ClassifierSpec(kind="mlp", seed=3, epochs=5))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.spec == model.spec
-        assert loaded.params.tobytes() == model.params.tobytes()
-        assert loaded.single_class == model.single_class
-        assert loaded.training_log == model.training_log
-        before = model.predict_proba_windows(windows)
-        after = loaded.predict_proba_windows(windows)
-        assert before.tobytes() == after.tobytes()
-
-    def test_unsupported_header(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_text("some-other-format 9\n")
-        with pytest.raises(CheckpointError, match="header"):
-            load_checkpoint(path)
-
-    def test_missing_field(self, tmp_path):
-        windows, labels = _random_windows()
-        model = fit(windows, labels, ClassifierSpec(kind="logistic", seed=0, epochs=2))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("params:")]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="params"):
-            load_checkpoint(path)
-
-    def test_vector_length_mismatch(self, tmp_path):
-        windows, labels = _random_windows()
-        model = fit(windows, labels, ClassifierSpec(kind="logistic", seed=0, epochs=2))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("feature_mean:"):
-                lines[i] = "feature_mean: 0.0 1.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="n_features"):
-            load_checkpoint(path)
