@@ -5,9 +5,10 @@ flags: --config, --out, --seed, --threads, --manifest. Every artifact is
 written under --out; reruns with the same config, seed, and any thread
 count produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure, 5 internal invariant violation. Failures print one line to
-stderr of the form ``error[<category>]: <message>``.
+Exit codes: 0 success, 2 ConfigError, 3 DataError, 4 NumericError, 5
+InternalError or any unplanned exception. Failures print one line to
+stderr of the form ``error[<category>]: <message>``. ZeroVariance, a
+DataError, is the one finer class; ``analyze`` catches it.
 """
 
 import argparse

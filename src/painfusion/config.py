@@ -9,10 +9,10 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .data import SyntheticConfig
+from .data import SyntheticConfig, read_text
 from .errors import ConfigError
 from .evaluate import ExperimentConfig, GRANULARITIES
-from .modality import JointSegmentMap, load_joint_segment_map
+from .modality import JointSegmentMap, parse_joint_segment_map
 from .models import ClassifierSpec
 from .presets import WINDOW_LENGTH, WINDOW_STRIDE, default_synthetic_config
 
@@ -72,9 +72,9 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
+    text = read_text(path, ConfigError, "config")
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"config {path}: {' '.join(str(exc).split())}") from None
     for section in parser.sections():
@@ -155,7 +155,9 @@ def load_run_config(
         joint_map_path = _resolve(base_dir, joint_map_path)
         if not os.path.exists(joint_map_path):
             raise ConfigError(f"joint_map file not found: {joint_map_path}")
-        joint_map = load_joint_segment_map(joint_map_path)
+        joint_map = parse_joint_segment_map(
+            read_text(joint_map_path, ConfigError, "joint_map file")
+        )
 
     classifier = ClassifierSpec(
         kind=_typed(parser, "classifier", "kind", "logistic", str),

@@ -8,6 +8,7 @@ binary protective-behavior label. Columns beyond 73 are ignored.
 
 import csv
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -15,17 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    EmptyFile,
-    InvalidConfig,
-    InvalidLabel,
-    ManifestError,
-    NonNumericField,
-    RowTooShort,
-    SubjectInBothSplits,
-    UnassignedSubject,
-    WindowLongerThanSequence,
-)
+from .errors import ConfigError, DataError
 from .modality import (
     N_FEATURES,
     SEMG_INDICES,
@@ -65,15 +56,6 @@ class SequenceData:
         return self.features.shape[0]
 
 
-def _decode(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    if isinstance(data, str):
-        return data
-    raw = data.read()
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-
 def _locate_bad_token(rows: list[list[str]]) -> tuple[int, int, str]:
     for i, row in enumerate(rows):
         for j, token in enumerate(row):
@@ -86,7 +68,7 @@ def _locate_bad_token(rows: list[list[str]]) -> tuple[int, int, str]:
     raise AssertionError("no bad token found")  # pragma: no cover
 
 
-def parse_emopain_file(data, subject_id: str, group: str) -> SequenceData:
+def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
     """Parse row-per-frame numeric text into a SequenceData.
 
     The field delimiter (comma or whitespace) is auto-detected from the
@@ -94,18 +76,17 @@ def parse_emopain_file(data, subject_id: str, group: str) -> SequenceData:
     ignored. The label column must be 0 or 1 within 1e-9.
     """
     if group not in GROUPS:
-        raise ManifestError(f"unknown group {group!r}; expected one of {GROUPS}")
-    text = _decode(data)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        raise DataError(f"unknown group {group!r}; expected one of {GROUPS}")
+    lines = [ln for ln in data.splitlines() if ln.strip()]
     if not lines:
-        raise EmptyFile(f"no data rows for subject {subject_id!r}")
+        raise DataError(f"no data rows for subject {subject_id!r}")
 
     sep = "," if "," in lines[0] else None  # None -> any whitespace
     rows = []
     for i, line in enumerate(lines):
         tokens = [t for t in line.split(sep) if t != ""]
         if len(tokens) < _MIN_COLUMNS:
-            raise RowTooShort(
+            raise DataError(
                 f"row {i + 1}: {len(tokens)} columns, need {_MIN_COLUMNS}"
             )
         rows.append(tokens[:_MIN_COLUMNS])
@@ -114,12 +95,12 @@ def parse_emopain_file(data, subject_id: str, group: str) -> SequenceData:
         matrix = np.array(rows, dtype=np.float64)
     except ValueError:
         i, j, token = _locate_bad_token(rows)
-        raise NonNumericField(
+        raise DataError(
             f"row {i + 1}, column {j + 1}: cannot parse {token!r}"
         ) from None
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise NonNumericField(
+        raise DataError(
             f"row {i + 1}, column {j + 1}: non-finite value {rows[i][j]!r}"
         )
 
@@ -130,7 +111,7 @@ def parse_emopain_file(data, subject_id: str, group: str) -> SequenceData:
     bad = ~(near_zero | near_one)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise InvalidLabel(f"row {i + 1}: label {raw_labels[i]!r} not in {{0, 1}}")
+        raise DataError(f"row {i + 1}: label {raw_labels[i]!r} not in {{0, 1}}")
     labels[near_zero] = 0
     labels[near_one] = 1
 
@@ -168,13 +149,13 @@ def split_train_valid(
     """Split sequences by subject according to an explicit assignment."""
     overlap = set(train_subjects) & set(valid_subjects)
     if overlap:
-        raise SubjectInBothSplits(f"subject(s) in both splits: {sorted(overlap)}")
+        raise DataError(f"subject(s) in both splits: {sorted(overlap)}")
     train_set, valid_set = set(train_subjects), set(valid_subjects)
     unassigned = sorted(
         {s.subject_id for s in sequences} - train_set - valid_set
     )
     if unassigned:
-        raise UnassignedSubject(f"subject(s) in neither split: {unassigned}")
+        raise DataError(f"subject(s) in neither split: {unassigned}")
     train = [s for s in sequences if s.subject_id in train_set]
     valid = [s for s in sequences if s.subject_id in valid_set]
     return train, valid
@@ -182,9 +163,9 @@ def split_train_valid(
 
 def check_window_rule(length: int, stride: int, positive_fraction_threshold: float) -> None:
     if length < 1 or stride < 1:
-        raise InvalidConfig(f"length and stride must be positive, got {length}, {stride}")
+        raise ConfigError(f"length and stride must be positive, got {length}, {stride}")
     if not (0.0 < positive_fraction_threshold <= 1.0):
-        raise InvalidConfig(
+        raise ConfigError(
             f"positive_fraction_threshold must lie in (0, 1], got {positive_fraction_threshold}"
         )
 
@@ -208,7 +189,7 @@ def make_windows(
     check_window_rule(length, stride, positive_fraction_threshold)
     n = seq.n_frames
     if length > n:
-        raise WindowLongerThanSequence(f"window length {length} > {n} frames")
+        raise DataError(f"window length {length} > {n} frames")
     features = seq.features if columns is None else seq.features[:, list(columns)]
     windows = sliding_window_view(features, length, axis=0)[::stride].transpose(0, 2, 1)
     cum = np.concatenate([[0], np.cumsum(seq.labels, dtype=np.int64)])
@@ -256,31 +237,31 @@ class SyntheticConfig:
 
     def validate(self) -> None:
         if self.n_subjects < 1 or self.frames_per_subject < 1:
-            raise InvalidConfig("n_subjects and frames_per_subject must be positive")
+            raise ConfigError("n_subjects and frames_per_subject must be positive")
         if not (0.0 < self.positive_rate < 1.0):
-            raise InvalidConfig(
+            raise ConfigError(
                 f"positive_rate must lie strictly in (0, 1), got {self.positive_rate}"
             )
         if not self.modality_snr:
-            raise InvalidConfig("modality_snr needs at least one entry")
+            raise ConfigError("modality_snr needs at least one entry")
         resolvable = set(_snr_index_map())
         for name, snr in self.modality_snr.items():
             if name not in resolvable:
-                raise InvalidConfig(
+                raise ConfigError(
                     f"unknown modality {name!r}; expected one of {sorted(resolvable)}"
                 )
             if not (math.isfinite(snr) and snr >= 0.0):
-                raise InvalidConfig(f"snr for {name!r} must be finite and >= 0")
+                raise ConfigError(f"snr for {name!r} must be finite and >= 0")
         if self.mean_positive_bout < 1:
-            raise InvalidConfig("mean_positive_bout must be >= 1")
+            raise ConfigError("mean_positive_bout must be >= 1")
         if self.expression not in EXPRESSION_MODES:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"expression must be one of {EXPRESSION_MODES}, got {self.expression!r}"
             )
         if not (0.0 <= self.noise_correlation < 1.0):
-            raise InvalidConfig("noise_correlation must lie in [0, 1)")
+            raise ConfigError("noise_correlation must lie in [0, 1)")
         if self.seed < 0:
-            raise InvalidConfig("seed must be a nonnegative integer")
+            raise ConfigError("seed must be a nonnegative integer")
 
 
 def _snr_index_map() -> dict[str, tuple[int, ...]]:
@@ -385,28 +366,43 @@ class ManifestEntry:
     path: str
 
 
+def read_text(path, error, what: str, newline=None) -> str:
+    """The UTF-8 text of an existing file; a file that cannot be opened
+    or decoded raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {what} {path}: {reason}") from None
+
+
 def read_manifest(path) -> list[ManifestEntry]:
     if not os.path.exists(path):
-        raise ManifestError(f"manifest not found: {path}")
+        raise DataError(f"manifest not found: {path}")
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(MANIFEST_FIELDS):
-            raise ManifestError(
-                f"manifest {path}: header must be {','.join(MANIFEST_FIELDS)}"
+    text = read_text(path, DataError, "manifest", newline="")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(MANIFEST_FIELDS):
+        raise DataError(
+            f"manifest {path}: header must be {','.join(MANIFEST_FIELDS)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if None in row.values():
+            raise DataError(
+                f"manifest {path} line {lineno}: need {len(MANIFEST_FIELDS)} fields"
             )
-        for lineno, row in enumerate(reader, start=2):
-            group = row["group"].strip()
-            split = row["split"].strip()
-            if group not in GROUPS:
-                raise ManifestError(f"manifest {path} line {lineno}: bad group {group!r}")
-            if split not in SPLITS:
-                raise ManifestError(f"manifest {path} line {lineno}: bad split {split!r}")
-            entries.append(
-                ManifestEntry(row["subject_id"].strip(), group, split, row["path"].strip())
-            )
+        group = row["group"].strip()
+        split = row["split"].strip()
+        if group not in GROUPS:
+            raise DataError(f"manifest {path} line {lineno}: bad group {group!r}")
+        if split not in SPLITS:
+            raise DataError(f"manifest {path} line {lineno}: bad split {split!r}")
+        entries.append(
+            ManifestEntry(row["subject_id"].strip(), group, split, row["path"].strip())
+        )
     if not entries:
-        raise ManifestError(f"manifest {path}: no records")
+        raise DataError(f"manifest {path}: no records")
     return entries
 
 
@@ -427,9 +423,9 @@ def load_sequences(manifest_path) -> list[tuple[ManifestEntry, SequenceData]]:
     for entry in entries:
         path = entry.path if os.path.isabs(entry.path) else os.path.join(base, entry.path)
         if not os.path.exists(path):
-            raise ManifestError(f"data file not found: {path}")
-        with open(path, "rb") as fh:
-            seq = parse_emopain_file(fh.read(), entry.subject_id, entry.group)
+            raise DataError(f"data file not found: {path}")
+        text = read_text(path, DataError, "data file", newline="")
+        seq = parse_emopain_file(text, entry.subject_id, entry.group)
         out.append((entry, seq))
     return out
 

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception classes, one per CLI exit code.
 
-Top-level categories map onto CLI exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4, anything else -> 5 (internal).
+ConfigError -> 2, DataError -> 3, NumericError -> 4, InternalError (and
+anything else) -> 5. Each failure prints one ``error[<category>]:
+<message>`` line; the message names the check that fired. ZeroVariance
+is the one finer class, because ``analyze`` catches it to mark a
+constant feature.
 """
 
 
@@ -29,113 +32,5 @@ class InternalError(PainFusionError):
     pass
 
 
-# --- data / parsing ---
-
-class RowTooShort(DataError):
-    pass
-
-
-class NonNumericField(DataError):
-    pass
-
-
-class InvalidLabel(DataError):
-    pass
-
-
-class EmptyFile(DataError):
-    pass
-
-
-class SubjectInBothSplits(DataError):
-    pass
-
-
-class UnassignedSubject(DataError):
-    pass
-
-
-class WindowLongerThanSequence(DataError):
-    pass
-
-
-class InvalidConfig(ConfigError):
-    pass
-
-
-class ManifestError(DataError):
-    pass
-
-
-# --- statistics ---
-
-class EmptyInput(DataError):
-    pass
-
-
-class NonFiniteInput(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class TooFewSamples(DataError):
-    pass
-
-
 class ZeroVariance(DataError):
-    pass
-
-
-class OutOfDomain(DataError):
-    pass
-
-
-class EmptyDataset(DataError):
-    pass
-
-
-class SchemeFeatureOutOfRange(ConfigError):
-    pass
-
-
-# --- modality schemes ---
-
-class InvalidJointMap(ConfigError):
-    pass
-
-
-class InvalidScheme(ConfigError):
-    pass
-
-
-# --- models ---
-
-class ShapeMismatch(DataError):
-    pass
-
-
-class DivergedLoss(NumericError):
-    pass
-
-
-class NonFiniteGradient(NumericError):
-    pass
-
-
-# --- fusion ---
-
-class KeyMismatch(InternalError):
-    pass
-
-
-class ProbabilityOutOfRange(InternalError):
-    pass
-
-
-# --- evaluation ---
-
-class TooFewSubjects(DataError):
     pass

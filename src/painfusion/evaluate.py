@@ -14,15 +14,7 @@ from functools import cache
 import numpy as np
 
 from .data import SequenceData, _stable_key, check_window_rule, make_windows
-from .errors import (
-    EmptyDataset,
-    InvalidConfig,
-    InvalidLabel,
-    LengthMismatch,
-    PainFusionError,
-    SubjectInBothSplits,
-    TooFewSubjects,
-)
+from .errors import ConfigError, DataError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import ClassifierSpec, TrainedClassifier, fit
@@ -59,12 +51,12 @@ def confusion(predicted, truth) -> ConfusionMatrix:
     p = np.asarray(predicted)
     t = np.asarray(truth)
     if len(t) != len(p):
-        raise LengthMismatch(f"{len(p)} predictions vs {len(t)} true labels")
+        raise DataError(f"{len(p)} predictions vs {len(t)} true labels")
     if len(t) == 0:
-        raise EmptyDataset("cannot build a confusion matrix from zero examples")
+        raise DataError("cannot build a confusion matrix from zero examples")
     for name, arr in (("predicted", p), ("true", t)):
         if not np.isin(arr, (0, 1)).all():
-            raise InvalidLabel(f"{name} labels must be 0 or 1")
+            raise DataError(f"{name} labels must be 0 or 1")
     p = p.astype(np.int64)
     t = t.astype(np.int64)
     return ConfusionMatrix(
@@ -152,24 +144,24 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.scheme_name not in SCHEME_NAMES:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"scheme_name must be one of {SCHEME_NAMES}, got {self.scheme_name!r}"
             )
         if self.weighting not in WEIGHTINGS:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
             )
         check_mode(self.vote_mode)
         check_threshold(self.decision_threshold)
         check_window_rule(self.window_length, self.window_stride, self.positive_fraction_threshold)
         if self.reduction not in REDUCTIONS:
-            raise InvalidConfig(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
+            raise ConfigError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if self.seed < 0:
-            raise InvalidConfig("seed must be a nonnegative integer")
+            raise ConfigError("seed must be a nonnegative integer")
         self.classifier.validate()
         kernel_width = self.classifier.kernel_width
         if self.classifier.kind == "cnn1d" and self.window_length < kernel_width:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"window length {self.window_length} shorter than kernel width {kernel_width}"
             )
 
@@ -258,7 +250,7 @@ def _run_arms(
         config.validate()
     shared = {s.subject_id for s in train_seqs} & {s.subject_id for s in valid_seqs}
     if shared:
-        raise SubjectInBothSplits(f"subject(s) in both splits: {sorted(shared)}")
+        raise DataError(f"subject(s) in both splits: {sorted(shared)}")
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     # An empty column selection yields the labels and subject ids of the
     # windows without copying any feature data.
@@ -267,9 +259,9 @@ def _run_arms(
         "windowing", lambda: collect_windows(valid_seqs, base, ())
     )
     if not len(train_labels):
-        raise EmptyDataset("windowing: train split produced no windows")
+        raise DataError("windowing: train split produced no windows")
     if not len(valid_labels):
-        raise EmptyDataset("windowing: validation split produced no windows")
+        raise DataError("windowing: validation split produced no windows")
 
     # The 70-column train tensor lives only inside this call, which runs
     # at most once and before any training starts.
@@ -394,7 +386,7 @@ def loocv(
     each fold's classifier seed is derived from (config.seed, fold id).
     """
     if granularity not in GRANULARITIES:
-        raise InvalidConfig(
+        raise ConfigError(
             f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
         )
     config.validate()
@@ -405,7 +397,7 @@ def loocv(
         keys = [f"{s.subject_id}#{i}" for i, s in enumerate(sequences)]
         held_out = {k: [sequences[i]] for i, k in enumerate(keys)}
     if len(keys) < 2:
-        raise TooFewSubjects(f"cross validation needs at least 2 folds, got {len(keys)}")
+        raise DataError(f"cross validation needs at least 2 folds, got {len(keys)}")
 
     def run_fold(key: str) -> FoldResult:
         valid = held_out[key]

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidConfig, KeyMismatch, LengthMismatch, ProbabilityOutOfRange
+from .errors import ConfigError, DataError, InternalError
 from .stats import FusionWeights
 
 VOTE_MODES = ("soft", "hard")
@@ -17,18 +17,18 @@ VOTE_MODES = ("soft", "hard")
 
 def check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
-        raise InvalidConfig(f"decision threshold must lie strictly in (0, 1), got {threshold!r}")
+        raise ConfigError(f"decision threshold must lie strictly in (0, 1), got {threshold!r}")
 
 
 def check_mode(mode: str) -> None:
     if mode not in VOTE_MODES:
-        raise InvalidConfig(f"vote mode must be one of {VOTE_MODES}, got {mode!r}")
+        raise ConfigError(f"vote mode must be one of {VOTE_MODES}, got {mode!r}")
 
 
 def _check_keys(probas_keys, weights: FusionWeights) -> list[str]:
     got, want = set(probas_keys), set(weights.weights)
     if got != want:
-        raise KeyMismatch(
+        raise InternalError(
             f"modalities {sorted(got)} do not match weight table {sorted(want)}"
         )
     return sorted(want)
@@ -51,7 +51,7 @@ def fuse_batch(
     names = _check_keys(probas.keys(), weights)
     lengths = {name: len(probas[name]) for name in names}
     if len(set(lengths.values())) > 1:
-        raise LengthMismatch(f"modality arrays differ in length: {lengths}")
+        raise DataError(f"modality arrays differ in length: {lengths}")
     n = lengths[names[0]]
     fused = np.zeros(n)
     for name in names:
@@ -59,7 +59,7 @@ def fuse_batch(
         bad = ~(np.isfinite(p) & (p >= 0.0) & (p <= 1.0))
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            raise ProbabilityOutOfRange(
+            raise InternalError(
                 f"modality {name!r}, window {i}: probability {p[i]!r}"
             )
         votes = p if mode == "soft" else (p >= threshold).astype(np.float64)

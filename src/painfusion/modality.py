@@ -10,7 +10,7 @@ overridden from a mapping file.
 
 from dataclasses import dataclass
 
-from .errors import InvalidJointMap, InvalidScheme
+from .errors import ConfigError
 
 N_JOINTS = 22
 N_FEATURES = 70
@@ -43,15 +43,15 @@ class JointSegmentMap:
     def __post_init__(self):
         keys = set(self.assignments)
         if keys != set(range(N_JOINTS)):
-            raise InvalidJointMap(
+            raise ConfigError(
                 f"expected exactly joints 0..{N_JOINTS - 1}, got {sorted(keys)}"
             )
         bad = {s for s in self.assignments.values() if s not in SEGMENTS}
         if bad:
-            raise InvalidJointMap(f"unknown segment name(s): {sorted(bad)}")
+            raise ConfigError(f"unknown segment name(s): {sorted(bad)}")
         for segment in SEGMENTS:
             if segment not in self.assignments.values():
-                raise InvalidJointMap(f"segment {segment!r} has no joints")
+                raise ConfigError(f"segment {segment!r} has no joints")
 
 
 def default_joint_segment_map() -> JointSegmentMap:
@@ -67,20 +67,15 @@ def parse_joint_segment_map(text: str) -> JointSegmentMap:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidJointMap(f"line {lineno}: expected 'joint segment', got {line!r}")
+            raise ConfigError(f"line {lineno}: expected 'joint segment', got {line!r}")
         try:
             joint = int(parts[0])
         except ValueError:
-            raise InvalidJointMap(f"line {lineno}: bad joint index {parts[0]!r}") from None
+            raise ConfigError(f"line {lineno}: bad joint index {parts[0]!r}") from None
         if joint in assignments:
-            raise InvalidJointMap(f"line {lineno}: joint {joint} assigned twice")
+            raise ConfigError(f"line {lineno}: joint {joint} assigned twice")
         assignments[joint] = parts[1]
     return JointSegmentMap(assignments)
-
-
-def load_joint_segment_map(path) -> JointSegmentMap:
-    with open(path, encoding="utf-8") as fh:
-        return parse_joint_segment_map(fh.read())
 
 
 @dataclass(frozen=True)
@@ -99,13 +94,13 @@ class ModalityScheme:
         total = 0
         for mod_name, indices in self.modalities.items():
             if len(indices) == 0:
-                raise InvalidScheme(f"modality {mod_name!r} is empty")
+                raise ConfigError(f"modality {mod_name!r} is empty")
             if list(indices) != sorted(indices):
-                raise InvalidScheme(f"modality {mod_name!r} indices not sorted")
+                raise ConfigError(f"modality {mod_name!r} indices not sorted")
             seen.update(indices)
             total += len(indices)
         if total != N_FEATURES or seen != set(range(N_FEATURES)):
-            raise InvalidScheme(
+            raise ConfigError(
                 f"scheme {self.name!r} must partition 0..{N_FEATURES - 1} exactly"
             )
 
@@ -149,5 +144,5 @@ def scheme_by_name(name: str, joint_map: JointSegmentMap | None = None) -> Modal
         return bifurcated_scheme()
     if name == "quadrifurcated":
         return quadrifurcated_scheme(joint_map)
-    raise InvalidScheme(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    raise ConfigError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 

@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergedLoss,
-    EmptyDataset,
-    InvalidConfig,
-    InvalidLabel,
-    LengthMismatch,
-    NonFiniteGradient,
-    ShapeMismatch,
-)
+from .errors import ConfigError, DataError, NumericError
 
 CLASSIFIER_KINDS = ("logistic", "mlp", "cnn1d")
 
@@ -56,22 +48,22 @@ class ClassifierSpec:
 
     def validate(self) -> None:
         if self.kind not in CLASSIFIER_KINDS:
-            raise InvalidConfig(f"kind must be one of {CLASSIFIER_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {CLASSIFIER_KINDS}, got {self.kind!r}")
         if self.seed < 0:
-            raise InvalidConfig("seed must be a nonnegative integer")
+            raise ConfigError("seed must be a nonnegative integer")
         for name in ("hidden_units", "conv_channels", "kernel_width", "epochs", "batch_size"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidConfig("learning_rate must be finite and positive")
+            raise ConfigError("learning_rate must be finite and positive")
         if not (0.0 <= self.momentum < 1.0):
-            raise InvalidConfig("momentum must lie in [0, 1)")
+            raise ConfigError("momentum must lie in [0, 1)")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise InvalidConfig("l2 must be finite and nonnegative")
+            raise ConfigError("l2 must be finite and nonnegative")
         if self.positive_class_weight is not None and not (
             math.isfinite(self.positive_class_weight) and self.positive_class_weight > 0
         ):
-            raise InvalidConfig("positive_class_weight must be finite and positive")
+            raise ConfigError("positive_class_weight must be finite and positive")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -195,7 +187,7 @@ class _Cnn1d:
     def _taps(self, X):
         T = X.shape[1]
         if T < self.K:
-            raise ShapeMismatch(f"window length {T} shorter than kernel width {self.K}")
+            raise DataError(f"window length {T} shorter than kernel width {self.K}")
         span = T - self.K + 1
         return np.stack([X[:, k : k + span, :] for k in range(self.K)], axis=2)
 
@@ -252,12 +244,12 @@ def _loss_and_grad(arch, params, X, y, pos_weight, l2):
 
 def _check_training_inputs(windows, labels):
     if len(windows) == 0:
-        raise EmptyDataset("no training windows")
+        raise DataError("no training windows")
     if len(windows) != len(labels):
-        raise LengthMismatch(f"{len(windows)} windows vs {len(labels)} labels")
+        raise DataError(f"{len(windows)} windows vs {len(labels)} labels")
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
-        raise InvalidLabel("training labels must be 0 or 1")
+        raise DataError("training labels must be 0 or 1")
     return _as_windows(windows), y
 
 
@@ -266,7 +258,7 @@ def _as_windows(windows, width=None) -> np.ndarray:
     given, is the required number of columns."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or width not in (None, windows.shape[2]):
-        raise ShapeMismatch(
+        raise DataError(
             f"windows have shape {windows.shape}, expected [n, length, {width or 'columns'}]"
         )
     return windows
@@ -333,8 +325,8 @@ def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
 
     Standardization constants come from the training windows only.
     Positive examples are up-weighted in the loss (see ClassifierSpec).
-    Raises DivergedLoss or NonFiniteGradient when optimization leaves
-    the finite range; a single-label training set only sets a flag.
+    Raises NumericError when the loss or the gradient leaves the finite
+    range; a single-label training set only sets a flag.
     """
     spec.validate()
     windows, y = _check_training_inputs(windows, labels)
@@ -348,20 +340,23 @@ def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
     velocity = np.zeros_like(params)
     n = len(windows)
     log = []
-    for epoch in range(spec.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, spec.batch_size):
-            batch = order[start : start + spec.batch_size]
-            loss, grad = _loss_and_grad(arch, params, X[batch], y[batch], pos_weight, spec.l2)
-            if not math.isfinite(loss):
-                raise DivergedLoss(f"epoch {epoch}: loss became {loss!r}")
-            if not np.isfinite(grad).all():
-                raise NonFiniteGradient(f"epoch {epoch}: gradient left the finite range")
-            velocity = spec.momentum * velocity - spec.learning_rate * grad
-            params = params + velocity
-            total += loss * len(batch)
-        log.append(total / n)
+    # Overflow surfaces as a non-finite loss or gradient, which the checks
+    # below report; NumPy's own warning would add a second stderr line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, spec.batch_size):
+                batch = order[start : start + spec.batch_size]
+                loss, grad = _loss_and_grad(arch, params, X[batch], y[batch], pos_weight, spec.l2)
+                if not math.isfinite(loss):
+                    raise NumericError(f"epoch {epoch}: loss became {loss!r}")
+                if not np.isfinite(grad).all():
+                    raise NumericError(f"epoch {epoch}: gradient left the finite range")
+                velocity = spec.momentum * velocity - spec.learning_rate * grad
+                params = params + velocity
+                total += loss * len(batch)
+            log.append(total / n)
 
     return TrainedClassifier(
         spec=spec,
@@ -407,7 +402,7 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
             params = candidate
             break
     if params is None:
-        raise NonFiniteGradient("could not find a max-pool-stable initialization")
+        raise NumericError("could not find a max-pool-stable initialization")
 
     _, analytic = _loss_and_grad(arch, params, X, y, pos_weight, spec.l2)
     worst = 0.0

@@ -7,25 +7,12 @@ convention, which downstream weighting treats as "no relevance".
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    EmptyDataset,
-    EmptyInput,
-    LengthMismatch,
-    NonFiniteInput,
-    OutOfDomain,
-    SchemeFeatureOutOfRange,
-    TooFewSamples,
-    ZeroVariance,
-)
+from .errors import ConfigError, DataError, ZeroVariance
 from .modality import ModalityScheme
-
-SPEARMAN = "spearman"
-PEARSON = "pearson"
-KENDALL = "kendall_tau_b"
 
 STATISTICAL = "statistical"
 AVERAGE = "average"
@@ -37,8 +24,6 @@ REDUCTIONS = ("mean", "max", "std")
 @dataclass(frozen=True)
 class CorrelationResult:
     coefficient: float
-    n: int
-    method: str
     degenerate: bool = False
 
 
@@ -120,11 +105,11 @@ def _as_finite_vector(values, *, min_n: int) -> np.ndarray:
     if x.ndim != 1:
         x = x.reshape(-1)
     if x.size == 0:
-        raise EmptyInput("empty input vector")
+        raise DataError("empty input vector")
     if x.size < min_n:
-        raise TooFewSamples(f"need at least {min_n} samples, got {x.size}")
+        raise DataError(f"need at least {min_n} samples, got {x.size}")
     if not np.isfinite(x).all():
-        raise NonFiniteInput("input contains NaN or Inf")
+        raise DataError("input contains NaN or Inf")
     return x
 
 
@@ -148,11 +133,11 @@ def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa = np.asarray(x, dtype=np.float64).reshape(-1)
     ya = np.asarray(y, dtype=np.float64).reshape(-1)
     if xa.size != ya.size:
-        raise LengthMismatch(f"length {xa.size} vs {ya.size}")
+        raise DataError(f"length {xa.size} vs {ya.size}")
     if xa.size < 3:
-        raise TooFewSamples(f"need at least 3 samples, got {xa.size}")
+        raise DataError(f"need at least 3 samples, got {xa.size}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise NonFiniteInput("input contains NaN or Inf")
+        raise DataError("input contains NaN or Inf")
     return xa, ya
 
 
@@ -173,7 +158,7 @@ def pearson_r(x, y) -> CorrelationResult:
     """Product-moment correlation; constant input is degenerate."""
     xa, ya = _validate_pair(x, y)
     r, degenerate = _pearson_coefficient(xa, ya)
-    return CorrelationResult(r, xa.size, PEARSON, degenerate)
+    return CorrelationResult(r, degenerate)
 
 
 def spearman_rho(x, y) -> CorrelationResult:
@@ -185,9 +170,9 @@ def spearman_rho(x, y) -> CorrelationResult:
     """
     xa, ya = _validate_pair(x, y)
     if xa.max() == xa.min() or ya.max() == ya.min():
-        return CorrelationResult(0.0, xa.size, SPEARMAN, True)
+        return CorrelationResult(0.0, True)
     rho, degenerate = _pearson_coefficient(rank_with_ties(xa), rank_with_ties(ya))
-    return CorrelationResult(rho, xa.size, SPEARMAN, degenerate)
+    return CorrelationResult(rho, degenerate)
 
 
 def _merge_count(seq: list) -> tuple[list, int]:
@@ -239,7 +224,7 @@ def kendall_tau_b(x, y) -> CorrelationResult:
     tx = _tied_pair_count(xs)
     ty = _tied_pair_count(np.sort(ya, kind="stable"))
     if tx == n0 or ty == n0:
-        return CorrelationResult(0.0, n, KENDALL, True)
+        return CorrelationResult(0.0, True)
 
     both_boundaries = np.flatnonzero(
         np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True]
@@ -250,7 +235,7 @@ def kendall_tau_b(x, y) -> CorrelationResult:
     _, discordant = _merge_count(ys.tolist())
     c_minus_d = n0 - tx - ty + txy - 2 * discordant
     tau = c_minus_d / math.sqrt((n0 - tx) * (n0 - ty))
-    return CorrelationResult(tau, n, KENDALL, False)
+    return CorrelationResult(tau, False)
 
 
 # Rational approximation for the inverse standard-normal CDF (Acklam's
@@ -270,7 +255,7 @@ _NQ_LOW = 0.02425
 def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF, absolute error well under 1e-8."""
     if not (0.0 < p < 1.0):
-        raise OutOfDomain(f"probability must lie strictly in (0, 1), got {p!r}")
+        raise DataError(f"probability must lie strictly in (0, 1), got {p!r}")
     a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
     if p < _NQ_LOW:
         q = math.sqrt(-2.0 * math.log(p))
@@ -376,10 +361,10 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
     Spearman-correlated with the labels; a degenerate column scores 0.
     """
     if len(windows) == 0:
-        raise EmptyDataset("no windows")
+        raise DataError("no windows")
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if y.size != len(windows):
-        raise LengthMismatch(f"{len(windows)} windows vs {y.size} labels")
+        raise DataError(f"{len(windows)} windows vs {y.size} labels")
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}")
     reduced = getattr(np.asarray(windows, dtype=np.float64), reduction)(axis=1)
@@ -399,7 +384,7 @@ def relevance_weights(abs_rho, scheme: ModalityScheme) -> FusionWeights:
     n_features = len(abs_rho)
     for name, indices in scheme.modalities.items():
         if indices and (indices[-1] >= n_features or indices[0] < 0):
-            raise SchemeFeatureOutOfRange(
+            raise ConfigError(
                 f"modality {name!r} references feature outside [0, {n_features})"
             )
     raw = {

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import painfusion
 from painfusion.cli import main
 from painfusion.data import generate_synthetic, read_manifest
 from painfusion.config import load_run_config
@@ -172,6 +177,74 @@ class TestFailureModes:
     ):
         self._exits_2_before_loading(tmp_path, capsys, edits, command, message)
 
+    @pytest.mark.parametrize(
+        "case, code, category",
+        [
+            ("manifest-short-row", 3, "data"),
+            ("sequence-not-utf8", 3, "data"),
+            ("manifest-not-utf8", 3, "data"),
+            ("config-not-utf8", 2, "config"),
+            ("joint-map-not-utf8", 2, "config"),
+            ("manifest-is-directory", 3, "data"),
+        ],
+    )
+    def test_unreadable_input_exits_with_its_category(
+        self, ini, tmp_path, capsys, case, code, category
+    ):
+        header = b"subject_id,group,split,path\n"
+        config, manifest, culprit = ini, None, None
+        if case.startswith("manifest") or case.startswith("sequence"):
+            manifest = culprit = tmp_path / "manifest.csv"
+            manifest.write_bytes(header + b"S01,healthy,train,S01.csv\n")
+        if case == "manifest-short-row":
+            manifest.write_bytes(header + b"S01,healthy\n")
+        elif case == "sequence-not-utf8":
+            culprit = tmp_path / "S01.csv"
+            culprit.write_bytes(b"\xff\xfe0,1\n")
+        elif case == "manifest-not-utf8":
+            manifest.write_bytes(header + b"S01,healthy,train,S\xff.csv\n")
+        elif case == "config-not-utf8":
+            culprit = tmp_path / "bad.ini"
+            culprit.write_bytes(b"[run]\nseed = 1 # \xff\n")
+            config = str(culprit)
+        elif case == "joint-map-not-utf8":
+            culprit = tmp_path / "map.txt"
+            culprit.write_bytes(b"0 trunk \xff\n")
+            config = tmp_path / "map.ini"
+            config.write_text(SMALL_INI + "\n[paths]\njoint_map = map.txt\n")
+        elif case == "manifest-is-directory":
+            manifest = culprit = tmp_path / "corpus"
+            manifest.mkdir()
+        argv = ["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]
+        if manifest is not None:
+            argv += ["--manifest", str(manifest)]
+        assert main(argv) == code
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error[{category}]: ")
+        assert str(culprit) in err_lines[0]
+
+    def test_numeric_failure_prints_one_line(self, tmp_path):
+        """A diverging fit exits 4 with one stderr line and no NumPy
+        warning. Runs in a child process, since pytest captures warnings."""
+        bad = tmp_path / "bad.ini"
+        bad.write_text(
+            SMALL_INI.replace("n_subjects = 6", "n_subjects = 4").replace(
+                "learning_rate = 0.1", "learning_rate = 1e200"
+            )
+        )
+        src = os.path.dirname(os.path.dirname(painfusion.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4
+        err_lines = proc.stderr.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error[numeric]: ")
+
 
 class TestEvaluate:
     def test_artifacts_written(self, ini, tmp_path, capsys):
@@ -279,3 +352,12 @@ class TestAnalyze:
         assert recommendation.strip() == capsys.readouterr().out.strip()
         per_feature = (out / "normality_per_feature.csv").read_text().splitlines()
         assert len(per_feature) == 71
+
+
+class TestShippedConfigs:
+    def test_default_ini_equals_no_config(self, tmp_path):
+        """configs/default.ini spells out the shipped defaults: loading it
+        gives the same RunConfig as no file with its seed on the flag."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.ini")
+        out = str(tmp_path / "o")
+        assert load_run_config(path, out, None, 1) == load_run_config(None, out, 7, 1)

@@ -27,16 +27,7 @@ from painfusion.data import (
 )
 from painfusion.evaluate import collect_windows
 from painfusion.modality import quadrifurcated_scheme
-from painfusion.errors import (
-    InvalidConfig,
-    InvalidLabel,
-    ManifestError,
-    NonNumericField,
-    RowTooShort,
-    SubjectInBothSplits,
-    UnassignedSubject,
-    WindowLongerThanSequence,
-)
+from painfusion.errors import ConfigError, DataError
 from painfusion.presets import (
     WINDOW_LENGTH,
     WINDOW_STRIDE,
@@ -69,7 +60,7 @@ class TestParser:
 
     def test_row_too_short(self):
         text = ",".join(["0.0"] * 70)
-        with pytest.raises(RowTooShort):
+        with pytest.raises(DataError, match="row 1: 70 columns, need 73"):
             parse_emopain_file(text, "P1", "healthy")
 
     def test_three_row_fixture(self):
@@ -97,19 +88,19 @@ class TestParser:
     def test_non_numeric_field_located(self):
         good = _row(range(70))
         bad = good.replace("3.0", "x3", 1)
-        with pytest.raises(NonNumericField, match=r"row 2, column 4"):
+        with pytest.raises(DataError, match="row 2, column 4: cannot parse 'x3'"):
             parse_emopain_file(good + "\n" + bad, "P1", "healthy")
 
     def test_non_finite_rejected(self):
         text = _row([float("inf")] + [0.0] * 69)
-        with pytest.raises(NonNumericField, match="row 1, column 1"):
+        with pytest.raises(DataError, match="row 1, column 1: non-finite value"):
             parse_emopain_file(text, "P1", "healthy")
 
     def test_label_tolerance(self):
         ok = _row(range(70), label=1.0 + 5e-10)
         assert parse_emopain_file(ok, "P1", "healthy").labels[0] == 1
         bad = _row(range(70), label=0.4)
-        with pytest.raises(InvalidLabel, match="row 1"):
+        with pytest.raises(DataError, match=r"row 1: label \S*0\.4\S* not in \{0, 1\}"):
             parse_emopain_file(bad, "P1", "healthy")
 
     def test_extra_columns_ignored(self):
@@ -118,7 +109,7 @@ class TestParser:
         assert seq.features.shape == (1, 70)
 
     def test_bad_group(self):
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="unknown group 'patients'"):
             parse_emopain_file(_row(range(70)), "P1", "patients")
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
@@ -146,12 +137,12 @@ class TestSplit:
 
     def test_subject_in_both(self):
         seqs = [_make_sequence("A"), _make_sequence("B")]
-        with pytest.raises(SubjectInBothSplits):
+        with pytest.raises(DataError, match=r"in both splits: \['B'\]"):
             split_train_valid(seqs, ["A", "B"], ["B"])
 
     def test_unassigned_subject(self):
         seqs = [_make_sequence("A"), _make_sequence("B")]
-        with pytest.raises(UnassignedSubject, match="B"):
+        with pytest.raises(DataError, match=r"in neither split: \['B'\]"):
             split_train_valid(seqs, ["A"], [])
 
 
@@ -177,14 +168,14 @@ class TestWindows:
 
     def test_window_longer_than_sequence(self):
         seq = _make_sequence("A", n_frames=3)
-        with pytest.raises(WindowLongerThanSequence):
+        with pytest.raises(DataError, match="window length 4 > 3 frames"):
             make_windows(seq, 4, 2)
 
     def test_invalid_params(self):
         seq = _make_sequence("A")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="length and stride must be positive, got 0, 2"):
             make_windows(seq, 0, 2)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="length and stride must be positive, got 4, 0"):
             make_windows(seq, 4, 0)
 
     def test_features_are_views(self):
@@ -209,7 +200,7 @@ class TestWindows:
             np.zeros((n_frames, 2)),
         )
         if length > n_frames:
-            with pytest.raises(WindowLongerThanSequence):
+            with pytest.raises(DataError, match=f"window length {length} > {n_frames} frames"):
                 make_windows(seq, length, stride)
             return
         wins, labels = make_windows(seq, length, stride)
@@ -318,13 +309,13 @@ class TestSynthetic:
 
     def test_bad_configs_rejected(self):
         good = default_synthetic_config(0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="n_subjects and frames_per_subject"):
             SyntheticConfig(0, 100, 0.1, {"coords": 1.0}, seed=0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="positive_rate must lie strictly in"):
             SyntheticConfig(2, 100, 1.5, {"coords": 1.0}, seed=0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="unknown modality 'torso'"):
             SyntheticConfig(2, 100, 0.1, {"torso": 1.0}, seed=0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="modality_snr needs at least one entry"):
             SyntheticConfig(2, 100, 0.1, {}, seed=0).validate()
         good.validate()
 
@@ -360,13 +351,13 @@ class TestManifest:
     def test_missing_data_file(self, tmp_path):
         manifest, _ = self._write_corpus(tmp_path)
         (tmp_path / "p1.csv").unlink()
-        with pytest.raises(ManifestError, match="p1.csv"):
+        with pytest.raises(DataError, match="data file not found: .*p1.csv"):
             load_sequences(manifest)
 
     def test_bad_header(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("subject,group,split,path\nP0,healthy,train,x.csv\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="header must be subject_id,group,split,path"):
             read_manifest(manifest)
 
     def test_bad_split_value(self, tmp_path):
@@ -374,5 +365,5 @@ class TestManifest:
         manifest.write_text(
             "subject_id,group,split,path\nP0,healthy,test,x.csv\n"
         )
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(DataError, match="line 2: bad split 'test'"):
             read_manifest(manifest)

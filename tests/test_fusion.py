@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from painfusion import FusionWeights, fuse_batch
-from painfusion.errors import (
-    InvalidConfig,
-    KeyMismatch,
-    LengthMismatch,
-    ProbabilityOutOfRange,
-)
+from painfusion.errors import ConfigError, DataError, InternalError
 
 
 def _weights(mapping, scheme="bifurcated"):
@@ -84,32 +79,32 @@ class TestHardVote:
 
 class TestValidation:
     def test_key_mismatch(self):
-        with pytest.raises(KeyMismatch):
+        with pytest.raises(InternalError, match="do not match weight table"):
             fuse_one({"coords": 0.5}, TWO)
-        with pytest.raises(KeyMismatch):
+        with pytest.raises(InternalError, match="do not match weight table"):
             fuse_one({"coords": 0.5, "semg": 0.5, "extra": 0.5}, TWO)
 
     def test_probability_out_of_range(self):
         for bad in (-0.1, 1.1, float("nan"), float("inf")):
-            with pytest.raises(ProbabilityOutOfRange, match="semg"):
+            with pytest.raises(InternalError, match="modality 'semg', window 0: probability"):
                 fuse_one({"coords": 0.5, "semg": bad}, TWO)
 
     def test_threshold_domain(self):
         for bad in (0.0, 1.0, -1.0, float("nan")):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(ConfigError, match=r"threshold must lie strictly in \(0, 1\)"):
                 fuse_one({"coords": 0.5, "semg": 0.5}, TWO, threshold=bad)
 
     def test_unknown_mode(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="vote mode must be one of"):
             fuse_one({"coords": 0.5, "semg": 0.5}, TWO, mode="ranked")
 
     def test_batch_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="modality arrays differ in length"):
             fuse_batch({"coords": np.zeros(3), "semg": np.zeros(2)}, TWO)
 
     def test_batch_locates_bad_probability(self):
         probas = {"coords": np.array([0.5, 0.5]), "semg": np.array([0.5, 1.5])}
-        with pytest.raises(ProbabilityOutOfRange, match="window 1"):
+        with pytest.raises(InternalError, match="modality 'semg', window 1: probability "):
             fuse_batch(probas, TWO)
 
 

@@ -13,7 +13,7 @@ from painfusion import (
     scheme_by_name,
     singular_scheme,
 )
-from painfusion.errors import InvalidJointMap
+from painfusion.errors import ConfigError
 from painfusion.modality import (
     JointSegmentMap,
     N_FEATURES,
@@ -83,17 +83,17 @@ class TestJointMapParsing:
         text = "0 trunk\n0 upper_limbs\n" + "\n".join(
             f"{j} trunk" for j in range(1, 22)
         )
-        with pytest.raises(InvalidJointMap):
+        with pytest.raises(ConfigError, match="line 2: joint 0 assigned twice"):
             parse_joint_segment_map(text)
 
     def test_missing_joint_rejected(self):
         text = "\n".join(f"{j} trunk" for j in range(21))
-        with pytest.raises(InvalidJointMap):
+        with pytest.raises(ConfigError, match=r"expected exactly joints 0\.\.21"):
             parse_joint_segment_map(text)
 
     def test_bad_segment_rejected(self):
         text = "\n".join(f"{j} torso" for j in range(22))
-        with pytest.raises(InvalidJointMap):
+        with pytest.raises(ConfigError, match=r"unknown segment name\(s\): \['torso'\]"):
             parse_joint_segment_map(text)
 
 

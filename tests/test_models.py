@@ -14,13 +14,7 @@ from painfusion import (
     make_windows,
 )
 from painfusion.data import SyntheticConfig, generate_synthetic
-from painfusion.errors import (
-    DivergedLoss,
-    EmptyDataset,
-    InvalidLabel,
-    LengthMismatch,
-    ShapeMismatch,
-)
+from painfusion.errors import DataError, NumericError
 from painfusion.evaluate import confusion, metrics
 
 
@@ -77,20 +71,20 @@ class TestFit:
 
     def test_empty_and_mismatched_inputs(self):
         spec = ClassifierSpec(kind="logistic", seed=0)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="no training windows"):
             fit([], [], spec)
         windows, labels = _random_windows(n=4)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="4 windows vs 3 labels"):
             fit(windows, labels[:3], spec)
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(DataError, match="training labels must be 0 or 1"):
             fit(windows, [0, 1, 2, 1], spec)
 
     def test_inconsistent_feature_width(self):
         windows, labels = _random_windows(n=4, d=6)
-        with pytest.raises(ShapeMismatch, match=r"\(4, 8\)"):
+        with pytest.raises(DataError, match=r"windows have shape \(4, 8\),"):
             fit(windows[:, :, 0], labels, ClassifierSpec(kind="logistic", seed=0))
         model = fit(windows, labels, ClassifierSpec(kind="logistic", seed=0, epochs=2))
-        with pytest.raises(ShapeMismatch, match=r"\(4, 8, 5\)"):
+        with pytest.raises(DataError, match=r"shape \(4, 8, 5\), expected \[n, length, 6\]"):
             model.predict_proba_windows(windows[:, :, :5])
 
     def test_huge_learning_rate_diverges(self):
@@ -98,7 +92,7 @@ class TestFit:
         spec = ClassifierSpec(
             kind="logistic", seed=0, learning_rate=1e8, epochs=40, batch_size=8
         )
-        with np.errstate(over="ignore"), pytest.raises(DivergedLoss):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="loss became inf"):
             fit(windows, labels, spec)
 
     @given(st.integers(0, 2**31 - 1))
@@ -134,7 +128,7 @@ class TestPredict:
     def test_conv_rejects_windows_shorter_than_kernel(self):
         windows, labels = _random_windows(frames=8)
         model = fit(windows, labels, ClassifierSpec(kind="cnn1d", seed=0, epochs=2))
-        with pytest.raises(ShapeMismatch, match="kernel width 5"):
+        with pytest.raises(DataError, match="window length 4 shorter than kernel width 5"):
             model.predict_proba_windows(windows[:, :4])
 
     def test_empty_batch(self):

@@ -31,7 +31,7 @@ from painfusion import (
     spearman_rho,
 )
 from painfusion.data import SyntheticConfig
-from painfusion.errors import TooFewSamples, ZeroVariance
+from painfusion.errors import DataError, ZeroVariance
 from painfusion.stats import normalize_relevances, recommend_method
 
 def _windows_of(seqs, length, stride):
@@ -113,7 +113,7 @@ class TestPearson:
         assert abs(pearson_r(x, y).coefficient - pearson_oracle(x, y)) < 1e-12
 
     def test_too_short(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="need at least 3 samples, got 1"):
             pearson_r([1.0], [2.0])
 
 
