@@ -111,7 +111,7 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
     bad = ~(near_zero | near_one)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise DataError(f"row {i + 1}: label {raw_labels[i]!r} not in {{0, 1}}")
+        raise DataError(f"row {i + 1}: label {float(raw_labels[i])!r} not in {{0, 1}}")
     labels[near_zero] = 0
     labels[near_one] = 1
 
@@ -175,23 +175,20 @@ def make_windows(
     length: int,
     stride: int,
     positive_fraction_threshold: float = 0.5,
-    columns=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice a sequence into fixed-length windows at offsets 0, stride,
     2*stride, ...; a window is labeled 1 iff the fraction of label-1
     frames reaches the threshold. The trailing partial window is dropped.
 
-    Returns the windows as a read-only [n_windows, length, n_columns]
-    strided view and the int8 window labels. With ``columns`` None the
-    view is of the sequence's 70 feature columns and copies nothing;
-    otherwise it is of one copy of the selected columns.
+    Returns the windows as a read-only [n_windows, length, 70] strided
+    view of the sequence's features, which copies nothing, and the int8
+    window labels.
     """
     check_window_rule(length, stride, positive_fraction_threshold)
     n = seq.n_frames
     if length > n:
         raise DataError(f"window length {length} > {n} frames")
-    features = seq.features if columns is None else seq.features[:, list(columns)]
-    windows = sliding_window_view(features, length, axis=0)[::stride].transpose(0, 2, 1)
+    windows = sliding_window_view(seq.features, length, axis=0)[::stride].transpose(0, 2, 1)
     cum = np.concatenate([[0], np.cumsum(seq.labels, dtype=np.int64)])
     starts = np.arange(0, n - length + 1, stride)
     positives = cum[starts + length] - cum[starts]

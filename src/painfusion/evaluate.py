@@ -17,7 +17,7 @@ from .data import SequenceData, _stable_key, check_window_rule, make_windows
 from .errors import ConfigError, DataError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
-from .models import ClassifierSpec, TrainedClassifier, fit
+from .models import ClassifierSpec, TrainedClassifier, WindowSet, fit
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -189,27 +189,20 @@ def derive_seed(base_seed: int, label: str) -> int:
 
 
 def collect_windows(sequences, config: ExperimentConfig, columns=None):
-    """All windows of the sequences under the config's window rule, as
-    one C-ordered [n_windows, window_length, n_columns] array of the
-    selected feature columns (all 70 when ``columns`` is None), plus the
-    int8 window labels and the subject id of every window."""
+    """All windows of the sequences under the config's window rule, as a
+    WindowSet over the selected feature columns (all 70 when ``columns``
+    is None), plus the int8 window labels and the subject id of every
+    window. Nothing is copied: the set holds each sequence's windows as
+    the view ``make_windows`` returns."""
     parts = [
         make_windows(
-            seq,
-            config.window_length,
-            config.window_stride,
-            config.positive_fraction_threshold,
-            columns,
+            seq, config.window_length, config.window_stride, config.positive_fraction_threshold
         )
         for seq in sequences
     ]
-    counts = [len(labels) for _, labels in parts]
-    width = N_FEATURES if columns is None else len(columns)
-    windows = np.empty((sum(counts), config.window_length, width))
-    if parts:
-        np.concatenate([w for w, _ in parts], out=windows)
+    windows = WindowSet([w for w, _ in parts], config.window_length, N_FEATURES, columns)
     labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [y for _, y in parts])
-    subjects = np.repeat([seq.subject_id for seq in sequences], counts)
+    subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for _, y in parts])
     return windows, labels, subjects
 
 
@@ -252,23 +245,16 @@ def _run_arms(
     if shared:
         raise DataError(f"subject(s) in both splits: {sorted(shared)}")
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
-    # An empty column selection yields the labels and subject ids of the
-    # windows without copying any feature data.
-    _, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, base, ()))
-    _, valid_labels, valid_subjects = _stage(
-        "windowing", lambda: collect_windows(valid_seqs, base, ())
-    )
+    train_windows, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, base))
+    _, valid_labels, valid_subjects = _stage("windowing", lambda: collect_windows(valid_seqs, base))
     if not len(train_labels):
         raise DataError("windowing: train split produced no windows")
     if not len(valid_labels):
         raise DataError("windowing: validation split produced no windows")
 
-    # The 70-column train tensor lives only inside this call, which runs
-    # at most once and before any training starts.
     @cache
     def relevance():
-        windows = collect_windows(train_seqs, base)[0]
-        return feature_relevance(windows, train_labels, base.reduction)
+        return feature_relevance(train_windows, train_labels, base.reduction)
 
     weights = [
         _stage("weighting", lambda: fusion_weights(c.weighting, scheme, relevance))
@@ -276,17 +262,15 @@ def _run_arms(
     ]
 
     def train_one(key):
-        # Each tensor holds one modality's columns and is built only for
-        # the call that reads it, so the train and validation tensors of
-        # a modality are never held at once.
         name, columns = key
         spec = replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
         model = fit(collect_windows(train_seqs, base, columns)[0], train_labels, spec)
         valid_windows = collect_windows(valid_seqs, base, columns)[0]
         return model, model.predict_proba_windows(valid_windows)
 
-    # Scheme by scheme, so that the pool never holds the tensors of two
-    # schemes' modalities (say the 70-column and 66-column ones) at once.
+    # Scheme by scheme, so that the pool never holds the joined tensors a
+    # convolution trains on for two schemes' modalities (say the 70-column
+    # and 66-column ones) at once.
     trained = {}
     for scheme in schemes:
         keys = [k for k in sorted(scheme.modalities.items()) if k not in trained]

@@ -60,7 +60,7 @@ def fuse_batch(
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise InternalError(
-                f"modality {name!r}, window {i}: probability {p[i]!r}"
+                f"modality {name!r}, window {i}: probability {float(p[i])!r}"
             )
         votes = p if mode == "soft" else (p >= threshold).astype(np.float64)
         fused += weights.weights[name] * votes

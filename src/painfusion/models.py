@@ -253,30 +253,125 @@ def _check_training_inputs(windows, labels):
     return _as_windows(windows), y
 
 
-def _as_windows(windows, width=None) -> np.ndarray:
-    """Windows as a float64 [n, length, columns] array; ``width``, when
-    given, is the required number of columns."""
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or width not in (None, windows.shape[2]):
-        raise DataError(
-            f"windows have shape {windows.shape}, expected [n, length, {width or 'columns'}]"
-        )
+BLOCK_WINDOWS = 256
+
+
+class WindowSet:
+    """An [n, length, columns] stack of windows that is never joined
+    unless asked: it holds one [n_i, length, width] array per sequence
+    (the read-only strided views that ``make_windows`` returns) and the
+    columns to read from them (all ``width`` when None). ``shape`` is
+    the joined stack's and ``len`` its window count.
+
+    ``blocks`` copies the selected columns of at most BLOCK_WINDOWS
+    windows of one part at a time, so the pooled models and the
+    weighting never hold the joined tensor; only ``array``, which the
+    convolution reads, builds it.
+    """
+
+    def __init__(self, parts, length: int, width: int, columns=None):
+        self.parts = tuple(parts)
+        self._columns = _column_index(columns)
+        n_columns = width if columns is None else len(columns)
+        self.shape = (sum(len(part) for part in self.parts), length, n_columns)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self):
+        """(first window index, block) pairs in window order; each block
+        is a new C-ordered float64 array of at most BLOCK_WINDOWS windows
+        and never spans two parts."""
+        offset = 0
+        for part in self.parts:
+            for start in range(0, len(part), BLOCK_WINDOWS):
+                block = part[start : start + BLOCK_WINDOWS, :, self._columns]
+                yield offset + start, np.array(block, np.float64, order="C")
+            offset += len(part)
+
+    def array(self) -> np.ndarray:
+        """The joined C-ordered [n, length, columns] float64 tensor."""
+        joined = np.empty(self.shape)
+        for start, block in self.blocks():
+            joined[start : start + len(block)] = block
+        return joined
+
+
+def _column_index(columns):
+    """An index for the last axis: a slice for all columns or for one
+    ascending run, which reads a view so that a block costs one copy
+    rather than two; else the index list."""
+    if columns is None:
+        return slice(None)
+    columns = list(columns)
+    first = columns[0] if columns else 0
+    if columns == list(range(first, first + len(columns))):
+        return slice(first, first + len(columns))
+    return columns
+
+
+def _as_windows(windows, width=None) -> WindowSet:
+    """Windows as a WindowSet (a 3-D array becomes its single part);
+    ``width``, when given, is the required number of columns."""
+    if not isinstance(windows, WindowSet):
+        array = np.asarray(windows, dtype=np.float64)
+        if array.ndim != 3:
+            raise DataError(
+                f"windows have shape {array.shape}, expected [n, length, {width or 'columns'}]"
+            )
+        windows = WindowSet([array], *array.shape[1:])
+    if width not in (None, windows.shape[2]):
+        raise DataError(f"windows have shape {windows.shape}, expected [n, length, {width}]")
     return windows
+
+
+def pool_windows(windows, reduction: str = "mean") -> np.ndarray:
+    """The [n, columns] reduction of every window over its frames
+    (``mean``, ``max`` or ``std``), one block at a time."""
+    windows = _as_windows(windows)
+    pooled = np.empty((len(windows), windows.shape[2]))
+    for start, block in windows.blocks():
+        pooled[start : start + len(block)] = getattr(block, reduction)(axis=1)
+    return pooled
+
+
+def _frame_sum(windows: WindowSet, center=None) -> np.ndarray:
+    """Sum over every (window, frame) row of the values, or with
+    ``center`` of their squared deviations from it. Each block adds the
+    running total into its first row and is then summed row by row: the
+    order in which NumPy sums a C-ordered [n, length, width] tensor over
+    axes (0, 1) when width >= 2 (one column is summed pairwise)."""
+    total = np.zeros(windows.shape[2])
+    for _, block in windows.blocks():
+        if center is not None:
+            block -= center
+            block *= block
+        rows = block.reshape(-1, windows.shape[2])
+        rows[0] += total
+        total = np.add.reduce(rows, axis=0)
+    return total
 
 
 def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and std over every frame of every window (a frame
     shared by overlapping windows counts once per window), with the std
-    floored at STD_FLOOR to keep constant features harmless."""
-    mean = windows.mean(axis=(0, 1))
-    std = np.maximum(windows.std(axis=(0, 1)), STD_FLOOR)
-    return mean, std
+    floored at STD_FLOOR to keep constant features harmless. For two or
+    more columns both equal ``mean``/``std(axis=(0, 1))`` of the joined
+    tensor bit for bit."""
+    windows = _as_windows(windows)
+    count = len(windows) * windows.shape[1]
+    mean = _frame_sum(windows) / count
+    std = np.sqrt(_frame_sum(windows, mean) / count)
+    return mean, np.maximum(std, STD_FLOOR)
 
 
-def _prepare(arch, windows, mean, std):
+def _prepare(arch, windows: WindowSet, mean, std):
     if arch.pooled:
-        return (windows.mean(axis=1) - mean) / std
-    return (windows - mean) / std
+        return (pool_windows(windows) - mean) / std
+    joined = windows.array()
+    joined -= mean
+    joined /= std
+    return joined
 
 
 def resolve_positive_weight(spec: ClassifierSpec, y: np.ndarray) -> tuple[float, bool]:
@@ -310,7 +405,7 @@ class TrainedClassifier:
 
     def predict_proba_windows(self, windows) -> np.ndarray:
         """Probability of the positive class for each window of a
-        [n, length, n_features] array."""
+        [n, length, n_features] array or WindowSet."""
         if len(windows) == 0:
             return np.zeros(0)
         arch = self._arch()
@@ -321,7 +416,8 @@ class TrainedClassifier:
 
 
 def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
-    """Train a classifier with mini-batch SGD.
+    """Train a classifier with mini-batch SGD on a [n, length, columns]
+    array or WindowSet of windows.
 
     Standardization constants come from the training windows only.
     Positive examples are up-weighted in the loss (see ClassifierSpec).

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ZeroVariance
 from .modality import ModalityScheme
+from .models import pool_windows
 
 STATISTICAL = "statistical"
 AVERAGE = "average"
@@ -356,9 +357,10 @@ def normalize_relevances(raw: dict[str, float]) -> dict[str, float] | None:
 def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
     """|rho| of every feature column against the window labels.
 
-    ``windows`` is a [n_windows, window_length, n_features] array. Each
-    feature is reduced over time within its window (mean by default) and
-    Spearman-correlated with the labels; a degenerate column scores 0.
+    ``windows`` is a [n_windows, window_length, n_features] array or a
+    ``WindowSet``. Each feature is reduced over time within its window
+    (mean by default, block by block) and Spearman-correlated with the
+    labels; a degenerate column scores 0.
     """
     if len(windows) == 0:
         raise DataError("no windows")
@@ -367,7 +369,7 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
         raise DataError(f"{len(windows)} windows vs {y.size} labels")
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}")
-    reduced = getattr(np.asarray(windows, dtype=np.float64), reduction)(axis=1)
+    reduced = pool_windows(windows, reduction)
     abs_rho = np.empty(reduced.shape[1])
     for j in range(reduced.shape[1]):
         result = spearman_rho(reduced[:, j], y)

@@ -1,5 +1,8 @@
 """Scoring, the experiment pipeline, and cross validation."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,8 @@ from painfusion import (
     run_experiment,
     run_matrix,
 )
-from painfusion.data import SyntheticConfig, generate_synthetic
+from painfusion.config import load_run_config
+from painfusion.data import SyntheticConfig, generate_synthetic, split_train_valid
 from painfusion.errors import ConfigError, DataError
 from painfusion.evaluate import (
     MATRIX_ARMS,
@@ -24,6 +28,7 @@ from painfusion.evaluate import (
     metrics_csv,
     weights_csv,
 )
+from painfusion.presets import synthetic_split
 
 from oracles import metric_oracle
 
@@ -237,6 +242,26 @@ class TestRunExperiment:
                 )
             assert arm.weights == alone.weights
             assert arm.confusion_matrix == alone.confusion_matrix
+
+    def test_matrix_memory_stays_below_train_tensor(self):
+        """A logistic matrix on the default windowing never allocates as
+        much as one joined 70-column train tensor: pooling and weighting
+        read the windows block by block."""
+        run = load_run_config(None, "unused", 7, 1)
+        corpus = replace(run.synthetic, n_subjects=6, frames_per_subject=1500)
+        train_ids, valid_ids = synthetic_split(corpus.n_subjects)
+        train, valid = split_train_valid(generate_synthetic(corpus), train_ids, valid_ids)
+        base = replace(run.experiment, classifier=replace(run.experiment.classifier, epochs=1))
+        assert base.classifier.kind == "logistic"
+
+        tracemalloc.start()
+        try:
+            rows = run_matrix(train, valid, base, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = rows[0][1].n_train_windows * base.window_length * 70 * 8
+        assert peak < tensor_bytes
 
 
 class TestLoocv:

@@ -104,7 +104,7 @@ class TestValidation:
 
     def test_batch_locates_bad_probability(self):
         probas = {"coords": np.array([0.5, 0.5]), "semg": np.array([0.5, 1.5])}
-        with pytest.raises(InternalError, match="modality 'semg', window 1: probability "):
+        with pytest.raises(InternalError, match=r"modality 'semg', window 1: probability 1\.5$"):
             fuse_batch(probas, TWO)
 
 

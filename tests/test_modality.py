@@ -20,6 +20,7 @@ from painfusion.modality import (
     default_joint_segment_map,
     parse_joint_segment_map,
 )
+from painfusion.models import WindowSet
 
 
 class TestSchemes:
@@ -101,8 +102,8 @@ def _window(features, columns=None):
     """The single window spanning all frames, with the selected columns."""
     n = len(features)
     seq = SequenceData("s1", "healthy", features, np.zeros(n, dtype=np.int8), np.zeros((n, 2)))
-    windows, _ = make_windows(seq, n, n, columns=columns)
-    return windows[0]
+    windows, _ = make_windows(seq, n, n)
+    return WindowSet([windows], n, 70, columns).array()[0]
 
 
 class TestProjection:

@@ -13,9 +13,12 @@ from painfusion import (
     grad_check,
     make_windows,
 )
-from painfusion.data import SyntheticConfig, generate_synthetic
+from painfusion import models
+from painfusion.data import SequenceData, SyntheticConfig, generate_synthetic
 from painfusion.errors import DataError, NumericError
 from painfusion.evaluate import confusion, metrics
+from painfusion.modality import quadrifurcated_scheme
+from painfusion.models import STD_FLOOR, WindowSet, frame_statistics, pool_windows
 
 
 def _separable(n=40, d=6, frames=5, seed=0, margin=2.0):
@@ -134,6 +137,57 @@ class TestPredict:
     def test_empty_batch(self):
         model = _hand_built(np.zeros(5))
         assert model.predict_proba_windows(np.zeros((0, 3, 4))).shape == (0,)
+
+
+class TestWindowBlocks:
+    @given(
+        length=st.integers(1, 40),
+        stride=st.integers(1, 40),
+        extra_frames=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+        block=st.sampled_from(["smaller", "equal", "larger"]),
+        columns=st.sampled_from([None, "semg", "trunk"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_joined_tensor(self, length, stride, extra_frames, block, columns, seed):
+        """Time reductions and frame statistics read block by block from
+        per-sequence views equal those of the joined C-ordered tensor bit
+        for bit, for blocks smaller than, equal to and larger than the
+        first sequence's window count, and for all 70 columns, the
+        contiguous sEMG and the scattered trunk columns."""
+        rng = np.random.default_rng(seed)
+        selected = None if columns is None else quadrifurcated_scheme().modalities[columns]
+        parts = []
+        for extra in extra_frames:
+            n_frames = length + extra
+            seq = SequenceData(
+                "A",
+                "healthy",
+                rng.standard_normal((n_frames, 70)) * 10.0 ** rng.uniform(-3, 3, 70) + 5.0,
+                np.zeros(n_frames, dtype=np.int8),
+                np.zeros((n_frames, 2)),
+            )
+            parts.append(make_windows(seq, length, stride)[0])
+        joined = np.concatenate(parts)
+        if selected is not None:
+            joined = joined[:, :, list(selected)]
+        joined = np.ascontiguousarray(joined)
+        first = len(parts[0])
+        size = {"smaller": max(1, first - 1), "equal": first, "larger": first + 5}[block]
+        windows = WindowSet(parts, length, 70, selected)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "BLOCK_WINDOWS", size)
+            assert [len(b) for _, b in windows.blocks()] == [
+                min(size, len(p) - start) for p in parts for start in range(0, len(p), size)
+            ]
+            for reduction in ("mean", "max", "std"):
+                pooled = pool_windows(windows, reduction)
+                assert np.array_equal(pooled, getattr(joined, reduction)(axis=1))
+            mean, std = frame_statistics(windows)
+        assert np.array_equal(mean, joined.mean(axis=(0, 1)))
+        assert np.array_equal(std, np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
+        assert np.array_equal(windows.array(), joined)
 
 
 class TestGradients:
