@@ -184,32 +184,41 @@ class _Cnn1d:
         params[C * K * d + C : C * K * d + 2 * C] = _he_uniform(rng, C, C)
         return params
 
-    def _taps(self, X):
-        T = X.shape[1]
-        if T < self.K:
-            raise DataError(f"window length {T} shorter than kernel width {self.K}")
-        span = T - self.K + 1
-        return np.stack([X[:, k : k + span, :] for k in range(self.K)], axis=2)
-
     def raw_scores(self, params, X):
         W, b_conv, w, b = self._unpack(params)
-        taps = self._taps(X)
-        act = np.einsum("btkj,ckj->btc", taps, W) + b_conv
+        (B, T, d), C, K = X.shape, self.C, self.K
+        if T < K:
+            raise DataError(f"window length {T} shorter than kernel width {K}")
+        span = T - K + 1
+        # Every frame against every (channel, tap) filter row in one
+        # matmul; activation t then sums tap k's response at frame t + k.
+        per_tap = (X.reshape(-1, d) @ W.reshape(C * K, d).T).reshape(B, T, C, K)
+        act = per_tap[:, :span, :, 0].copy()
+        for k in range(1, K):
+            act += per_tap[:, k : k + span, :, k]
+        act += b_conv
         relu = np.maximum(act, 0.0)
         peak_at = relu.argmax(axis=1)
         pooled = np.take_along_axis(relu, peak_at[:, None, :], axis=1)[:, 0, :]
-        return pooled @ w + b, (taps, act, relu, peak_at, pooled)
+        return pooled @ w + b, (act, relu, peak_at, pooled)
 
     def backward(self, params, X, cache, dz):
-        taps, act, relu, peak_at, pooled = cache
+        act, relu, peak_at, pooled = cache
         _, _, w, _ = self._unpack(params)
-        C, K, d = self.C, self.K, self.d
+        (B, T, d), C, K = X.shape, self.C, self.K
+        span = act.shape[1]
         dpooled = np.outer(dz, w)
         drelu = np.zeros_like(relu)
         np.put_along_axis(drelu, peak_at[:, None, :], dpooled[:, None, :], axis=1)
         dact = drelu * (act > 0.0)
+        # Tap k of filter c saw frame t + k for activation t: place dact
+        # there, and one matmul against the frames gives every tap's
+        # gradient in the (channel, tap, feature) order of the layout.
+        shifted = np.zeros((B, T, C, K))
+        for k in range(K):
+            shifted[:, k : k + span, :, k] = dact
         grad = np.empty_like(params)
-        grad[: C * K * d] = np.einsum("btc,btkj->ckj", dact, taps).reshape(-1)
+        grad[: C * K * d] = (shifted.reshape(-1, C * K).T @ X.reshape(-1, d)).reshape(-1)
         grad[C * K * d : C * K * d + C] = dact.sum(axis=(0, 1))
         grad[C * K * d + C : C * K * d + 2 * C] = pooled.T @ dz
         grad[-1] = dz.sum()
@@ -219,7 +228,7 @@ class _Cnn1d:
         """Smallest gap between the winning and runner-up max-pool
         activation over all (example, channel) pairs; infinity when a
         window yields a single temporal position."""
-        relu = cache[2]
+        relu = cache[1]
         if relu.shape[1] < 2:
             return math.inf
         top2 = np.partition(relu, -2, axis=1)[:, -2:, :]

@@ -114,3 +114,20 @@ def metric_oracle(tp, fp, fn, tn):
         "f1_macro": (f1(precision_pos, recall_pos) + f1(precision_neg, recall_neg)) / 2.0,
         "degenerate": degenerate,
     }
+
+
+def conv_taps_oracle(X, W, b_conv):
+    """Stride-1 temporal convolution by an explicit tap tensor: stack the
+    K shifted [B, span, d] slices of X into [B, span, K, d] and contract
+    with the [C, K, d] filters, then add the channel biases."""
+    span = X.shape[1] - W.shape[1] + 1
+    taps = np.stack([X[:, k : k + span, :] for k in range(W.shape[1])], axis=2)
+    return np.einsum("btkj,ckj->btc", taps, W) + b_conv
+
+
+def conv_weight_grad_oracle(X, dact, kernel_width):
+    """Gradient of the [C, K, d] filters given d(loss)/d(activation)
+    [B, span, C], through the same explicit tap tensor."""
+    span = dact.shape[1]
+    taps = np.stack([X[:, k : k + span, :] for k in range(kernel_width)], axis=2)
+    return np.einsum("btc,btkj->ckj", dact, taps)

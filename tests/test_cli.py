@@ -317,6 +317,15 @@ class TestMatrix:
             assert (out / f"weights_{name}.csv").exists()
             assert (out / f"predictions_{name}.csv").exists()
 
+    def test_cnn1d_thread_count_does_not_change_bytes(self, tmp_path):
+        path = tmp_path / "cnn1d.ini"
+        path.write_text(SMALL_INI.replace("kind = logistic", "kind = cnn1d"))
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert main(["matrix", "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["matrix", "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
+        assert "cnn1d" in (out1 / "metrics.csv").read_text()
+        assert _read_all(out1) == _read_all(out2)
+
 
 class TestLoocv:
     def test_per_fold_and_pooled_rows(self, ini, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from painfusion import (
     ClassifierSpec,
@@ -19,6 +19,8 @@ from painfusion.errors import DataError, NumericError
 from painfusion.evaluate import confusion, metrics
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.models import STD_FLOOR, WindowSet, frame_statistics, pool_windows
+
+from oracles import conv_taps_oracle, conv_weight_grad_oracle
 
 
 def _separable(n=40, d=6, frames=5, seed=0, margin=2.0):
@@ -210,6 +212,67 @@ class TestGradients:
         windows, labels = _random_windows(seed=7, frames=12)
         err = grad_check(ClassifierSpec(kind="cnn1d", seed=7), windows, labels)
         assert err < 1e-5
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    """Agreement to rtol relative to the largest reference magnitude."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+class TestConvKernel:
+    @given(
+        batch=st.integers(1, 6),
+        d=st.integers(1, 9),
+        channels=st.integers(1, 5),
+        kernel=st.integers(1, 6),
+        extra_frames=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=4, d=70, channels=8, kernel=5, extra_frames=0, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tap_tensor_reference(self, batch, d, channels, kernel, extra_frames, seed):
+        """The convolution's activations and the loss gradient equal those
+        computed through an explicit [B, span, K, d] tap tensor, to a
+        relative 1e-12, for windows from one kernel long (span 1) up."""
+        rng = np.random.default_rng(seed)
+        spec = ClassifierSpec(kind="cnn1d", seed=0, conv_channels=channels, kernel_width=kernel)
+        arch = models._Cnn1d(spec, d)
+        X = rng.standard_normal((batch, kernel + extra_frames, d))
+        y = rng.integers(0, 2, batch).astype(np.float64)
+        params = rng.standard_normal(arch.n_params)
+        pos_weight, l2 = 3.0, 1e-3
+        W, b_conv, w, b = arch._unpack(params)
+
+        expected_act = conv_taps_oracle(X, W, b_conv)
+        act = arch.raw_scores(params, X)[1][0]
+        _assert_close(act, expected_act)
+
+        # Backward through max pooling and ReLU from the reference
+        # activations: each (window, channel) passes its gradient to its
+        # peak frame, if that activation is positive.
+        relu = np.maximum(expected_act, 0.0)
+        peak_at = relu.argmax(axis=1)
+        pooled = relu.max(axis=1)
+        dz = models._bce_dz(pooled @ w + b, y, pos_weight)
+        dact = np.zeros_like(expected_act)
+        for i in range(batch):
+            for c in range(channels):
+                if expected_act[i, peak_at[i, c], c] > 0.0:
+                    dact[i, peak_at[i, c], c] = dz[i] * w[c]
+        expected_grad = np.concatenate(
+            [
+                conv_weight_grad_oracle(X, dact, kernel).reshape(-1),
+                dact.sum(axis=(0, 1)),
+                pooled.T @ dz,
+                [dz.sum()],
+            ]
+        )
+        expected_grad += 2.0 * l2 * params
+        _, grad = models._loss_and_grad(arch, params, X, y, pos_weight, l2)
+        n_filter = channels * kernel * d
+        _assert_close(grad[:n_filter], expected_grad[:n_filter])
+        _assert_close(grad[n_filter:], expected_grad[n_filter:])
 
 
 class TestConvRegression:
