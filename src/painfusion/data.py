@@ -151,9 +151,7 @@ def split_train_valid(
     if overlap:
         raise DataError(f"subject(s) in both splits: {sorted(overlap)}")
     train_set, valid_set = set(train_subjects), set(valid_subjects)
-    unassigned = sorted(
-        {s.subject_id for s in sequences} - train_set - valid_set
-    )
+    unassigned = sorted({s.subject_id for s in sequences} - train_set - valid_set)
     if unassigned:
         raise DataError(f"subject(s) in neither split: {unassigned}")
     train = [s for s in sequences if s.subject_id in train_set]
@@ -194,10 +192,6 @@ def make_windows(
     positives = cum[starts + length] - cum[starts]
     labels = (positives / length >= positive_fraction_threshold).astype(np.int8)
     return windows, labels
-
-
-def window_count(n_frames: int, length: int, stride: int) -> int:
-    return (n_frames - length) // stride + 1
 
 
 # --- synthetic data -------------------------------------------------------

@@ -17,7 +17,8 @@ from .data import SequenceData, _stable_key, check_window_rule, make_windows
 from .errors import ConfigError, DataError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
-from .models import ClassifierSpec, TrainedClassifier, WindowSet, fit
+from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet, _column_index
+from .models import fit, frame_statistics, pool_windows
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -148,9 +149,7 @@ class ExperimentConfig:
                 f"scheme_name must be one of {SCHEME_NAMES}, got {self.scheme_name!r}"
             )
         if self.weighting not in WEIGHTINGS:
-            raise ConfigError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
+            raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         check_mode(self.vote_mode)
         check_threshold(self.decision_threshold)
         check_window_rule(self.window_length, self.window_stride, self.positive_fraction_threshold)
@@ -194,12 +193,8 @@ def collect_windows(sequences, config: ExperimentConfig, columns=None):
     is None), plus the int8 window labels and the subject id of every
     window. Nothing is copied: the set holds each sequence's windows as
     the view ``make_windows`` returns."""
-    parts = [
-        make_windows(
-            seq, config.window_length, config.window_stride, config.positive_fraction_threshold
-        )
-        for seq in sequences
-    ]
+    rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
+    parts = [make_windows(seq, *rule) for seq in sequences]
     windows = WindowSet([w for w, _ in parts], config.window_length, N_FEATURES, columns)
     labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [y for _, y in parts])
     subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for _, y in parts])
@@ -228,6 +223,7 @@ def _run_arms(
     base: ExperimentConfig,
     arms: list[tuple[str, str]],
     threads: int,
+    rows=None,
 ) -> list[ExperimentResult]:
     """Score one arm per (scheme name, weighting) pair, all on the base
     config's windowing, classifier, and seed.
@@ -237,6 +233,10 @@ def _run_arms(
     pure functions of the train-split relevance and the cached validation
     probabilities. Fusion weights and standardization constants come from
     the train split only. Errors are re-raised with the stage prefixed.
+
+    The pooled kinds pool each split once into [n_windows, 70] window time
+    means (unless ``rows`` holds the train and validation ones) and take the
+    train frame statistics once; each modality reads column slices of them.
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -246,15 +246,22 @@ def _run_arms(
         raise DataError(f"subject(s) in both splits: {sorted(shared)}")
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     train_windows, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, base))
-    _, valid_labels, valid_subjects = _stage("windowing", lambda: collect_windows(valid_seqs, base))
+    valid_windows, valid_labels, valid_subjects = _stage(
+        "windowing", lambda: collect_windows(valid_seqs, base)
+    )
     if not len(train_labels):
         raise DataError("windowing: train split produced no windows")
     if not len(valid_labels):
         raise DataError("windowing: validation split produced no windows")
+    pooled = base.classifier.kind in POOLED_KINDS
+    if pooled:
+        mean, std = frame_statistics(train_windows)
+        train_X, valid_X = rows or (pool_windows(train_windows), pool_windows(valid_windows))
 
     @cache
     def relevance():
-        return feature_relevance(train_windows, train_labels, base.reduction)
+        reduced = train_X if pooled and base.reduction == "mean" else train_windows
+        return feature_relevance(reduced, train_labels, base.reduction)
 
     weights = [
         _stage("weighting", lambda: fusion_weights(c.weighting, scheme, relevance))
@@ -264,9 +271,14 @@ def _run_arms(
     def train_one(key):
         name, columns = key
         spec = replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
+        if pooled:
+            # A view for a run of columns, else a copy; ``fit`` and
+            # ``predict_proba_windows`` standardize it into C order.
+            cols, stats = _column_index(columns), (mean[list(columns)], std[list(columns)])
+            model = fit(train_X[:, cols], train_labels, spec, stats)
+            return model, model.predict_proba_windows(valid_X[:, cols])
         model = fit(collect_windows(train_seqs, base, columns)[0], train_labels, spec)
-        valid_windows = collect_windows(valid_seqs, base, columns)[0]
-        return model, model.predict_proba_windows(valid_windows)
+        return model, model.predict_proba_windows(collect_windows(valid_seqs, base, columns)[0])
 
     # Scheme by scheme, so that the pool never holds the joined tensors a
     # convolution trains on for two schemes' modalities (say the 70-column
@@ -370,28 +382,33 @@ def loocv(
     each fold's classifier seed is derived from (config.seed, fold id).
     """
     if granularity not in GRANULARITIES:
-        raise ConfigError(
-            f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
-        )
+        raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     config.validate()
     if granularity == "subject":
         keys = sorted({s.subject_id for s in sequences})
-        held_out = {k: [s for s in sequences if s.subject_id == k] for k in keys}
+        held_out = {k: [i for i, s in enumerate(sequences) if s.subject_id == k] for k in keys}
     else:
         keys = [f"{s.subject_id}#{i}" for i, s in enumerate(sequences)]
-        held_out = {k: [sequences[i]] for i, k in enumerate(keys)}
+        held_out = {k: [i] for i, k in enumerate(keys)}
     if len(keys) < 2:
         raise DataError(f"cross validation needs at least 2 folds, got {len(keys)}")
+    # A window's time-mean row does not depend on the fold, so the pooled
+    # kinds pool every window once; folds still sum their frame statistics.
+    rows = None
+    if config.classifier.kind in POOLED_KINDS:
+        windows = _stage("windowing", lambda: collect_windows(sequences, config)[0])
+        rows = np.split(pool_windows(windows), np.cumsum([len(p) for p in windows.parts])[:-1])
+    arm = [(config.scheme_name, config.weighting)]
 
     def run_fold(key: str) -> FoldResult:
         valid = held_out[key]
-        valid_ids = {id(s) for s in valid}
-        train = [s for s in sequences if id(s) not in valid_ids]
-        fold_spec = replace(
-            config.classifier, seed=derive_seed(config.seed, "fold:" + key)
-        )
+        splits = ([i for i in range(len(sequences)) if i not in valid], valid)
+        fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
         fold_config = replace(config, classifier=fold_spec)
-        return FoldResult(key, run_experiment(train, valid, fold_config, threads=1))
+        seqs = [[sequences[i] for i in split] for split in splits]
+        fold_rows = rows and [np.concatenate([rows[i] for i in split]) for split in splits]
+        (result,) = _run_arms(*seqs, fold_config, arm, 1, fold_rows)
+        return FoldResult(key, result)
 
     folds = _map_indexed(run_fold, keys, threads)
     pooled = folds[0].result.confusion_matrix

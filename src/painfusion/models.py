@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 
 CLASSIFIER_KINDS = ("logistic", "mlp", "cnn1d")
+# The kinds that see a window only through its per-column time mean.
+POOLED_KINDS = ("logistic", "mlp")
 
 STD_FLOOR = 1e-8
 
@@ -71,18 +73,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _weighted_bce(z, y, pos_weight):
-    # softplus(-z) = -log(sigmoid(z)); both branches via logaddexp stay
-    # finite for any z.
-    per_example = pos_weight * y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
-    return float(np.mean(per_example))
-
-
-def _bce_dz(z, y, pos_weight):
-    s = _sigmoid(z)
-    return (pos_weight * y * (s - 1.0) + (1.0 - y) * s) / len(z)
-
-
 def _he_uniform(rng, fan_in: int, size: int) -> np.ndarray:
     limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size)
@@ -90,8 +80,6 @@ def _he_uniform(rng, fan_in: int, size: int) -> np.ndarray:
 
 class _Logistic:
     """Flat layout: [w: d][b: 1]."""
-
-    pooled = True
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d = n_features
@@ -115,8 +103,6 @@ class _Logistic:
 
 class _Mlp:
     """Flat layout: [W1: d*h, row-major][b1: h][w2: h][b2: 1]."""
-
-    pooled = True
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d, self.h = n_features, spec.hidden_units
@@ -161,8 +147,6 @@ class _Cnn1d:
     [w: C][b: 1]. The convolution slides over time with stride 1, so a
     window of T frames yields T - K + 1 activations per channel before
     the global max pool."""
-
-    pooled = False
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d = n_features
@@ -243,23 +227,18 @@ def _architecture(spec: ClassifierSpec, n_features: int):
     return _Cnn1d(spec, n_features)
 
 
-def _loss_and_grad(arch, params, X, y, pos_weight, l2):
+def _loss_and_grad(arch, params, X, pos_y, neg_y, l2):
+    """Mean class-weighted cross entropy plus the L2 penalty, and its
+    gradient; ``pos_y`` is positive_weight * y and ``neg_y`` is 1 - y."""
     z, cache = arch.raw_scores(params, X)
-    loss = _weighted_bce(z, y, pos_weight) + l2 * float(params @ params)
-    grad = arch.backward(params, X, cache, _bce_dz(z, y, pos_weight))
+    # softplus(-z) = -log(sigmoid(z)); both branches via logaddexp stay
+    # finite for any z.
+    per_example = pos_y * np.logaddexp(0.0, -z) + neg_y * np.logaddexp(0.0, z)
+    loss = float(np.add.reduce(per_example) / len(z)) + l2 * float(params @ params)
+    s = _sigmoid(z)
+    grad = arch.backward(params, X, cache, (pos_y * (s - 1.0) + neg_y * s) / len(z))
     grad += 2.0 * l2 * params
     return loss, grad
-
-
-def _check_training_inputs(windows, labels):
-    if len(windows) == 0:
-        raise DataError("no training windows")
-    if len(windows) != len(labels):
-        raise DataError(f"{len(windows)} windows vs {len(labels)} labels")
-    y = np.asarray(labels, dtype=np.float64)
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise DataError("training labels must be 0 or 1")
-    return _as_windows(windows), y
 
 
 BLOCK_WINDOWS = 256
@@ -374,24 +353,46 @@ def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, STD_FLOOR)
 
 
-def _prepare(arch, windows: WindowSet, mean, std):
-    if arch.pooled:
-        return (pool_windows(windows) - mean) / std
-    joined = windows.array()
-    joined -= mean
-    joined /= std
-    return joined
+def _model_input(kind: str, windows, mean, std, width: int) -> np.ndarray:
+    """A model's standardized input: for the pooled kinds the [n, width]
+    window time means, which a 2-D ``windows`` holds in any layout, made C
+    order (a Fortran-ordered one takes another BLAS path); else the tensor."""
+    if kind not in POOLED_KINDS:
+        joined = _as_windows(windows, width).array()
+        joined -= mean
+        joined /= std
+        return joined
+    if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
+        windows = pool_windows(_as_windows(windows, width))
+    elif windows.shape[1] != width:
+        raise DataError(f"pooled windows have shape {windows.shape}, expected [n, {width}]")
+    X = np.subtract(windows, mean, order="C")
+    X /= std
+    return X
+
+
+def _training_inputs(windows, labels, spec: ClassifierSpec, frame_stats=None):
+    """Architecture, standardized input, float labels, and the frame
+    statistics of the windows (``frame_stats`` when given)."""
+    spec.validate()
+    if len(windows) == 0:
+        raise DataError("no training windows")
+    if len(windows) != len(labels):
+        raise DataError(f"{len(windows)} windows vs {len(labels)} labels")
+    y = np.asarray(labels, dtype=np.float64)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DataError("training labels must be 0 or 1")
+    mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
+    X = _model_input(spec.kind, windows, mean, std, len(mean))
+    return _architecture(spec, len(mean)), X, y, mean, std
 
 
 def resolve_positive_weight(spec: ClassifierSpec, y: np.ndarray) -> tuple[float, bool]:
     n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    single_class = n_pos == 0 or n_neg == 0
+    single_class = n_pos in (0, len(y))
     if spec.positive_class_weight is not None:
         return float(spec.positive_class_weight), single_class
-    if single_class:
-        return 1.0, True
-    return n_neg / n_pos, False
+    return (1.0 if single_class else (len(y) - n_pos) / n_pos), single_class
 
 
 @dataclass(frozen=True)
@@ -409,63 +410,72 @@ class TrainedClassifier:
     single_class: bool
     training_log: tuple[float, ...] = field(repr=False, default=())
 
-    def _arch(self):
-        return _architecture(self.spec, self.n_features)
-
     def predict_proba_windows(self, windows) -> np.ndarray:
         """Probability of the positive class for each window of a
-        [n, length, n_features] array or WindowSet."""
+        [n, length, n_features] array or WindowSet, or for the pooled
+        kinds of the [n, n_features] array of the windows' time means."""
         if len(windows) == 0:
             return np.zeros(0)
-        arch = self._arch()
-        windows = _as_windows(windows, self.n_features)
-        X = _prepare(arch, windows, self.feature_mean, self.feature_std)
-        z, _ = arch.raw_scores(self.params, X)
+        X = _model_input(
+            self.spec.kind, windows, self.feature_mean, self.feature_std, self.n_features
+        )
+        z, _ = _architecture(self.spec, self.n_features).raw_scores(self.params, X)
         return _sigmoid(z)
 
 
-def fit(windows, labels, spec: ClassifierSpec) -> TrainedClassifier:
+def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClassifier:
     """Train a classifier with mini-batch SGD on a [n, length, columns]
-    array or WindowSet of windows.
+    array or WindowSet of windows. For the pooled kinds ``windows`` may
+    be the [n, columns] array of the windows' time means instead, with
+    ``frame_stats`` the (mean, std) that ``frame_statistics`` gives for
+    the windows.
 
     Standardization constants come from the training windows only.
     Positive examples are up-weighted in the loss (see ClassifierSpec).
     Raises NumericError when the loss or the gradient leaves the finite
     range; a single-label training set only sets a flag.
     """
-    spec.validate()
-    windows, y = _check_training_inputs(windows, labels)
-    mean, std = frame_statistics(windows)
-    arch = _architecture(spec, windows.shape[2])
-    X = _prepare(arch, windows, mean, std)
+    arch, X, y, mean, std = _training_inputs(windows, labels, spec, frame_stats)
     pos_weight, single_class = resolve_positive_weight(spec, y)
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     params = arch.init(rng)
     velocity = np.zeros_like(params)
-    n = len(windows)
+    n = len(y)
     log = []
+    X_epoch = np.empty_like(X) if X.ndim == 2 else None
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(spec.epochs):
             order = rng.permutation(n)
+            y_epoch = y[order]
+            pos_y, neg_y = pos_weight * y_epoch, 1.0 - y_epoch
+            # Pooled rows are gathered into one buffer per epoch (mode "clip"
+            # skips the temporary that "raise" makes) and read in contiguous
+            # batches; the convolution's joined tensor is never copied whole.
+            if X_epoch is not None:
+                np.take(X, order, axis=0, out=X_epoch, mode="clip")
             total = 0.0
             for start in range(0, n, spec.batch_size):
-                batch = order[start : start + spec.batch_size]
-                loss, grad = _loss_and_grad(arch, params, X[batch], y[batch], pos_weight, spec.l2)
+                rows = slice(start, start + spec.batch_size)
+                X_batch = X[order[rows]] if X_epoch is None else X_epoch[rows]
+                loss, grad = _loss_and_grad(
+                    arch, params, X_batch, pos_y[rows], neg_y[rows], spec.l2
+                )
                 if not math.isfinite(loss):
                     raise NumericError(f"epoch {epoch}: loss became {loss!r}")
                 if not np.isfinite(grad).all():
                     raise NumericError(f"epoch {epoch}: gradient left the finite range")
-                velocity = spec.momentum * velocity - spec.learning_rate * grad
-                params = params + velocity
-                total += loss * len(batch)
+                velocity *= spec.momentum
+                velocity -= spec.learning_rate * grad
+                params += velocity
+                total += loss * len(X_batch)
             log.append(total / n)
 
     return TrainedClassifier(
         spec=spec,
-        n_features=windows.shape[2],
+        n_features=len(mean),
         feature_mean=mean,
         feature_std=std,
         params=params,
@@ -488,42 +498,28 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
     pooled activations nearly tie are rejected and redrawn, since there
     the finite difference straddles a kink.
     """
-    spec.validate()
-    windows, y = _check_training_inputs(windows, labels)
-    mean, std = frame_statistics(windows)
-    arch = _architecture(spec, windows.shape[2])
-    X = _prepare(arch, windows, mean, std)
+    arch, X, y, _, _ = _training_inputs(windows, labels, spec)
     pos_weight, _ = resolve_positive_weight(spec, y)
+    pos_y, neg_y = pos_weight * y, 1.0 - y
 
-    root = np.random.SeedSequence(spec.seed)
-    params = None
-    for child in root.spawn(_MAX_REDRAWS):
-        candidate = arch.init(np.random.default_rng(child))
+    for child in np.random.SeedSequence(spec.seed).spawn(_MAX_REDRAWS):
+        params = arch.init(np.random.default_rng(child))
         if not hasattr(arch, "pool_margin"):
-            params = candidate
             break
-        _, cache = arch.raw_scores(candidate, X)
-        if arch.pool_margin(cache) > _POOL_MARGIN:
-            params = candidate
+        if arch.pool_margin(arch.raw_scores(params, X)[1]) > _POOL_MARGIN:
             break
-    if params is None:
+    else:
         raise NumericError("could not find a max-pool-stable initialization")
 
-    _, analytic = _loss_and_grad(arch, params, X, y, pos_weight, spec.l2)
+    _, analytic = _loss_and_grad(arch, params, X, pos_y, neg_y, spec.l2)
     worst = 0.0
     for i in range(arch.n_params):
         bumped = params.copy()
         bumped[i] = params[i] + epsilon
-        hi, _g = _loss_only(arch, bumped, X, y, pos_weight, spec.l2)
+        hi, _ = _loss_and_grad(arch, bumped, X, pos_y, neg_y, spec.l2)
         bumped[i] = params[i] - epsilon
-        lo, _g = _loss_only(arch, bumped, X, y, pos_weight, spec.l2)
+        lo, _ = _loss_and_grad(arch, bumped, X, pos_y, neg_y, spec.l2)
         numeric = (hi - lo) / (2.0 * epsilon)
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
-
-
-def _loss_only(arch, params, X, y, pos_weight, l2):
-    z, _ = arch.raw_scores(params, X)
-    return _weighted_bce(z, y, pos_weight) + l2 * float(params @ params), None
-

@@ -48,16 +48,9 @@ class NormalityReport:
     qq_pairs: np.ndarray
 
     def to_text(self) -> str:
-        lines = [
-            f"n = {self.n}",
-            f"mean = {self.mean!r}",
-            f"std = {self.std!r}",
-            f"skewness = {self.skewness!r}",
-            f"excess_kurtosis = {self.excess_kurtosis!r}",
-            f"jarque_bera_stat = {self.jarque_bera_stat!r}",
-            f"jarque_bera_p = {self.jarque_bera_p!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        names = ("n", "mean", "std", "skewness", "excess_kurtosis")
+        names += ("jarque_bera_stat", "jarque_bera_p")
+        return "".join(f"{name} = {getattr(self, name)!r}\n" for name in names)
 
     def qq_csv(self) -> str:
         lines = ["theoretical_quantile,sample_quantile"]
@@ -90,14 +83,9 @@ class FusionWeights:
             raise ValueError("weights/raw_relevance key mismatch")
 
     def to_text(self) -> str:
-        lines = [
-            f"scheme = {self.scheme_name}",
-            f"provenance = {self.provenance}",
-        ]
-        for name in self.weights:
-            lines.append(f"weight.{name} = {self.weights[name]!r}")
-        for name in self.raw_relevance:
-            lines.append(f"raw_relevance.{name} = {self.raw_relevance[name]!r}")
+        lines = [f"scheme = {self.scheme_name}", f"provenance = {self.provenance}"]
+        lines += [f"weight.{name} = {w!r}" for name, w in self.weights.items()]
+        lines += [f"raw_relevance.{name} = {r!r}" for name, r in self.raw_relevance.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -142,17 +130,21 @@ def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
+def _centered(x: np.ndarray) -> tuple[np.ndarray, float]:
+    xc = x - x.mean()
+    return xc, float(np.dot(xc, xc))
+
+
+def _centered_r(xc, sxx: float, yc, syy: float) -> tuple[float, bool]:
+    if sxx <= 0.0 or syy <= 0.0:
+        return 0.0, True
+    return float(np.dot(xc, yc)) / math.sqrt(sxx * syy), False
+
+
 def _pearson_coefficient(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     if x.max() == x.min() or y.max() == y.min():
         return 0.0, True
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    if sxx <= 0.0 or syy <= 0.0:
-        return 0.0, True
-    r = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
-    return r, False
+    return _centered_r(*_centered(x), *_centered(y))
 
 
 def pearson_r(x, y) -> CorrelationResult:
@@ -200,11 +192,9 @@ def _merge_count(seq: list) -> tuple[list, int]:
     return merged, inv
 
 
-def _tied_pair_count(sorted_values: np.ndarray) -> int:
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_values[1:] != sorted_values[:-1], True]
-    )
-    counts = np.diff(boundaries)
+def _tied_pair_count(changes: np.ndarray) -> int:
+    """Tied pairs of a sorted sequence, given where each value changes."""
+    counts = np.diff(np.flatnonzero(np.r_[True, changes, True]))
     return int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
 
 
@@ -222,16 +212,13 @@ def kendall_tau_b(x, y) -> CorrelationResult:
     xs, ys = xa[order], ya[order]
 
     n0 = n * (n - 1) // 2
-    tx = _tied_pair_count(xs)
-    ty = _tied_pair_count(np.sort(ya, kind="stable"))
+    tx = _tied_pair_count(xs[1:] != xs[:-1])
+    y_sorted = np.sort(ya, kind="stable")
+    ty = _tied_pair_count(y_sorted[1:] != y_sorted[:-1])
     if tx == n0 or ty == n0:
         return CorrelationResult(0.0, True)
 
-    both_boundaries = np.flatnonzero(
-        np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True]
-    )
-    counts = np.diff(both_boundaries)
-    txy = int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
+    txy = _tied_pair_count((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
 
     _, discordant = _merge_count(ys.tolist())
     c_minus_d = n0 - tx - ty + txy - 2 * discordant
@@ -358,9 +345,10 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
     """|rho| of every feature column against the window labels.
 
     ``windows`` is a [n_windows, window_length, n_features] array or a
-    ``WindowSet``. Each feature is reduced over time within its window
-    (mean by default, block by block) and Spearman-correlated with the
-    labels; a degenerate column scores 0.
+    ``WindowSet``, each feature reduced over time within its window (mean
+    by default, block by block), or a 2-D array of reduced windows. Each
+    column's |rho| equals ``spearman_rho``'s bit for bit, with the labels
+    ranked once per call; a degenerate column scores 0.
     """
     if len(windows) == 0:
         raise DataError("no windows")
@@ -369,11 +357,16 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
         raise DataError(f"{len(windows)} windows vs {y.size} labels")
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}")
-    reduced = pool_windows(windows, reduction)
-    abs_rho = np.empty(reduced.shape[1])
+    reduced_already = isinstance(windows, np.ndarray) and windows.ndim == 2
+    reduced = windows if reduced_already else pool_windows(windows, reduction)
+    _validate_pair(y, y)
+    label = _centered(rank_with_ties(y)) if y.max() != y.min() else None
+    abs_rho = np.zeros(reduced.shape[1])
     for j in range(reduced.shape[1]):
-        result = spearman_rho(reduced[:, j], y)
-        abs_rho[j] = 0.0 if result.degenerate else abs(result.coefficient)
+        x, _ = _validate_pair(reduced[:, j], y)
+        if label is not None and x.max() != x.min():
+            rho, degenerate = _centered_r(*_centered(rank_with_ties(x)), *label)
+            abs_rho[j] = 0.0 if degenerate else abs(rho)
     return abs_rho
 
 

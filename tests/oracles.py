@@ -131,3 +131,46 @@ def conv_weight_grad_oracle(X, dact, kernel_width):
     span = dact.shape[1]
     taps = np.stack([X[:, k : k + span, :] for k in range(kernel_width)], axis=2)
     return np.einsum("btc,btkj->ckj", dact, taps)
+
+
+def sigmoid_oracle(z):
+    """Logistic function, split by sign so that exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def weighted_bce_oracle(z, y, pos_weight):
+    """Mean cross entropy of scores z against labels y, with positive
+    terms weighted by pos_weight."""
+    per_example = pos_weight * y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    return float(np.mean(per_example))
+
+
+def bce_dz_oracle(z, y, pos_weight):
+    """Gradient of weighted_bce_oracle with respect to the scores z."""
+    s = sigmoid_oracle(z)
+    return (pos_weight * y * (s - 1.0) + (1.0 - y) * s) / len(z)
+
+
+def sgd_oracle(arch, X, y, pos_weight, spec, rng):
+    """Mini-batch SGD with momentum, one fancy-indexed gather per batch
+    and out-of-place updates. ``arch`` supplies init, raw_scores and
+    backward; returns the final parameters and the per-epoch mean loss."""
+    params = arch.init(rng)
+    velocity = np.zeros_like(params)
+    log = []
+    for _ in range(spec.epochs):
+        order = rng.permutation(len(X))
+        total = 0.0
+        for start in range(0, len(X), spec.batch_size):
+            batch = order[start : start + spec.batch_size]
+            Xb, yb = X[batch], y[batch]
+            z, cache = arch.raw_scores(params, Xb)
+            loss = weighted_bce_oracle(z, yb, pos_weight) + spec.l2 * float(params @ params)
+            grad = arch.backward(params, Xb, cache, bce_dz_oracle(z, yb, pos_weight))
+            grad += 2.0 * spec.l2 * params
+            velocity = spec.momentum * velocity - spec.learning_rate * grad
+            params = params + velocity
+            total += loss * len(batch)
+        log.append(total / len(X))
+    return params, log

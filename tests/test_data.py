@@ -21,7 +21,6 @@ from painfusion.data import (
     SyntheticConfig,
     load_sequences,
     read_manifest,
-    window_count,
     write_manifest,
     write_sequence_file,
 )
@@ -33,6 +32,11 @@ from painfusion.presets import (
     WINDOW_STRIDE,
     default_synthetic_config,
 )
+
+
+def _window_count(n_frames, length, stride):
+    """Windows at offsets 0, stride, ... that fit in n_frames frames."""
+    return (n_frames - length) // stride + 1
 
 
 def _row(features, extras=(0.0, 0.0), label=0.0):
@@ -204,7 +208,7 @@ class TestWindows:
                 make_windows(seq, length, stride)
             return
         wins, labels = make_windows(seq, length, stride)
-        assert len(wins) == len(labels) == window_count(n_frames, length, stride)
+        assert len(wins) == len(labels) == _window_count(n_frames, length, stride)
         assert len(wins) >= 1
 
     @given(
@@ -245,7 +249,7 @@ class TestWindows:
         windows, labels, subjects = collect_windows([seq], config, selected)
         tensor = windows.array()
 
-        n = window_count(n_frames, length, stride)
+        n = _window_count(n_frames, length, stride)
         assert len(windows) == n
         assert windows.shape == tensor.shape == (n, length, len(idx))
         assert labels.shape == (n,) and labels.dtype == np.int8

@@ -11,23 +11,32 @@ from painfusion import (
     ClassifierSpec,
     ConfusionMatrix,
     ExperimentConfig,
+    JointSegmentMap,
     confusion,
+    fit,
     loocv,
+    make_windows,
     metrics,
     run_experiment,
     run_matrix,
+    scheme_by_name,
 )
+from painfusion import evaluate as evaluate_module
+from painfusion import models as models_module
+from painfusion import stats as stats_module
 from painfusion.config import load_run_config
 from painfusion.data import SyntheticConfig, generate_synthetic, split_train_valid
 from painfusion.errors import ConfigError, DataError
 from painfusion.evaluate import (
     MATRIX_ARMS,
     METRIC_COLUMNS,
+    collect_windows,
     confusion_csv,
     derive_seed,
     metrics_csv,
     weights_csv,
 )
+from painfusion.modality import SEGMENTS
 from painfusion.presets import synthetic_split
 
 from oracles import metric_oracle
@@ -264,6 +273,55 @@ class TestRunExperiment:
         assert peak < tensor_bytes
 
 
+def _assert_same_models(result, reference):
+    """Two experiment results hold bit-identical models, probabilities,
+    weights and confusion matrices."""
+    assert sorted(result.classifiers) == sorted(reference.classifiers)
+    for name, model in result.classifiers.items():
+        alone = reference.classifiers[name]
+        for field in ("params", "feature_mean", "feature_std"):
+            assert getattr(model, field).tobytes() == getattr(alone, field).tobytes(), field
+        assert model.training_log == alone.training_log
+        assert (
+            result.per_modality_probas[name].tobytes()
+            == reference.per_modality_probas[name].tobytes()
+        )
+    assert result.fused_probabilities.tobytes() == reference.fused_probabilities.tobytes()
+    assert result.weights == reference.weights
+    assert result.confusion_matrix == reference.confusion_matrix
+
+
+class TestPooledPath:
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_matrix_modalities_equal_fits_on_their_own_windows(self, kind):
+        """Each modality of a pooled-kind matrix trains and predicts on
+        column slices of its split's pooled matrix. Under a joint map that
+        scatters every segment over the columns, its parameters,
+        standardization constants and validation probabilities equal those
+        of ``fit`` and ``predict_proba_windows`` on its own joined windows."""
+        seqs = _corpus()
+        joint_map = JointSegmentMap({j: SEGMENTS[j % 3] for j in range(22)})
+        config = replace(_config(hidden_units=4), joint_map=joint_map)
+        config = replace(config, classifier=replace(config.classifier, kind=kind))
+        checked = set()
+        for _, result in run_matrix(seqs[:4], seqs[4:], config):
+            scheme = scheme_by_name(result.config.scheme_name, joint_map)
+            for name, model in result.classifiers.items():
+                columns = scheme.modalities[name]
+                train, labels, _ = collect_windows(seqs[:4], config, columns)
+                valid = collect_windows(seqs[4:], config, columns)[0].array()
+                seed = derive_seed(config.classifier.seed, "clf:" + name)
+                alone = fit(train.array(), labels, replace(config.classifier, seed=seed))
+                assert np.array_equal(model.params, alone.params)
+                assert np.array_equal(model.feature_mean, alone.feature_mean)
+                assert np.array_equal(model.feature_std, alone.feature_std)
+                assert model.training_log == alone.training_log
+                expected = alone.predict_proba_windows(valid)
+                assert np.array_equal(result.per_modality_probas[name], expected)
+                checked.add(name)
+        assert checked == {"all", "coords", "semg", *SEGMENTS}
+
+
 class TestLoocv:
     def test_subject_folds(self):
         seqs = _corpus(n_subjects=4)
@@ -295,6 +353,34 @@ class TestLoocv:
         seqs = _corpus(n_subjects=2)
         with pytest.raises(ConfigError, match="granularity must be one of"):
             loocv(seqs, _config(), granularity="session")
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_folds_reuse_pooled_rows(self, kind, monkeypatch):
+        """Every window is pooled once per loocv call, not once per fold,
+        and every fold equals a standalone ``run_experiment`` on its split
+        and fold config bit for bit."""
+        seqs = _corpus(n_subjects=4)
+        config = _config(scheme="quadrifurcated", hidden_units=4)
+        config = replace(config, classifier=replace(config.classifier, kind=kind))
+        real_pool, pooled = models_module.pool_windows, []
+
+        def counting_pool(windows, reduction="mean"):
+            pooled.append(len(windows))
+            return real_pool(windows, reduction)
+
+        for module in (evaluate_module, models_module, stats_module):
+            monkeypatch.setattr(module, "pool_windows", counting_pool)
+        result = loocv(seqs, config)
+        monkeypatch.undo()
+        assert pooled == [sum(len(make_windows(s, 20, 10)[1]) for s in seqs)]
+
+        for fold in result.folds:
+            train = [s for s in seqs if s.subject_id != fold.fold_id]
+            valid = [s for s in seqs if s.subject_id == fold.fold_id]
+            seed = derive_seed(config.seed, "fold:" + fold.fold_id)
+            fold_config = replace(config, classifier=replace(config.classifier, seed=seed))
+            assert fold.result.config == fold_config
+            _assert_same_models(fold.result, run_experiment(train, valid, fold_config))
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)

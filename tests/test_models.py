@@ -20,7 +20,7 @@ from painfusion.evaluate import confusion, metrics
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.models import STD_FLOOR, WindowSet, frame_statistics, pool_windows
 
-from oracles import conv_taps_oracle, conv_weight_grad_oracle
+from oracles import bce_dz_oracle, conv_taps_oracle, conv_weight_grad_oracle, sgd_oracle
 
 
 def _separable(n=40, d=6, frames=5, seed=0, margin=2.0):
@@ -109,6 +109,48 @@ class TestFit:
         b = fit(windows, labels, spec)
         assert a.params.tobytes() == b.params.tobytes()
         assert a.training_log == b.training_log
+
+
+class TestSgdReference:
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize(
+        "n, d, batch_size",
+        [(23, 6, 5), (7, 6, 16), (300, 70, 64)],
+        ids=["ragged-last-batch", "batch-above-n", "shipped-shape"],
+    )
+    @pytest.mark.parametrize("positive_class_weight", [None, 2.5], ids=["balanced", "explicit"])
+    def test_matches_per_batch_loop(self, kind, n, d, batch_size, positive_class_weight):
+        """Training gathers each epoch's pooled rows once and slices them;
+        its parameters and losses equal, bit for bit, those of a loop that
+        gathers every batch and updates out of place, whether ``fit`` pools
+        the windows or is given their time means and frame statistics."""
+        rng = np.random.default_rng(n)
+        windows = rng.standard_normal((n, 5, d)) + rng.uniform(-2, 2, d)
+        labels = (rng.random(n) < 0.3).astype(np.int8)
+        labels[:2] = (0, 1)
+        spec = ClassifierSpec(
+            kind=kind,
+            seed=n,
+            hidden_units=4,
+            epochs=3,
+            batch_size=batch_size,
+            positive_class_weight=positive_class_weight,
+        )
+        y = labels.astype(np.float64)
+        n_pos = int(y.sum())
+        pos_weight = positive_class_weight or (n - n_pos) / n_pos
+        mean, std = frame_statistics(windows)
+        X = (pool_windows(windows) - mean) / std
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        params, log = sgd_oracle(models._architecture(spec, d), X, y, pos_weight, spec, rng)
+
+        for model in (
+            fit(windows, labels, spec),
+            fit(pool_windows(windows), labels, spec, (mean, std)),
+        ):
+            assert model.positive_weight == pos_weight
+            assert model.params.tobytes() == params.tobytes()
+            assert model.training_log == tuple(log)
 
 
 class TestPredict:
@@ -254,7 +296,7 @@ class TestConvKernel:
         relu = np.maximum(expected_act, 0.0)
         peak_at = relu.argmax(axis=1)
         pooled = relu.max(axis=1)
-        dz = models._bce_dz(pooled @ w + b, y, pos_weight)
+        dz = bce_dz_oracle(pooled @ w + b, y, pos_weight)
         dact = np.zeros_like(expected_act)
         for i in range(batch):
             for c in range(channels):
@@ -269,7 +311,7 @@ class TestConvKernel:
             ]
         )
         expected_grad += 2.0 * l2 * params
-        _, grad = models._loss_and_grad(arch, params, X, y, pos_weight, l2)
+        _, grad = models._loss_and_grad(arch, params, X, pos_weight * y, 1.0 - y, l2)
         n_filter = channels * kernel * d
         _assert_close(grad[:n_filter], expected_grad[:n_filter])
         _assert_close(grad[n_filter:], expected_grad[n_filter:])

@@ -18,6 +18,7 @@ from painfusion import (
     FusionWeights,
     average_weights,
     bifurcated_scheme,
+    feature_relevance,
     generate_synthetic,
     kendall_tau_b,
     make_windows,
@@ -95,6 +96,35 @@ class TestSpearman:
             assert ours.degenerate
         else:
             assert abs(ours.coefficient - ref) < 1e-12
+
+
+class TestFeatureRelevance:
+    @given(
+        n=st.integers(3, 50),
+        n_columns=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        constant_columns=st.sets(st.integers(0, 7)),
+        label_rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_column_spearman(self, n, n_columns, seed, constant_columns, label_rate):
+        """Ranking the labels once per call gives, bit for bit, the |rho|
+        of a per-column ``spearman_rho`` loop: with tied values, constant
+        columns and constant labels, and whether the windows are reduced
+        over time by the call or given reduced."""
+        rng = np.random.default_rng(seed)
+        reduced = rng.integers(0, 5, (n, n_columns)) * 0.37
+        for j in constant_columns & set(range(n_columns)):
+            reduced[:, j] = 2.5
+        labels = (rng.random(n) < label_rate).astype(np.int8)
+        expected = []
+        for j in range(n_columns):
+            r = spearman_rho(reduced[:, j], labels)
+            expected.append(0.0 if r.degenerate else abs(r.coefficient))
+        expected = np.array(expected)
+        assert feature_relevance(reduced, labels).tobytes() == expected.tobytes()
+        windows = reduced[:, None, :]  # one-frame windows, whose time mean is the frame
+        assert feature_relevance(windows, labels).tobytes() == expected.tobytes()
 
 
 class TestPearson:
