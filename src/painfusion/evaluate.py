@@ -135,8 +135,8 @@ class ExperimentConfig:
     weighting: str
     classifier: ClassifierSpec
     seed: int
-    window_length: int = 180
-    window_stride: int = 45
+    window_length: int
+    window_stride: int
     positive_fraction_threshold: float = 0.5
     decision_threshold: float = 0.5
     vote_mode: str = "soft"

@@ -7,6 +7,7 @@ convention, which downstream weighting treats as "no relevance".
 """
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,42 +227,11 @@ def kendall_tau_b(x, y) -> CorrelationResult:
     return CorrelationResult(tau, False)
 
 
-# Rational approximation for the inverse standard-normal CDF (Acklam's
-# coefficients), then one Halley refinement against erfc to push the
-# absolute error to ~1e-15 over (1e-10, 1 - 1e-10).
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-_NQ_LOW = 0.02425
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF, absolute error well under 1e-8."""
+    """Inverse standard-normal CDF (the standard library's, Wichura's AS241)."""
     if not (0.0 < p < 1.0):
         raise DataError(f"probability must lie strictly in (0, 1), got {p!r}")
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if p < _NQ_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _NQ_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # Halley step: u = (Phi(x) - p)/phi(x)
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def normality_report(values, qq_points: int | None = None) -> NormalityReport:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from numpy.testing import assert_array_equal
 import painfusion
 from painfusion.cli import main
 from painfusion.data import generate_synthetic, read_manifest
-from painfusion.config import load_run_config
+from painfusion.config import KEYS, load_run_config
+from painfusion.modality import JointSegmentMap
 
 SMALL_INI = """\
 [run]
@@ -129,6 +131,13 @@ class TestFailureModes:
         code = main(["weights", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "seed is required" in capsys.readouterr().err
+
+    def test_malformed_file_seed_exits_2_with_seed_flag(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[run]\nseed = x\n")
+        code = main(["weights", "--config", str(bad), "--out", str(tmp_path / "o"), "--seed", "3"])
+        assert code == 2
+        assert "error[config]: [run] seed: cannot parse 'x'" in capsys.readouterr().err
 
     def test_bad_threads(self, ini, tmp_path, capsys):
         code = main(
@@ -370,3 +379,89 @@ class TestShippedConfigs:
         path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.ini")
         out = str(tmp_path / "o")
         assert load_run_config(path, out, None, 1) == load_run_config(None, out, 7, 1)
+
+
+JOINT_MAP = JointSegmentMap({j: ("upper_limbs", "lower_limbs", "trunk")[j % 3] for j in range(22)})
+
+# For each config key, a non-default value and the RunConfig attributes it
+# must set (a callable takes the config file's directory). The attributes
+# are written out here, not read from the table, so that a key wired to the
+# wrong field fails.
+KEY_CASES = {
+    ("run", "seed"): (
+        "8", {"experiment.seed": 8, "experiment.classifier.seed": 8, "synthetic.seed": 8}
+    ),
+    ("run", "scheme"): ("bifurcated", {"experiment.scheme_name": "bifurcated"}),
+    ("run", "weighting"): ("average", {"experiment.weighting": "average"}),
+    ("run", "vote_mode"): ("hard", {"experiment.vote_mode": "hard"}),
+    ("run", "decision_threshold"): ("0.4", {"experiment.decision_threshold": 0.4}),
+    ("run", "reduction"): ("max", {"experiment.reduction": "max"}),
+    ("run", "granularity"): ("sequence", {"granularity": "sequence"}),
+    ("run", "manifest"): ("corpus.csv", {"manifest": lambda d: str(d / "corpus.csv")}),
+    ("windows", "length"): ("40", {"experiment.window_length": 40}),
+    ("windows", "stride"): ("10", {"experiment.window_stride": 10}),
+    ("windows", "positive_fraction_threshold"): (
+        "0.25", {"experiment.positive_fraction_threshold": 0.25}
+    ),
+    ("classifier", "kind"): ("mlp", {"experiment.classifier.kind": "mlp"}),
+    ("classifier", "hidden_units"): ("4", {"experiment.classifier.hidden_units": 4}),
+    ("classifier", "conv_channels"): ("3", {"experiment.classifier.conv_channels": 3}),
+    ("classifier", "kernel_width"): ("3", {"experiment.classifier.kernel_width": 3}),
+    ("classifier", "learning_rate"): ("0.1", {"experiment.classifier.learning_rate": 0.1}),
+    ("classifier", "epochs"): ("5", {"experiment.classifier.epochs": 5}),
+    ("classifier", "batch_size"): ("16", {"experiment.classifier.batch_size": 16}),
+    ("classifier", "momentum"): ("0.5", {"experiment.classifier.momentum": 0.5}),
+    ("classifier", "l2"): ("0.001", {"experiment.classifier.l2": 0.001}),
+    ("classifier", "positive_class_weight"): (
+        "2.5", {"experiment.classifier.positive_class_weight": 2.5}
+    ),
+    ("synthetic", "n_subjects"): ("6", {"synthetic.n_subjects": 6}),
+    ("synthetic", "frames_per_subject"): ("500", {"synthetic.frames_per_subject": 500}),
+    ("synthetic", "positive_rate"): ("0.1", {"synthetic.positive_rate": 0.1}),
+    ("synthetic", "mean_positive_bout"): ("30", {"synthetic.mean_positive_bout": 30}),
+    ("synthetic", "expression"): ("joint", {"synthetic.expression": "joint"}),
+    ("synthetic", "noise_correlation"): ("0.1", {"synthetic.noise_correlation": 0.1}),
+    ("synthetic", "snr.semg"): ("3.0", {"synthetic.modality_snr": {"semg": 3.0}}),
+    ("paths", "joint_map"): ("map.txt", {"experiment.joint_map": JOINT_MAP}),
+}
+
+
+def _settings(config) -> dict:
+    """A RunConfig as {dotted attribute: value}, nested configs flattened."""
+    flat = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name in ("experiment", "classifier", "synthetic"):
+            flat.update({f"{field.name}.{k}": v for k, v in _settings(value).items()})
+        else:
+            flat[field.name] = value
+    return flat
+
+
+class TestConfigKeys:
+    def test_cases_cover_every_key(self):
+        assert set(KEY_CASES) - {("synthetic", "snr.semg")} == set(KEYS)
+
+    @pytest.mark.parametrize(
+        "section, key", sorted(KEY_CASES), ids=[f"{s}.{k}" for s, k in sorted(KEY_CASES)]
+    )
+    def test_key_sets_only_its_field(self, tmp_path, section, key):
+        raw, expected = KEY_CASES[section, key]
+        (tmp_path / "map.txt").write_text(
+            "".join(f"{j} {segment}\n" for j, segment in JOINT_MAP.assignments.items())
+        )
+        sections = {"run": {"seed": "7"}}
+        sections.setdefault(section, {})[key] = raw
+        path = tmp_path / "one.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        ))
+        out = str(tmp_path / "o")
+        got = _settings(load_run_config(str(path), out, None, 1))
+        base = _settings(load_run_config(None, out, 7, 1))
+        changed = {name: value for name, value in got.items() if value != base[name]}
+        assert changed == {
+            name: value(tmp_path) if callable(value) else value
+            for name, value in expected.items()
+        }

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
@@ -186,6 +186,8 @@ class TestNormalQuantile:
         assert normal_quantile(0.0228) == pytest.approx(-2.0, abs=1e-3)
 
     @given(st.floats(1e-7, 1 - 1e-7))
+    @example(1e-10)
+    @example(1 - 1e-10)
     @settings(max_examples=80)
     def test_against_erfinv(self, p):
         assert normal_quantile(p) == pytest.approx(
