@@ -14,11 +14,11 @@ from functools import cache
 import numpy as np
 
 from .data import SequenceData, _stable_key, check_window_rule, make_windows
-from .errors import ConfigError, DataError, PainFusionError
+from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet, _column_index
-from .models import fit, frame_statistics, pool_windows
+from .models import fit, fit_lockstep, frame_statistics, pool_windows
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -217,6 +217,15 @@ def _stage(name: str, fn):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def _name_divergence(names, train):
+    """``train()``, with a diverging model's NumericError prefixed by its
+    name (``names[error.model]``)."""
+    try:
+        return train()
+    except NumericError as exc:
+        raise NumericError(f"{names[exc.model]}: {exc}") from exc
+
+
 def _run_arms(
     train_seqs: list[SequenceData],
     valid_seqs: list[SequenceData],
@@ -236,7 +245,9 @@ def _run_arms(
 
     The pooled kinds pool each split once into [n_windows, 70] window time
     means (unless ``rows`` holds the train and validation ones) and take the
-    train frame statistics once; each modality reads column slices of them.
+    train frame statistics once; every modality of every arm then trains
+    from column selections of them in one ``fit_lockstep`` on the calling
+    thread. ``cnn1d`` trains on the thread pool, scheme by scheme.
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -268,26 +279,38 @@ def _run_arms(
         for c, scheme in zip(configs, schemes)
     ]
 
-    def train_one(key):
-        name, columns = key
-        spec = replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
-        if pooled:
-            # A view for a run of columns, else a copy; ``fit`` and
-            # ``predict_proba_windows`` standardize it into C order.
-            cols, stats = _column_index(columns), (mean[list(columns)], std[list(columns)])
-            model = fit(train_X[:, cols], train_labels, spec, stats)
-            return model, model.predict_proba_windows(valid_X[:, cols])
-        model = fit(collect_windows(train_seqs, base, columns)[0], train_labels, spec)
-        return model, model.predict_proba_windows(collect_windows(valid_seqs, base, columns)[0])
+    def spec_of(name):
+        return replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
 
-    # Scheme by scheme, so that the pool never holds the joined tensors a
-    # convolution trains on for two schemes' modalities (say the 70-column
-    # and 66-column ones) at once.
-    trained = {}
-    for scheme in schemes:
-        keys = [k for k in sorted(scheme.modalities.items()) if k not in trained]
-        outcomes = _stage("training", lambda: _map_indexed(train_one, keys, threads))
-        trained.update(zip(keys, outcomes))
+    if pooled:
+        # Every distinct modality of every arm trains in one lockstep on
+        # this thread, from the pooled rows and the frame statistics.
+        keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
+        names, columns = [name for name, _ in keys], [c for _, c in keys]
+        specs = [spec_of(name) for name in names]
+        models = _stage("training", lambda: _name_divergence(
+            names, lambda: fit_lockstep(train_X, train_labels, specs, columns, (mean, std))
+        ))
+        trained = {
+            key: (model, model.predict_proba_windows(valid_X[:, _column_index(key[1])]))
+            for key, model in zip(keys, models)
+        }
+    else:
+        def train_one(key):
+            name, columns = key
+            train = collect_windows(train_seqs, base, columns)[0]
+            model = _name_divergence([name], lambda: fit(train, train_labels, spec_of(name)))
+            valid = collect_windows(valid_seqs, base, columns)[0]
+            return model, model.predict_proba_windows(valid)
+
+        # Scheme by scheme on the pool, so that it never holds the joined
+        # tensors of two schemes' modalities (say the 70-column and
+        # 66-column ones) at once.
+        trained = {}
+        for scheme in schemes:
+            keys = [k for k in sorted(scheme.modalities.items()) if k not in trained]
+            outcomes = _stage("training", lambda: _map_indexed(train_one, keys, threads))
+            trained.update(zip(keys, outcomes))
 
     results = []
     for config, scheme, arm_weights in zip(configs, schemes, weights):

@@ -9,13 +9,15 @@ Three architectures over a [window_length x 70] feature window:
 
 All parameters live in one flat float64 vector per model (layouts are
 documented on the architecture classes), gradients are hand-derived,
-and optimization is plain mini-batch SGD with optional momentum. Every
-random draw goes through ``numpy.random.SeedSequence`` so that training
-is a pure function of (windows, labels, spec).
+and optimization is plain mini-batch SGD with optional momentum;
+models that share their labels and hyperparameters advance in lockstep
+(``fit_lockstep``). Every random draw goes through
+``numpy.random.SeedSequence`` so that training is a pure function of
+(windows, labels, spec).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +80,21 @@ def _he_uniform(rng, fan_in: int, size: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size)
 
 
-class _Logistic:
+class _Pooled:
+    """The one-model view of a pooled kind's stacked ``scores`` and
+    ``grads`` (see ``_losses_and_grads``), for prediction and checks."""
+
+    def raw_scores(self, params, X):
+        Z, cache = self.scores(params[None], [params], [X])
+        return Z[0], cache
+
+    def backward(self, params, X, cache, dz):
+        G = np.empty((1, len(params)))
+        self.grads(params[None], [params], [X], cache, dz[None], G, G)
+        return G[0]
+
+
+class _Logistic(_Pooled):
     """Flat layout: [w: d][b: 1]."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
@@ -90,31 +106,25 @@ class _Logistic:
         params[: self.d] = _he_uniform(rng, self.d, self.d)
         return params
 
-    def raw_scores(self, params, X):
-        w, b = params[: self.d], params[self.d]
-        return X @ w + b, None
+    def scores(self, P, params, Xs):
+        Z = np.empty((len(Xs), len(Xs[0])))
+        for z, p, X in zip(Z, params, Xs):
+            np.matmul(X, p[:-1], out=z)
+        Z += P[:, -1:]
+        return Z, None
 
-    def backward(self, params, X, cache, dz):
-        grad = np.empty_like(params)
-        grad[: self.d] = X.T @ dz
-        grad[self.d] = dz.sum()
-        return grad
+    def grads(self, P, params, Xs, cache, DZ, G, grads):
+        for g, dz, X in zip(grads, DZ, Xs):
+            np.matmul(X.T, dz, out=g[:-1])
+        G[:, -1] = np.add.reduce(DZ, axis=1)
 
 
-class _Mlp:
+class _Mlp(_Pooled):
     """Flat layout: [W1: d*h, row-major][b1: h][w2: h][b2: 1]."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d, self.h = n_features, spec.hidden_units
         self.n_params = self.d * self.h + self.h + self.h + 1
-
-    def _unpack(self, params):
-        d, h = self.d, self.h
-        W1 = params[: d * h].reshape(d, h)
-        b1 = params[d * h : d * h + h]
-        w2 = params[d * h + h : d * h + 2 * h]
-        b2 = params[-1]
-        return W1, b1, w2, b2
 
     def init(self, rng) -> np.ndarray:
         d, h = self.d, self.h
@@ -123,23 +133,30 @@ class _Mlp:
         params[d * h + h : d * h + 2 * h] = _he_uniform(rng, h, h)
         return params
 
-    def raw_scores(self, params, X):
-        W1, b1, w2, b2 = self._unpack(params)
-        pre = X @ W1 + b1
+    def scores(self, P, params, Xs):
+        h = self.h
+        pre = np.empty((len(Xs), len(Xs[0]), h))
+        for layer, p, X in zip(pre, params, Xs):
+            np.matmul(X, p[: -2 * h - 1].reshape(-1, h), out=layer)
+        pre += P[:, None, -2 * h - 1 : -h - 1]
         hidden = np.maximum(pre, 0.0)
-        return hidden @ w2 + b2, (pre, hidden)
+        Z = np.empty(pre.shape[:2])
+        for z, p, layer in zip(Z, params, hidden):
+            np.matmul(layer, p[-h - 1 : -1], out=z)
+        Z += P[:, -1:]
+        return Z, (pre, hidden)
 
-    def backward(self, params, X, cache, dz):
+    def grads(self, P, params, Xs, cache, DZ, G, grads):
         pre, hidden = cache
-        _, _, w2, _ = self._unpack(params)
-        d, h = self.d, self.h
-        dpre = np.outer(dz, w2) * (pre > 0.0)
-        grad = np.empty_like(params)
-        grad[: d * h] = (X.T @ dpre).reshape(-1)
-        grad[d * h : d * h + h] = dpre.sum(axis=0)
-        grad[d * h + h : d * h + 2 * h] = hidden.T @ dz
-        grad[-1] = dz.sum()
-        return grad
+        h = self.h
+        dpre = DZ[:, :, None] * P[:, None, -h - 1 : -1]
+        dpre *= pre > 0.0
+        for g, d, X in zip(grads, dpre, Xs):
+            np.matmul(X.T, d, out=g[: -2 * h - 1].reshape(-1, h))
+        G[:, -2 * h - 1 : -h - 1] = np.add.reduce(dpre, axis=1)
+        for g, dz, layer in zip(grads, DZ, hidden):
+            np.matmul(layer.T, dz, out=g[-h - 1 : -1])
+        G[:, -1] = np.add.reduce(DZ, axis=1)
 
 
 class _Cnn1d:
@@ -154,10 +171,10 @@ class _Cnn1d:
         self.n_params = self.C * self.K * self.d + self.C + self.C + 1
 
     def _unpack(self, params):
-        C, K, d = self.C, self.K, self.d
-        W = params[: C * K * d].reshape(C, K, d)
-        b_conv = params[C * K * d : C * K * d + C]
-        w = params[C * K * d + C : C * K * d + 2 * C]
+        C, K = self.C, self.K
+        W = params[: -2 * C - 1].reshape(C, K, -1)
+        b_conv = params[-2 * C - 1 : -C - 1]
+        w = params[-C - 1 : -1]
         b = params[-1]
         return W, b_conv, w, b
 
@@ -208,6 +225,14 @@ class _Cnn1d:
         grad[-1] = dz.sum()
         return grad
 
+    def scores(self, P, params, Xs):
+        out = [self.raw_scores(p, X) for p, X in zip(params, Xs)]
+        return np.array([z for z, _ in out]), [cache for _, cache in out]
+
+    def grads(self, P, params, Xs, caches, DZ, G, grads):
+        for g, p, X, cache, dz in zip(grads, params, Xs, caches, DZ):
+            g[:] = self.backward(p, X, cache, dz)
+
     def pool_margin(self, cache) -> float:
         """Smallest gap between the winning and runner-up max-pool
         activation over all (example, channel) pairs; infinity when a
@@ -227,18 +252,39 @@ def _architecture(spec: ClassifierSpec, n_features: int):
     return _Cnn1d(spec, n_features)
 
 
-def _loss_and_grad(arch, params, X, pos_y, neg_y, l2):
-    """Mean class-weighted cross entropy plus the L2 penalty, and its
-    gradient; ``pos_y`` is positive_weight * y and ``neg_y`` is 1 - y."""
-    z, cache = arch.raw_scores(params, X)
+def _losses_and_grads(arch, P, params, Xs, pos_y, neg_y, l2, G, grads):
+    """Each of M models' mean class-weighted cross entropy plus its L2
+    penalty, with the gradients written into G. Row i of the [M, width]
+    stacks P and G holds model i's flat parameters and gradient
+    right-aligned, so that the tail of every layout (biases, output
+    weights) lines up in columns; ``params`` and ``grads`` are the
+    per-model views of those rows, and ``Xs`` the models' [m, ...] input
+    batches. ``pos_y`` is positive_weight * y and ``neg_y`` is 1 - y, one
+    [M, m] row per model.
+
+    Every matmul runs per model at the shape a lone model uses, and every
+    other step is elementwise or a per-row reduction over the stacks, so
+    model i gets the bits it would get alone."""
+    Z, cache = arch.scores(P, params, Xs)
+    m = Z.shape[1]
     # softplus(-z) = -log(sigmoid(z)); both branches via logaddexp stay
     # finite for any z.
-    per_example = pos_y * np.logaddexp(0.0, -z) + neg_y * np.logaddexp(0.0, z)
-    loss = float(np.add.reduce(per_example) / len(z)) + l2 * float(params @ params)
-    s = _sigmoid(z)
-    grad = arch.backward(params, X, cache, (pos_y * (s - 1.0) + neg_y * s) / len(z))
-    grad += 2.0 * l2 * params
-    return loss, grad
+    per_example = pos_y * np.logaddexp(0.0, -Z) + neg_y * np.logaddexp(0.0, Z)
+    losses = np.add.reduce(per_example, axis=1) / m
+    losses += l2 * np.array([p.dot(p) for p in params])
+    s = _sigmoid(Z)
+    arch.grads(P, params, Xs, cache, (pos_y * (s - 1.0) + neg_y * s) / m, G, grads)
+    G += 2.0 * l2 * P
+    return losses
+
+
+def _loss_and_grad(arch, params, X, pos_y, neg_y, l2):
+    """One model's loss and gradient through ``_losses_and_grads``."""
+    G = np.empty((1, len(params)))
+    losses = _losses_and_grads(
+        arch, params[None], [params], [X], pos_y[None], neg_y[None], l2, G, G
+    )
+    return float(losses[0]), G[0]
 
 
 BLOCK_WINDOWS = 256
@@ -353,28 +399,32 @@ def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, STD_FLOOR)
 
 
+def _pooled_rows(windows, width: int) -> np.ndarray:
+    """The [n, width] window time means: a 2-D ``windows`` as it is, in
+    any layout, else the pooled windows."""
+    if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
+        return pool_windows(_as_windows(windows, width))
+    if windows.shape[1] != width:
+        raise DataError(f"pooled windows have shape {windows.shape}, expected [n, {width}]")
+    return windows
+
+
 def _model_input(kind: str, windows, mean, std, width: int) -> np.ndarray:
     """A model's standardized input: for the pooled kinds the [n, width]
-    window time means, which a 2-D ``windows`` holds in any layout, made C
-    order (a Fortran-ordered one takes another BLAS path); else the tensor."""
+    window time means made C order (a Fortran-ordered one takes another
+    BLAS path); else the tensor."""
     if kind not in POOLED_KINDS:
         joined = _as_windows(windows, width).array()
         joined -= mean
         joined /= std
         return joined
-    if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
-        windows = pool_windows(_as_windows(windows, width))
-    elif windows.shape[1] != width:
-        raise DataError(f"pooled windows have shape {windows.shape}, expected [n, {width}]")
-    X = np.subtract(windows, mean, order="C")
+    X = np.subtract(_pooled_rows(windows, width), mean, order="C")
     X /= std
     return X
 
 
-def _training_inputs(windows, labels, spec: ClassifierSpec, frame_stats=None):
-    """Architecture, standardized input, float labels, and the frame
-    statistics of the windows (``frame_stats`` when given)."""
-    spec.validate()
+def _training_labels(windows, labels) -> np.ndarray:
+    """The labels as floats, after checking them against the windows."""
     if len(windows) == 0:
         raise DataError("no training windows")
     if len(windows) != len(labels):
@@ -382,9 +432,7 @@ def _training_inputs(windows, labels, spec: ClassifierSpec, frame_stats=None):
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("training labels must be 0 or 1")
-    mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
-    X = _model_input(spec.kind, windows, mean, std, len(mean))
-    return _architecture(spec, len(mean)), X, y, mean, std
+    return y
 
 
 def resolve_positive_weight(spec: ClassifierSpec, y: np.ndarray) -> tuple[float, bool]:
@@ -433,56 +481,128 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
     Standardization constants come from the training windows only.
     Positive examples are up-weighted in the loss (see ClassifierSpec).
     Raises NumericError when the loss or the gradient leaves the finite
-    range; a single-label training set only sets a flag.
+    range; a single-label training set only sets a flag. This is
+    ``fit_lockstep`` with one model.
     """
-    arch, X, y, mean, std = _training_inputs(windows, labels, spec, frame_stats)
-    pos_weight, single_class = resolve_positive_weight(spec, y)
+    return fit_lockstep(windows, labels, [spec], [None], frame_stats)[0]
 
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    params = arch.init(rng)
-    velocity = np.zeros_like(params)
+
+def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[TrainedClassifier]:
+    """Train one model per spec side by side on one set of training
+    windows (anything ``fit`` takes), model i reading the feature columns
+    ``columns[i]`` (every column when None). Model i gets the bits of
+    ``fit`` on those columns of ``windows`` with the matching entries of
+    ``frame_stats``; when ``frame_stats`` is None it is the
+    ``frame_statistics`` of all the columns.
+
+    The models share the labels, hence n and the positive weight, and
+    every spec field but the seed: kind, epochs, batch size, learning rate,
+    momentum, L2, positive class weight and layer sizes. Each model keeps
+    its own RNG (initialization, then one permutation per epoch), its own
+    rows and its own matmuls; the loss terms, row sums, sigmoid, L2 term,
+    finiteness checks and momentum update run once per step over all the
+    models (see ``_losses_and_grads``). A diverging step raises
+    NumericError for the first model, in input order, whose loss or
+    gradient left the finite range, with the error's ``model`` its index.
+    """
+    for spec in specs:
+        spec.validate()
+    if any(replace(spec, seed=0) != replace(specs[0], seed=0) for spec in specs):
+        raise ConfigError("models trained in lockstep must share every spec field but the seed")
+    spec, y = specs[0], _training_labels(windows, labels)
+    pos_weight, single_class = resolve_positive_weight(spec, y)
+    mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
+    every = list(range(len(mean)))
+    columns = [every if c is None else list(c) for c in columns]
+    pooled = spec.kind in POOLED_KINDS
+    if pooled:
+        # Each model standardizes a C-ordered copy of its columns of the
+        # pooled rows: elementwise, so the bits equal a standardized slice.
+        means = _pooled_rows(windows, len(mean))
+        Xs = [np.take(means, c, axis=1) for c in columns]
+        for X, c in zip(Xs, columns):
+            X -= mean[c]
+            X /= std[c]
+    else:
+        joined = _model_input(spec.kind, windows, mean, std, len(mean))
+        Xs = [joined if c == every else np.take(joined, c, axis=2) for c in columns]
+    archs = [_architecture(spec, len(c)) for c in columns]
+
+    rngs = [np.random.default_rng(np.random.SeedSequence(s.seed)) for s in specs]
+    sizes = [a.n_params for a in archs]
+    P = np.zeros((len(specs), max(sizes)))
+    params = [row[len(row) - size :] for row, size in zip(P, sizes)]
+    for p, a, rng in zip(params, archs, rngs):
+        p[:] = a.init(rng)
+    velocity, G = np.zeros_like(P), np.zeros_like(P)
+    grads = [row[len(row) - size :] for row, size in zip(G, sizes)]
     n = len(y)
     log = []
-    X_epoch = np.empty_like(X) if X.ndim == 2 else None
+    # A pooled model's rows stay in the order of the current epoch, and
+    # ``at[i, r]`` is where model i's row r sits: an epoch gathers the rows
+    # into ``scratch`` (mode "clip" skips the temporary that "raise" makes)
+    # and copies them back, so batches are contiguous slices. The
+    # convolution's tensor is gathered batch by batch, never copied whole.
+    at = np.tile(np.arange(n), (len(specs), 1))
+    scratch = np.empty(n * max(X.shape[1] for X in Xs)) if pooled else None
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(spec.epochs):
-            order = rng.permutation(n)
+            order = np.array([rng.permutation(n) for rng in rngs])
             y_epoch = y[order]
             pos_y, neg_y = pos_weight * y_epoch, 1.0 - y_epoch
-            # Pooled rows are gathered into one buffer per epoch (mode "clip"
-            # skips the temporary that "raise" makes) and read in contiguous
-            # batches; the convolution's joined tensor is never copied whole.
-            if X_epoch is not None:
-                np.take(X, order, axis=0, out=X_epoch, mode="clip")
-            total = 0.0
+            if pooled:
+                for X, moves in zip(Xs, np.take_along_axis(at, order, axis=1)):
+                    gathered = scratch[: X.size].reshape(X.shape)
+                    np.take(X, moves, axis=0, out=gathered, mode="clip")
+                    X[...] = gathered
+                np.put_along_axis(at, order, np.arange(n), axis=1)
+            totals = np.zeros(len(specs))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                X_batch = X[order[rows]] if X_epoch is None else X_epoch[rows]
-                loss, grad = _loss_and_grad(
-                    arch, params, X_batch, pos_y[rows], neg_y[rows], spec.l2
+                if pooled:
+                    batches = [X[rows] for X in Xs]
+                else:
+                    batches = [X[o[rows]] for X, o in zip(Xs, order)]
+                losses = _losses_and_grads(
+                    archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
                 )
-                if not math.isfinite(loss):
-                    raise NumericError(f"epoch {epoch}: loss became {loss!r}")
-                if not np.isfinite(grad).all():
-                    raise NumericError(f"epoch {epoch}: gradient left the finite range")
+                if not (np.isfinite(losses).all() and np.isfinite(G).all()):
+                    raise _divergence(epoch, losses, grads)
                 velocity *= spec.momentum
-                velocity -= spec.learning_rate * grad
-                params += velocity
-                total += loss * len(X_batch)
-            log.append(total / n)
+                velocity -= spec.learning_rate * G
+                P += velocity
+                totals += losses * len(batches[0])
+            log.append(totals / n)
 
-    return TrainedClassifier(
-        spec=spec,
-        n_features=len(mean),
-        feature_mean=mean,
-        feature_std=std,
-        params=params,
-        positive_weight=pos_weight,
-        single_class=single_class,
-        training_log=tuple(log),
-    )
+    return [
+        TrainedClassifier(
+            spec=s,
+            n_features=len(c),
+            feature_mean=mean[c],
+            feature_std=std[c],
+            params=p.copy(),
+            positive_weight=pos_weight,
+            single_class=single_class,
+            training_log=tuple(model_log),
+        )
+        for s, c, p, model_log in zip(specs, columns, params, np.array(log).T.tolist())
+    ]
+
+
+def _divergence(epoch: int, losses, grads) -> NumericError:
+    """The error for the first model whose loss or gradient is not finite,
+    with ``model`` set to its index."""
+    for i, (loss, grad) in enumerate(zip(losses.tolist(), grads)):
+        if not math.isfinite(loss):
+            error = NumericError(f"epoch {epoch}: loss became {loss!r}")
+        elif not np.isfinite(grad).all():
+            error = NumericError(f"epoch {epoch}: gradient left the finite range")
+        else:
+            continue
+        error.model = i
+        return error
 
 
 _POOL_MARGIN = 1e-3
@@ -498,7 +618,11 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
     pooled activations nearly tie are rejected and redrawn, since there
     the finite difference straddles a kink.
     """
-    arch, X, y, _, _ = _training_inputs(windows, labels, spec)
+    spec.validate()
+    y = _training_labels(windows, labels)
+    mean, std = frame_statistics(windows)
+    arch = _architecture(spec, len(mean))
+    X = _model_input(spec.kind, windows, mean, std, len(mean))
     pos_weight, _ = resolve_positive_weight(spec, y)
     pos_y, neg_y = pos_weight * y, 1.0 - y
 

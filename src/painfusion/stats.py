@@ -56,7 +56,7 @@ class NormalityReport:
     def qq_csv(self) -> str:
         lines = ["theoretical_quantile,sample_quantile"]
         for t, s in self.qq_pairs:
-            lines.append(f"{t!r},{s!r}")
+            lines.append(f"{float(t)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from painfusion import models as models_module
 from painfusion import stats as stats_module
 from painfusion.config import load_run_config
 from painfusion.data import SyntheticConfig, generate_synthetic, split_train_valid
-from painfusion.errors import ConfigError, DataError
+from painfusion.errors import ConfigError, DataError, NumericError
 from painfusion.evaluate import (
     MATRIX_ARMS,
     METRIC_COLUMNS,
@@ -204,6 +204,13 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="^windowing: window length 500 > 100 frames"):
             run_experiment(seqs[:3], seqs[3:], bad)
 
+    def test_divergence_names_the_modality(self):
+        seqs = _corpus()
+        config = _config(scheme="quadrifurcated", learning_rate=1e200)
+        names = "|".join(["lower_limbs", "semg", "trunk", "upper_limbs"])
+        with pytest.raises(NumericError, match=rf"^training: ({names}): epoch \d+: "):
+            run_experiment(seqs[:4], seqs[4:], config)
+
     def test_threads_do_not_change_results(self):
         seqs = _corpus()
         one = run_experiment(seqs[:4], seqs[4:], _config(), threads=1)
@@ -225,18 +232,18 @@ class TestRunExperiment:
         assert by_name["quadrifurcated_average"].config.weighting == "average"
 
     def test_matrix_trains_each_modality_once(self, monkeypatch):
-        """Six distinct modalities give six fits, and every arm is bit for
-        bit the standalone run of its own config."""
+        """Six distinct modalities give six models in the lockstep, and
+        every arm is bit for bit the standalone run of its own config."""
         import painfusion.evaluate as evaluate_module
 
         seqs = _corpus()
-        real_fit, calls = evaluate_module.fit, []
+        real_fit, calls = evaluate_module.fit_lockstep, []
 
         def counting_fit(*args, **kwargs):
-            calls.append(args[2].seed)
+            calls.extend(spec.seed for spec in args[2])
             return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(evaluate_module, "fit", counting_fit)
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", counting_fit)
         rows = run_matrix(seqs[:4], seqs[4:], _config(), threads=2)
         assert len(calls) == 6
         assert len(set(calls)) == 6

@@ -15,10 +15,10 @@ from painfusion import (
 )
 from painfusion import models
 from painfusion.data import SequenceData, SyntheticConfig, generate_synthetic
-from painfusion.errors import DataError, NumericError
+from painfusion.errors import ConfigError, DataError, NumericError
 from painfusion.evaluate import confusion, metrics
 from painfusion.modality import quadrifurcated_scheme
-from painfusion.models import STD_FLOOR, WindowSet, frame_statistics, pool_windows
+from painfusion.models import STD_FLOOR, WindowSet, fit_lockstep, frame_statistics, pool_windows
 
 from oracles import bce_dz_oracle, conv_taps_oracle, conv_weight_grad_oracle, sgd_oracle
 
@@ -151,6 +151,94 @@ class TestSgdReference:
             assert model.positive_weight == pos_weight
             assert model.params.tobytes() == params.tobytes()
             assert model.training_log == tuple(log)
+
+
+class TestLockstep:
+    @given(
+        kind=st.sampled_from(["logistic", "mlp"]),
+        n=st.integers(1, 50),
+        batch_size=st.integers(1, 16),
+        columns=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=9, unique=True),
+            min_size=1,
+            max_size=6,
+        ),
+        fortran=st.booleans(),
+        positive_class_weight=st.sampled_from([None, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        kind="logistic",
+        n=23,
+        batch_size=5,
+        columns=[[3, 0, 7], [1, 2, 3, 4, 5, 6, 7, 8, 9], [11]],
+        fortran=False,
+        positive_class_weight=None,
+        seed=0,
+    )
+    @example(
+        kind="mlp",
+        n=40,
+        batch_size=16,
+        columns=[[0, 4, 8, 9], [10, 11], [2], [5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 7, 8], [3]],
+        fortran=True,
+        positive_class_weight=0.5,
+        seed=1,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_separate_fits(
+        self, kind, n, batch_size, columns, fortran, positive_class_weight, seed
+    ):
+        """Every model of a lockstep gets the parameters, losses and
+        positive weight of its own ``fit`` on its columns, bit for bit,
+        down to a Fortran-ordered scattered-column slice, a last batch
+        shorter than the others and 1 to 6 models of widths 1 to 9."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 12)) * rng.uniform(0.1, 10, 12) + rng.uniform(-3, 3, 12)
+        if fortran:
+            X = np.asfortranarray(X)
+        labels = rng.integers(0, 2, n).astype(np.int8)
+        mean, std = X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR)
+        specs = [
+            ClassifierSpec(
+                kind=kind,
+                seed=int(s),
+                hidden_units=3,
+                epochs=3,
+                batch_size=batch_size,
+                positive_class_weight=positive_class_weight,
+            )
+            for s in rng.integers(0, 2**32, len(columns))
+        ]
+        trained = fit_lockstep(X, labels, specs, columns, (mean, std))
+        assert len(trained) == len(specs)
+        for model, spec, c in zip(trained, specs, columns):
+            alone = fit(X[:, c], labels, spec, (mean[c], std[c]))
+            assert model.params.tobytes() == alone.params.tobytes()
+            assert model.training_log == alone.training_log
+            assert model.positive_weight == alone.positive_weight
+            assert model.feature_mean.tobytes() == alone.feature_mean.tobytes()
+            assert model.feature_std.tobytes() == alone.feature_std.tobytes()
+
+    def test_divergence_names_the_first_failing_model(self):
+        """Only model 1's inputs blow up (its columns' frame std is tiny),
+        and the error names model 1 with the epoch it failed in."""
+        windows, labels = _separable(n=40, d=6)
+        mean, std = frame_statistics(windows)
+        std[2:4] = 1e-300
+        specs = [ClassifierSpec(kind="logistic", seed=s, epochs=3) for s in (1, 2, 3)]
+        with pytest.raises(NumericError, match=r"^epoch 0: ") as caught:
+            fit_lockstep(windows, labels, specs, [[0, 1], [2, 3], [4, 5]], (mean, std))
+        assert caught.value.model == 1
+
+    def test_specs_must_agree_but_for_the_seed(self):
+        windows, labels = _random_windows()
+        specs = [
+            ClassifierSpec(kind="logistic", seed=1),
+            ClassifierSpec(kind="logistic", seed=2, learning_rate=0.01),
+        ]
+        with pytest.raises(ConfigError, match="share every spec field but the seed"):
+            fit_lockstep(windows, labels, specs, [None, None])
 
 
 class TestPredict:

@@ -229,6 +229,18 @@ class TestNormalityReport:
         rep = normality_report(rng.standard_normal(300))
         assert rep.qq_pairs.shape == (300, 2)
 
+    def test_qq_csv_rows_are_plain_floats(self):
+        """Every Q-Q row is two plain numbers that read back to the pair
+        exactly, not NumPy scalar reprs such as ``np.float64(...)``."""
+        rng = np.random.default_rng(1)
+        rep = normality_report(rng.standard_normal(300) * 3.0 + 1.0)
+        header, *rows = rep.qq_csv().splitlines()
+        assert header == "theoretical_quantile,sample_quantile"
+        assert len(rows) == len(rep.qq_pairs)
+        for row, pair in zip(rows, rep.qq_pairs):
+            t, s = (float(field) for field in row.split(","))
+            assert (t, s) == (pair[0], pair[1])
+
 
 class TestRecommendMethod:
     def test_skewed_recommends_spearman(self):
