@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="INI run configuration file")
     shared.add_argument("--out", default="painfusion-out", help="output directory")
     shared.add_argument("--seed", type=int, help="seed (overrides [run] seed)")
-    shared.add_argument("--threads", type=int, default=1, help="worker threads")
+    shared.add_argument("--threads", type=int, default=1, help="cnn1d modalities trained at once")
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
     parser = argparse.ArgumentParser(

@@ -185,7 +185,7 @@ def make_windows(
     check_window_rule(length, stride, positive_fraction_threshold)
     n = seq.n_frames
     if length > n:
-        raise DataError(f"window length {length} > {n} frames")
+        raise DataError(f"window length {length} > {n} frames in subject {seq.subject_id!r}")
     windows = sliding_window_view(seq.features, length, axis=0)[::stride].transpose(0, 2, 1)
     cum = np.concatenate([[0], np.cumsum(seq.labels, dtype=np.int64)])
     starts = np.arange(0, n - length + 1, stride)

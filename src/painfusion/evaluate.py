@@ -17,8 +17,8 @@ from .data import SequenceData, _stable_key, check_window_rule, make_windows
 from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
-from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet, _column_index
-from .models import fit, fit_lockstep, frame_statistics, pool_windows
+from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet
+from .models import fit_lockstep, frame_statistics, pool_windows, select_columns
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -187,15 +187,15 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(key.generate_state(1, dtype=np.uint64)[0])
 
 
-def collect_windows(sequences, config: ExperimentConfig, columns=None):
+def collect_windows(sequences, config: ExperimentConfig):
     """All windows of the sequences under the config's window rule, as a
-    WindowSet over the selected feature columns (all 70 when ``columns``
-    is None), plus the int8 window labels and the subject id of every
-    window. Nothing is copied: the set holds each sequence's windows as
-    the view ``make_windows`` returns."""
+    WindowSet over the 70 feature columns (``select_columns`` narrows it),
+    plus the int8 window labels and the subject id of every window.
+    Nothing is copied: the set holds each sequence's windows as the view
+    ``make_windows`` returns."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
     parts = [make_windows(seq, *rule) for seq in sequences]
-    windows = WindowSet([w for w, _ in parts], config.window_length, N_FEATURES, columns)
+    windows = WindowSet([w for w, _ in parts], config.window_length, N_FEATURES)
     labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [y for _, y in parts])
     subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for _, y in parts])
     return windows, labels, subjects
@@ -217,15 +217,6 @@ def _stage(name: str, fn):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _name_divergence(names, train):
-    """``train()``, with a diverging model's NumericError prefixed by its
-    name (``names[error.model]``)."""
-    try:
-        return train()
-    except NumericError as exc:
-        raise NumericError(f"{names[exc.model]}: {exc}") from exc
-
-
 def _run_arms(
     train_seqs: list[SequenceData],
     valid_seqs: list[SequenceData],
@@ -243,11 +234,11 @@ def _run_arms(
     probabilities. Fusion weights and standardization constants come from
     the train split only. Errors are re-raised with the stage prefixed.
 
-    The pooled kinds pool each split once into [n_windows, 70] window time
-    means (unless ``rows`` holds the train and validation ones) and take the
-    train frame statistics once; every modality of every arm then trains
-    from column selections of them in one ``fit_lockstep`` on the calling
-    thread. ``cnn1d`` trains on the thread pool, scheme by scheme.
+    Every model trains in ``fit_lockstep`` on column selections of one
+    input per split (the pooled kinds' [n_windows, 70] window time means,
+    which ``rows`` may hold, or cnn1d's 70-column windows) and the train
+    frame statistics. The pooled kinds train all modalities in one lockstep
+    on the calling thread, cnn1d one per task on a pool of ``threads``.
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -265,13 +256,14 @@ def _run_arms(
     if not len(valid_labels):
         raise DataError("windowing: validation split produced no windows")
     pooled = base.classifier.kind in POOLED_KINDS
+    mean, std = frame_statistics(train_windows)
+    train_X, valid_X = train_windows, valid_windows
     if pooled:
-        mean, std = frame_statistics(train_windows)
         train_X, valid_X = rows or (pool_windows(train_windows), pool_windows(valid_windows))
 
     @cache
     def relevance():
-        reduced = train_X if pooled and base.reduction == "mean" else train_windows
+        reduced = train_X if base.reduction == "mean" else train_windows
         return feature_relevance(reduced, train_labels, base.reduction)
 
     weights = [
@@ -279,38 +271,32 @@ def _run_arms(
         for c, scheme in zip(configs, schemes)
     ]
 
-    def spec_of(name):
-        return replace(base.classifier, seed=derive_seed(base.classifier.seed, "clf:" + name))
-
-    if pooled:
-        # Every distinct modality of every arm trains in one lockstep on
-        # this thread, from the pooled rows and the frame statistics.
-        keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
+    def train(keys):
         names, columns = [name for name, _ in keys], [c for _, c in keys]
-        specs = [spec_of(name) for name in names]
-        models = _stage("training", lambda: _name_divergence(
-            names, lambda: fit_lockstep(train_X, train_labels, specs, columns, (mean, std))
-        ))
-        trained = {
-            key: (model, model.predict_proba_windows(valid_X[:, _column_index(key[1])]))
-            for key, model in zip(keys, models)
-        }
-    else:
-        def train_one(key):
-            name, columns = key
-            train = collect_windows(train_seqs, base, columns)[0]
-            model = _name_divergence([name], lambda: fit(train, train_labels, spec_of(name)))
-            valid = collect_windows(valid_seqs, base, columns)[0]
-            return model, model.predict_proba_windows(valid)
+        seed = base.classifier.seed
+        specs = [replace(base.classifier, seed=derive_seed(seed, "clf:" + n)) for n in names]
+        try:
+            models = fit_lockstep(train_X, train_labels, specs, columns, (mean, std))
+        except NumericError as exc:
+            raise NumericError(f"{names[exc.model]}: {exc}") from exc
+        return [
+            (model, model.predict_proba_windows(select_columns(valid_X, c)))
+            for model, c in zip(models, columns)
+        ]
 
-        # Scheme by scheme on the pool, so that it never holds the joined
-        # tensors of two schemes' modalities (say the 70-column and
-        # 66-column ones) at once.
-        trained = {}
-        for scheme in schemes:
-            keys = [k for k in sorted(scheme.modalities.items()) if k not in trained]
-            outcomes = _stage("training", lambda: _map_indexed(train_one, keys, threads))
-            trained.update(zip(keys, outcomes))
+    # The pooled kinds train every distinct modality as one group, which
+    # _map_indexed runs on this thread. cnn1d trains one model per task,
+    # scheme by scheme, so that the pool never holds the joined tensors of
+    # two schemes' modalities (say the 70- and 66-column ones) at once.
+    rounds = [sorted(s.modalities.items()) for s in schemes]
+    if pooled:
+        rounds = [list(dict.fromkeys(k for keys in rounds for k in keys))]
+    trained = {}
+    for keys in rounds:
+        keys = [k for k in keys if k not in trained]
+        groups = [keys] if pooled else [[k] for k in keys]
+        outcomes = _stage("training", lambda: _map_indexed(train, groups, threads))
+        trained.update(zip(keys, (outcome for group in outcomes for outcome in group)))
 
     results = []
     for config, scheme, arm_weights in zip(configs, schemes, weights):
@@ -423,17 +409,16 @@ def loocv(
         rows = np.split(pool_windows(windows), np.cumsum([len(p) for p in windows.parts])[:-1])
     arm = [(config.scheme_name, config.weighting)]
 
-    def run_fold(key: str) -> FoldResult:
+    folds = []
+    for key in keys:
         valid = held_out[key]
         splits = ([i for i in range(len(sequences)) if i not in valid], valid)
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
         fold_config = replace(config, classifier=fold_spec)
         seqs = [[sequences[i] for i in split] for split in splits]
         fold_rows = rows and [np.concatenate([rows[i] for i in split]) for split in splits]
-        (result,) = _run_arms(*seqs, fold_config, arm, 1, fold_rows)
-        return FoldResult(key, result)
-
-    folds = _map_indexed(run_fold, keys, threads)
+        (result,) = _run_arms(*seqs, fold_config, arm, threads, fold_rows)
+        folds.append(FoldResult(key, result))
     pooled = folds[0].result.confusion_matrix
     for fold in folds[1:]:
         pooled = pooled + fold.result.confusion_matrix

@@ -305,6 +305,7 @@ class WindowSet:
 
     def __init__(self, parts, length: int, width: int, columns=None):
         self.parts = tuple(parts)
+        self._width = width
         self._columns = _column_index(columns)
         n_columns = width if columns is None else len(columns)
         self.shape = (sum(len(part) for part in self.parts), length, n_columns)
@@ -342,6 +343,18 @@ def _column_index(columns):
     if columns == list(range(first, first + len(columns))):
         return slice(first, first + len(columns))
     return columns
+
+
+def select_columns(x, columns):
+    """The feature columns ``columns`` of x: for [n, d] rows their column
+    slice (a view when the columns are one ascending run); for windows
+    (anything ``fit`` takes) a WindowSet that reads only those columns,
+    counted within any selection the windows already have."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return x[:, _column_index(columns)]
+    windows = _as_windows(x)
+    selected = np.arange(windows._width)[windows._columns][list(columns)]
+    return WindowSet(windows.parts, windows.shape[1], windows._width, selected.tolist())
 
 
 def _as_windows(windows, width=None) -> WindowSet:
@@ -515,17 +528,13 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     every = list(range(len(mean)))
     columns = [every if c is None else list(c) for c in columns]
     pooled = spec.kind in POOLED_KINDS
-    if pooled:
-        # Each model standardizes a C-ordered copy of its columns of the
-        # pooled rows: elementwise, so the bits equal a standardized slice.
-        means = _pooled_rows(windows, len(mean))
-        Xs = [np.take(means, c, axis=1) for c in columns]
-        for X, c in zip(Xs, columns):
-            X -= mean[c]
-            X /= std[c]
-    else:
-        joined = _model_input(spec.kind, windows, mean, std, len(mean))
-        Xs = [joined if c == every else np.take(joined, c, axis=2) for c in columns]
+    # Pooled once; each model standardizes its own copy of its columns,
+    # elementwise, so it gets the bits of a model given only those columns.
+    windows = _pooled_rows(windows, len(mean)) if pooled else _as_windows(windows, len(mean))
+    Xs = [
+        _model_input(spec.kind, select_columns(windows, c), mean[c], std[c], len(c))
+        for c in columns
+    ]
     archs = [_architecture(spec, len(c)) for c in columns]
 
     rngs = [np.random.default_rng(np.random.SeedSequence(s.seed)) for s in specs]

@@ -289,6 +289,21 @@ class TestEvaluate:
         main(["evaluate", "--config", ini, "--out", str(out4), "--threads", "4"])
         assert _read_all(out1) == _read_all(out4)
 
+    def test_short_sequence_file_names_its_subject(self, ini, tmp_path, capsys):
+        """A corpus file with fewer frames than one window exits 3 with
+        one stderr line that names the subject it holds."""
+        corpus = tmp_path / "corpus"
+        main(["synth", "--config", ini, "--out", str(corpus)])
+        short = corpus / "S01.csv"
+        short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
+        capsys.readouterr()
+        argv = ["evaluate", "--config", ini, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--manifest", str(corpus / "manifest.csv")]) == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [
+            "error[data]: windowing: window length 20 > 5 frames in subject 'S01'"
+        ]
+
     def test_manifest_run_matches_in_memory_run(self, ini, tmp_path):
         """Serialize, parse, train: the manifest path must reproduce the
         in-memory synthetic run byte for byte."""
@@ -326,12 +341,13 @@ class TestMatrix:
             assert (out / f"weights_{name}.csv").exists()
             assert (out / f"predictions_{name}.csv").exists()
 
-    def test_cnn1d_thread_count_does_not_change_bytes(self, tmp_path):
+    @pytest.mark.parametrize("command", ["matrix", "loocv"])
+    def test_cnn1d_thread_count_does_not_change_bytes(self, tmp_path, command):
         path = tmp_path / "cnn1d.ini"
         path.write_text(SMALL_INI.replace("kind = logistic", "kind = cnn1d"))
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["matrix", "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["matrix", "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
+        assert main([command, "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
+        assert main([command, "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
         assert "cnn1d" in (out1 / "metrics.csv").read_text()
         assert _read_all(out1) == _read_all(out2)
 

@@ -25,6 +25,7 @@ from painfusion.data import (
     write_sequence_file,
 )
 from painfusion.evaluate import collect_windows
+from painfusion.models import select_columns
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.errors import ConfigError, DataError
 from painfusion.presets import (
@@ -175,6 +176,11 @@ class TestWindows:
         with pytest.raises(DataError, match="window length 4 > 3 frames"):
             make_windows(seq, 4, 2)
 
+    def test_short_sequence_names_its_subject(self):
+        seq = _make_sequence("S01", n_frames=5)
+        with pytest.raises(DataError, match=r"^window length 20 > 5 frames in subject 'S01'$"):
+            make_windows(seq, 20, 10)
+
     def test_invalid_params(self):
         seq = _make_sequence("A")
         with pytest.raises(ConfigError, match="length and stride must be positive, got 0, 2"):
@@ -245,8 +251,9 @@ class TestWindows:
             window_stride=stride,
             positive_fraction_threshold=threshold,
         )
-        selected = None if columns is None else idx
-        windows, labels, subjects = collect_windows([seq], config, selected)
+        windows, labels, subjects = collect_windows([seq], config)
+        if columns is not None:
+            windows = select_columns(windows, idx)
         tensor = windows.array()
 
         n = _window_count(n_frames, length, stride)

@@ -37,6 +37,7 @@ from painfusion.evaluate import (
     weights_csv,
 )
 from painfusion.modality import SEGMENTS
+from painfusion.models import select_columns
 from painfusion.presets import synthetic_split
 
 from oracles import metric_oracle
@@ -299,10 +300,12 @@ def _assert_same_models(result, reference):
 
 
 class TestPooledPath:
-    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
     def test_matrix_modalities_equal_fits_on_their_own_windows(self, kind):
-        """Each modality of a pooled-kind matrix trains and predicts on
-        column slices of its split's pooled matrix. Under a joint map that
+        """Each modality of a matrix trains and predicts on column
+        selections of one input per split (the pooled rows for the pooled
+        kinds, the 70-column windows for cnn1d), standardized by slices of
+        the split's 70-column frame statistics. Under a joint map that
         scatters every segment over the columns, its parameters,
         standardization constants and validation probabilities equal those
         of ``fit`` and ``predict_proba_windows`` on its own joined windows."""
@@ -315,8 +318,9 @@ class TestPooledPath:
             scheme = scheme_by_name(result.config.scheme_name, joint_map)
             for name, model in result.classifiers.items():
                 columns = scheme.modalities[name]
-                train, labels, _ = collect_windows(seqs[:4], config, columns)
-                valid = collect_windows(seqs[4:], config, columns)[0].array()
+                train, labels, _ = collect_windows(seqs[:4], config)
+                train = select_columns(train, columns)
+                valid = select_columns(collect_windows(seqs[4:], config)[0], columns).array()
                 seed = derive_seed(config.classifier.seed, "clf:" + name)
                 alone = fit(train.array(), labels, replace(config.classifier, seed=seed))
                 assert np.array_equal(model.params, alone.params)
@@ -388,6 +392,30 @@ class TestLoocv:
             fold_config = replace(config, classifier=replace(config.classifier, seed=seed))
             assert fold.result.config == fold_config
             _assert_same_models(fold.result, run_experiment(train, valid, fold_config))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_pooled_kinds_open_no_thread_pool(self, kind, monkeypatch):
+        """The pooled kinds train on the calling thread and loocv runs its
+        folds in order, so neither opens a pool whatever ``threads`` is."""
+        seqs = _corpus(n_subjects=4)
+        config = _config(scheme="quadrifurcated", hidden_units=4)
+        config = replace(config, classifier=replace(config.classifier, kind=kind))
+        matrix_one = run_matrix(seqs[:3], seqs[3:], config, threads=1)
+        loocv_one = loocv(seqs, config, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was opened")
+
+        monkeypatch.setattr(evaluate_module, "ThreadPoolExecutor", no_pool)
+        matrix_three = run_matrix(seqs[:3], seqs[3:], config, threads=3)
+        loocv_three = loocv(seqs, config, threads=3)
+        for (name, one), (name_three, three) in zip(matrix_one, matrix_three):
+            assert name == name_three
+            _assert_same_models(three, one)
+        assert loocv_three.pooled_confusion == loocv_one.pooled_confusion
+        for one, three in zip(loocv_one.folds, loocv_three.folds):
+            assert one.fold_id == three.fold_id
+            _assert_same_models(three.result, one.result)
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)
