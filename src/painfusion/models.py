@@ -199,18 +199,17 @@ class _Cnn1d:
             act += per_tap[:, k : k + span, :, k]
         act += b_conv
         relu = np.maximum(act, 0.0)
-        peak_at = relu.argmax(axis=1)
-        pooled = np.take_along_axis(relu, peak_at[:, None, :], axis=1)[:, 0, :]
-        return pooled @ w + b, (act, relu, peak_at, pooled)
+        peak = (np.arange(B)[:, None], relu.argmax(axis=1), np.arange(C))
+        pooled = relu[peak]
+        return pooled @ w + b, (act, relu, peak, pooled)
 
     def backward(self, params, X, cache, dz):
-        act, relu, peak_at, pooled = cache
+        act, relu, peak, pooled = cache
         _, _, w, _ = self._unpack(params)
         (B, T, d), C, K = X.shape, self.C, self.K
         span = act.shape[1]
-        dpooled = np.outer(dz, w)
         drelu = np.zeros_like(relu)
-        np.put_along_axis(drelu, peak_at[:, None, :], dpooled[:, None, :], axis=1)
+        drelu[peak] = np.outer(dz, w)
         dact = drelu * (act > 0.0)
         # Tap k of filter c saw frame t + k for activation t: place dact
         # there, and one matmul against the frames gives every tap's
@@ -512,9 +511,11 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     every spec field but the seed: kind, epochs, batch size, learning rate,
     momentum, L2, positive class weight and layer sizes. Each model keeps
     its own RNG (initialization, then one permutation per epoch), its own
-    rows and its own matmuls; the loss terms, row sums, sigmoid, L2 term,
-    finiteness checks and momentum update run once per step over all the
-    models (see ``_losses_and_grads``). A diverging step raises
+    unchanging standardized input, from which every kind takes each
+    batch's rows in the epoch's order into a new C-ordered array, and its
+    own matmuls; the loss terms, row sums, sigmoid, L2 term, finiteness
+    checks and momentum update run once per step over all the models
+    (see ``_losses_and_grads``). A diverging step raises
     NumericError for the first model, in input order, whose loss or
     gradient left the finite range, with the error's ``model`` its index.
     """
@@ -547,13 +548,6 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     grads = [row[len(row) - size :] for row, size in zip(G, sizes)]
     n = len(y)
     log = []
-    # A pooled model's rows stay in the order of the current epoch, and
-    # ``at[i, r]`` is where model i's row r sits: an epoch gathers the rows
-    # into ``scratch`` (mode "clip" skips the temporary that "raise" makes)
-    # and copies them back, so batches are contiguous slices. The
-    # convolution's tensor is gathered batch by batch, never copied whole.
-    at = np.tile(np.arange(n), (len(specs), 1))
-    scratch = np.empty(n * max(X.shape[1] for X in Xs)) if pooled else None
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -561,19 +555,10 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
             order = np.array([rng.permutation(n) for rng in rngs])
             y_epoch = y[order]
             pos_y, neg_y = pos_weight * y_epoch, 1.0 - y_epoch
-            if pooled:
-                for X, moves in zip(Xs, np.take_along_axis(at, order, axis=1)):
-                    gathered = scratch[: X.size].reshape(X.shape)
-                    np.take(X, moves, axis=0, out=gathered, mode="clip")
-                    X[...] = gathered
-                np.put_along_axis(at, order, np.arange(n), axis=1)
             totals = np.zeros(len(specs))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                if pooled:
-                    batches = [X[rows] for X in Xs]
-                else:
-                    batches = [X[o[rows]] for X, o in zip(Xs, order)]
+                batches = [X.take(o[rows], axis=0) for X, o in zip(Xs, order)]
                 losses = _losses_and_grads(
                     archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
                 )

@@ -326,7 +326,7 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
     if y.size != len(windows):
         raise DataError(f"{len(windows)} windows vs {y.size} labels")
     if reduction not in REDUCTIONS:
-        raise ValueError(f"unknown reduction {reduction!r}")
+        raise ConfigError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     reduced_already = isinstance(windows, np.ndarray) and windows.ndim == 2
     reduced = windows if reduced_already else pool_windows(windows, reduction)
     _validate_pair(y, y)

@@ -112,7 +112,7 @@ class TestFit:
 
 
 class TestSgdReference:
-    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
     @pytest.mark.parametrize(
         "n, d, batch_size",
         [(23, 6, 5), (7, 6, 16), (300, 70, 64)],
@@ -120,18 +120,22 @@ class TestSgdReference:
     )
     @pytest.mark.parametrize("positive_class_weight", [None, 2.5], ids=["balanced", "explicit"])
     def test_matches_per_batch_loop(self, kind, n, d, batch_size, positive_class_weight):
-        """Training gathers each epoch's pooled rows once and slices them;
-        its parameters and losses equal, bit for bit, those of a loop that
-        gathers every batch and updates out of place, whether ``fit`` pools
-        the windows or is given their time means and frame statistics."""
+        """Training takes each batch's rows of the standardized input by
+        the epoch permutation; its parameters and losses equal, bit for
+        bit, those of a loop that fancy-indexes every batch and updates out
+        of place. The oracle reads the pooled kinds' standardized time
+        means, which ``fit`` pools itself or is given with the frame
+        statistics, and the convolution's standardized windows."""
         rng = np.random.default_rng(n)
-        windows = rng.standard_normal((n, 5, d)) + rng.uniform(-2, 2, d)
+        windows = rng.standard_normal((n, 7, d)) + rng.uniform(-2, 2, d)
         labels = (rng.random(n) < 0.3).astype(np.int8)
         labels[:2] = (0, 1)
         spec = ClassifierSpec(
             kind=kind,
             seed=n,
             hidden_units=4,
+            conv_channels=3,
+            kernel_width=3,
             epochs=3,
             batch_size=batch_size,
             positive_class_weight=positive_class_weight,
@@ -140,14 +144,15 @@ class TestSgdReference:
         n_pos = int(y.sum())
         pos_weight = positive_class_weight or (n - n_pos) / n_pos
         mean, std = frame_statistics(windows)
-        X = (pool_windows(windows) - mean) / std
+        pooled = kind in models.POOLED_KINDS
+        X = ((pool_windows(windows) if pooled else windows) - mean) / std
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         params, log = sgd_oracle(models._architecture(spec, d), X, y, pos_weight, spec, rng)
 
-        for model in (
-            fit(windows, labels, spec),
-            fit(pool_windows(windows), labels, spec, (mean, std)),
-        ):
+        fitted = [fit(windows, labels, spec)]
+        if pooled:
+            fitted.append(fit(pool_windows(windows), labels, spec, (mean, std)))
+        for model in fitted:
             assert model.positive_weight == pos_weight
             assert model.params.tobytes() == params.tobytes()
             assert model.training_log == tuple(log)

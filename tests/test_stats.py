@@ -32,7 +32,7 @@ from painfusion import (
     spearman_rho,
 )
 from painfusion.data import SyntheticConfig
-from painfusion.errors import DataError, ZeroVariance
+from painfusion.errors import ConfigError, DataError, ZeroVariance
 from painfusion.stats import normalize_relevances, recommend_method
 
 def _windows_of(seqs, length, stride):
@@ -125,6 +125,18 @@ class TestFeatureRelevance:
         assert feature_relevance(reduced, labels).tobytes() == expected.tobytes()
         windows = reduced[:, None, :]  # one-frame windows, whose time mean is the frame
         assert feature_relevance(windows, labels).tobytes() == expected.tobytes()
+
+    def test_unknown_reduction_is_a_config_error(self):
+        """An unknown reduction is rejected as a configuration error, with
+        the wording of ``ExperimentConfig.validate``, by library calls too."""
+        windows = np.arange(840.0).reshape(4, 3, 70)
+        labels = np.array([0, 1, 0, 1])
+        expected = "reduction must be one of ('mean', 'max', 'std'), got 'median'"
+        with pytest.raises(ConfigError) as relevance_error:
+            feature_relevance(windows, labels, "median")
+        with pytest.raises(ConfigError) as weights_error:
+            modality_weights(windows, labels, singular_scheme(), reduction="median")
+        assert str(relevance_error.value) == str(weights_error.value) == expected
 
 
 class TestPearson:
