@@ -23,6 +23,7 @@ from .data import (
     ManifestEntry,
     generate_synthetic,
     load_sequences,
+    map_ordered,
     split_by_manifest,
     split_train_valid,
     write_manifest,
@@ -53,7 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="INI run configuration file")
     shared.add_argument("--out", default="painfusion-out", help="output directory")
     shared.add_argument("--seed", type=int, help="seed (overrides [run] seed)")
-    shared.add_argument("--threads", type=int, default=1, help="cnn1d modalities trained at once")
+    shared.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="cnn1d modalities trained at once, and corpus files written or parsed at once",
+    )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
     parser = argparse.ArgumentParser(
@@ -77,7 +83,7 @@ def _load_dataset(run: RunConfig):
     """Resolve the data source: manifest if configured, otherwise the
     synthetic generator. Returns (train, valid, all_sequences)."""
     if run.manifest is not None:
-        pairs = load_sequences(run.manifest)
+        pairs = load_sequences(run.manifest, run.threads)
         train, valid = split_by_manifest(pairs)
         return train, valid, [seq for _, seq in pairs]
     sequences = generate_synthetic(run.synthetic)
@@ -139,16 +145,22 @@ def cmd_weights(run: RunConfig, args) -> int:
     return 0
 
 
+def _write_sequence(job) -> None:
+    """Write one (sequence, path) job; a worker process runs this."""
+    write_sequence_file(*job)
+
+
 def cmd_synth(run: RunConfig, args) -> int:
     sequences = generate_synthetic(run.synthetic)
-    train_ids, _ = synthetic_split(run.synthetic.n_subjects)
+    train_ids = set(synthetic_split(run.synthetic.n_subjects)[0])
     os.makedirs(run.out_dir, exist_ok=True)
-    entries = []
+    entries, jobs = [], []
     for seq in sequences:
         filename = f"{seq.subject_id}.csv"
-        write_sequence_file(seq, os.path.join(run.out_dir, filename))
-        split = "train" if seq.subject_id in set(train_ids) else "valid"
+        split = "train" if seq.subject_id in train_ids else "valid"
         entries.append(ManifestEntry(seq.subject_id, seq.group, split, filename))
+        jobs.append((seq, os.path.join(run.out_dir, filename)))
+    map_ordered(_write_sequence, jobs, run.threads)
     write_manifest(entries, os.path.join(run.out_dir, "manifest.csv"))
 
     total = sum(seq.n_frames for seq in sequences)

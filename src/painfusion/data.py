@@ -51,6 +51,11 @@ class SequenceData:
         for name in ("features", "labels", "extras"):
             getattr(self, name).flags.writeable = False
 
+    def __reduce__(self):
+        # Unpickle through __init__, so that a sequence sent between
+        # processes gets read-only arrays again.
+        return type(self), (self.subject_id, self.group, self.features, self.labels, self.extras)
+
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
@@ -124,15 +129,13 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
     )
 
 
-def serialize_sequence(seq: SequenceData, delimiter: str = ",") -> str:
-    """Render a sequence back to row-per-frame text; parsing the result
-    reproduces the sequence exactly (floats via shortest round-trip repr)."""
-    out = []
-    for i in range(seq.n_frames):
-        fields = [repr(float(v)) for v in seq.features[i]]
-        fields.extend(repr(float(v)) for v in seq.extras[i])
-        fields.append(str(int(seq.labels[i])))
-        out.append(delimiter.join(fields))
+def serialize_sequence(seq: SequenceData) -> str:
+    """Render a sequence back to comma-separated row-per-frame text;
+    parsing the result reproduces the sequence exactly (floats via
+    shortest round-trip repr)."""
+    cells = np.concatenate([seq.features, seq.extras], axis=1)
+    labels = seq.labels.tolist()
+    out = [",".join(map(repr, row.tolist())) + f",{label}" for row, label in zip(cells, labels)]
     return "\n".join(out) + "\n"
 
 
@@ -405,20 +408,49 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
             writer.writerow([e.subject_id, e.group, e.split, e.path])
 
 
-def load_sequences(manifest_path) -> list[tuple[ManifestEntry, SequenceData]]:
-    """Read a manifest and parse every referenced data file; relative
-    paths resolve against the manifest's directory."""
+def map_ordered(fn, items, workers: int) -> list:
+    """Apply the module-level function ``fn`` to every item on up to
+    ``workers`` forked worker processes, returning the results in input
+    order. The first item, in input order, whose call raises raises
+    here. With one worker or one item it runs serially in this process.
+
+    Workers are forked, so call it before the process starts threads of
+    its own: the CLI does, loading or writing a corpus before training.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    # Imported here, so that serial runs skip the pool's import. "fork" is
+    # named because the default start method differs across Python
+    # versions; forked workers import nothing again and stay children of
+    # this process.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=context) as pool:
+        return list(pool.map(fn, items))
+
+
+def _load_entry(job: tuple[ManifestEntry, str]) -> SequenceData:
+    entry, path = job
+    if not os.path.exists(path):
+        raise DataError(f"data file not found: {path}")
+    text = read_text(path, DataError, "data file", newline="")
+    try:
+        return parse_emopain_file(text, entry.subject_id, entry.group)
+    except DataError as exc:
+        raise DataError(f"data file {path}: {exc}") from None
+
+
+def load_sequences(manifest_path, workers: int = 1) -> list[tuple[ManifestEntry, SequenceData]]:
+    """Read a manifest and parse every referenced data file, on up to
+    ``workers`` processes; relative paths resolve against the manifest's
+    directory. The first bad entry in manifest order raises."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    out = []
-    for entry in entries:
-        path = entry.path if os.path.isabs(entry.path) else os.path.join(base, entry.path)
-        if not os.path.exists(path):
-            raise DataError(f"data file not found: {path}")
-        text = read_text(path, DataError, "data file", newline="")
-        seq = parse_emopain_file(text, entry.subject_id, entry.group)
-        out.append((entry, seq))
-    return out
+    jobs = [(entry, os.path.join(base, entry.path)) for entry in entries]
+    return list(zip(entries, map_ordered(_load_entry, jobs, workers)))
 
 
 def split_by_manifest(

@@ -174,3 +174,16 @@ def sgd_oracle(arch, X, y, pos_weight, spec, rng):
             total += loss * len(batch)
         log.append(total / len(X))
     return params, log
+
+
+def serialize_oracle(features, extras, labels):
+    """Row-per-frame corpus text built one NumPy scalar at a time with
+    ``repr(float(v))``, the rendering the corpus files have always had:
+    70 features, 2 extras and the integer label per comma-joined row."""
+    out = []
+    for i in range(len(labels)):
+        fields = [repr(float(v)) for v in features[i]]
+        fields.extend(repr(float(v)) for v in extras[i])
+        fields.append(str(int(labels[i])))
+        out.append(",".join(fields))
+    return "\n".join(out) + "\n"

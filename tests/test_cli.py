@@ -1,6 +1,8 @@
 """End-to-end command-line behavior."""
 
+import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -75,6 +77,38 @@ class TestSynth:
         for seq, (_, parsed) in zip(generated, loaded):
             assert_array_equal(parsed.features, seq.features)
             assert_array_equal(parsed.labels, seq.labels)
+
+    @staticmethod
+    def _synth_then_evaluate(ini, out, threads):
+        """Exit codes of synth into out/corpus and of evaluate --manifest
+        on it into out/evaluate, both at the given thread count."""
+        flags = ["--config", ini, "--threads", str(threads)]
+        corpus = out / "corpus"
+        codes = [main(["synth", *flags, "--out", str(corpus)])]
+        manifest = ["--manifest", str(corpus / "manifest.csv")]
+        codes.append(main(["evaluate", *flags, *manifest, "--out", str(out / "evaluate")]))
+        return codes
+
+    def test_thread_count_does_not_change_bytes(self, ini, tmp_path):
+        """Corpus files written and parsed on worker processes give the
+        same corpus and outputs, and no worker outlives the command."""
+        one, three = tmp_path / "one", tmp_path / "three"
+        assert self._synth_then_evaluate(ini, one, 1) == [0, 0]
+        assert self._synth_then_evaluate(ini, three, 3) == [0, 0]
+        assert multiprocessing.active_children() == []
+        for name in ("corpus", "evaluate"):
+            assert _read_all(one / name) == _read_all(three / name)
+
+    def test_one_thread_opens_no_process_pool(self, ini, tmp_path, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was opened")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert self._synth_then_evaluate(ini, tmp_path / "one", 1) == [0, 0]
+        # At two, synth fails at the pool before writing the manifest, so
+        # evaluate finds none.
+        assert self._synth_then_evaluate(ini, tmp_path / "two", 2) == [5, 3]
+        assert "a process pool was opened" in capsys.readouterr().err
 
 
 class TestWeights:
@@ -232,6 +266,39 @@ class TestFailureModes:
         assert len(err_lines) == 1
         assert err_lines[0].startswith(f"error[{category}]: ")
         assert str(culprit) in err_lines[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["bad-token", "not-utf8", "missing"])
+    def test_bad_data_files_name_the_first(self, ini, tmp_path, capsys, case, threads):
+        """With S02.csv and S04.csv both bad, evaluate --manifest exits 3
+        with one stderr line naming S02.csv, at any thread count."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        for name in ("S02.csv", "S04.csv"):
+            path = corpus / name
+            if case == "bad-token":
+                lines = path.read_text().splitlines(keepends=True)
+                fields = lines[1].split(",")
+                fields[3] = "x3"
+                lines[1] = ",".join(fields)
+                path.write_text("".join(lines))
+            elif case == "not-utf8":
+                path.write_bytes(b"\xff\xfe0,1\n")
+            else:
+                path.unlink()
+        capsys.readouterr()
+        argv = ["evaluate", "--config", ini, "--out", str(tmp_path / "o"),
+                "--threads", str(threads), "--manifest", str(corpus / "manifest.csv")]
+        assert main(argv) == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error[data]: ")
+        assert str(corpus / "S02.csv") in err_lines[0]
+        assert "S04.csv" not in err_lines[0]
+        if case == "bad-token":
+            assert err_lines[0] == (
+                f"error[data]: data file {corpus / 'S02.csv'}: row 2, column 4: cannot parse 'x3'"
+            )
 
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy

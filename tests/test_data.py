@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
+
+from oracles import serialize_oracle
 
 from painfusion import (
     ClassifierSpec,
@@ -117,14 +119,34 @@ class TestParser:
         with pytest.raises(DataError, match="unknown group 'patients'"):
             parse_emopain_file(_row(range(70)), "P1", "patients")
 
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
-    @settings(max_examples=20)
-    def test_serialize_round_trip(self, seed, n_frames):
-        seq = _make_sequence("P9", n_frames=n_frames, seed=seed)
-        back = parse_emopain_file(serialize_sequence(seq), "P9", "healthy")
-        assert_array_equal(back.features, seq.features)
-        assert_array_equal(back.labels, seq.labels)
-        assert_array_equal(back.extras, seq.extras)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300),
+        st.integers(0, 2**31 - 1),
+    )
+    @example([-0.0], 0)
+    @example([5e-324], 0)
+    @example([1e-05], 0)
+    @example([1e16], 0)
+    @example([1.7e308, -1.7e308], 0)
+    @settings(max_examples=60, deadline=None)
+    def test_serialize_round_trip(self, values, seed):
+        """Every finite float64, in features and extras alike, comes back
+        bit for bit, and the text is the per-scalar repr rendering."""
+        n_frames = len(values) // 72 + 1
+        cells = np.resize(np.array(values), (n_frames, 72))
+        rng = np.random.default_rng(seed)
+        seq = SequenceData(
+            subject_id="P9",
+            group="healthy",
+            features=cells[:, :70].copy(),
+            labels=(rng.random(n_frames) < 0.5).astype(np.int8),
+            extras=cells[:, 70:].copy(),
+        )
+        text = serialize_sequence(seq)
+        assert text == serialize_oracle(seq.features, seq.extras, seq.labels)
+        back = parse_emopain_file(text, "P9", "healthy")
+        for name in ("features", "labels", "extras"):
+            assert getattr(back, name).tobytes() == getattr(seq, name).tobytes()
 
 
 class TestSplit:
@@ -366,6 +388,16 @@ class TestManifest:
         (tmp_path / "p1.csv").unlink()
         with pytest.raises(DataError, match="data file not found: .*p1.csv"):
             load_sequences(manifest)
+
+    def test_worker_processes_return_read_only_sequences(self, tmp_path):
+        manifest, _ = self._write_corpus(tmp_path)
+        serial = load_sequences(manifest)
+        pairs = load_sequences(manifest, workers=2)
+        assert [e for e, _ in pairs] == [e for e, _ in serial]
+        for (_, seq), (_, expected) in zip(pairs, serial):
+            for name in ("features", "labels", "extras"):
+                assert not getattr(seq, name).flags.writeable
+                assert getattr(seq, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_bad_header(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
