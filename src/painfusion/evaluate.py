@@ -191,13 +191,12 @@ def collect_windows(sequences, config: ExperimentConfig):
     """All windows of the sequences under the config's window rule, as a
     WindowSet over the 70 feature columns (``select_columns`` narrows it),
     plus the int8 window labels and the subject id of every window.
-    Nothing is copied: the set holds each sequence's windows as the view
-    ``make_windows`` returns."""
+    Nothing is copied: the set holds each sequence's read-only frames."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
-    parts = [make_windows(seq, *rule) for seq in sequences]
-    windows = WindowSet([w for w, _ in parts], config.window_length, N_FEATURES)
-    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [y for _, y in parts])
-    subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for _, y in parts])
+    labels = [make_windows(seq, *rule)[1] for seq in sequences]
+    windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
+    subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for y in labels])
+    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
     return windows, labels, subjects
 
 
@@ -236,9 +235,9 @@ def _run_arms(
 
     Every model trains in ``fit_lockstep`` on column selections of one
     input per split (the pooled kinds' [n_windows, 70] window time means,
-    which ``rows`` may hold, or cnn1d's 70-column windows) and the train
+    which ``rows`` may hold, or cnn1d's 70-column WindowSet) and the train
     frame statistics. The pooled kinds train all modalities in one lockstep
-    on the calling thread, cnn1d one per task on a pool of ``threads``.
+    on the calling thread, cnn1d one per task on one pool of ``threads``.
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -284,19 +283,10 @@ def _run_arms(
             for model, c in zip(models, columns)
         ]
 
-    # The pooled kinds train every distinct modality as one group, which
-    # _map_indexed runs on this thread. cnn1d trains one model per task,
-    # scheme by scheme, so that the pool never holds the joined tensors of
-    # two schemes' modalities (say the 70- and 66-column ones) at once.
-    rounds = [sorted(s.modalities.items()) for s in schemes]
-    if pooled:
-        rounds = [list(dict.fromkeys(k for keys in rounds for k in keys))]
-    trained = {}
-    for keys in rounds:
-        keys = [k for k in keys if k not in trained]
-        groups = [keys] if pooled else [[k] for k in keys]
-        outcomes = _stage("training", lambda: _map_indexed(train, groups, threads))
-        trained.update(zip(keys, (outcome for group in outcomes for outcome in group)))
+    keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
+    groups = [keys] if pooled else [[k] for k in keys]
+    outcomes = _stage("training", lambda: _map_indexed(train, groups, threads))
+    trained = dict(zip(keys, (outcome for group in outcomes for outcome in group)))
 
     results = []
     for config, scheme, arm_weights in zip(configs, schemes, weights):
@@ -397,6 +387,11 @@ def loocv(
         keys = sorted({s.subject_id for s in sequences})
         held_out = {k: [i for i, s in enumerate(sequences) if s.subject_id == k] for k in keys}
     else:
+        subjects = [s.subject_id for s in sequences]
+        for subject in subjects:
+            if subjects.count(subject) > 1:
+                message = f"subject {subject!r} has {subjects.count(subject)} sequences"
+                raise DataError(message + "; sequence folds need one sequence per subject")
         keys = [f"{s.subject_id}#{i}" for i, s in enumerate(sequences)]
         held_out = {k: [i] for i, k in enumerate(keys)}
     if len(keys) < 2:
@@ -406,7 +401,7 @@ def loocv(
     rows = None
     if config.classifier.kind in POOLED_KINDS:
         windows = _stage("windowing", lambda: collect_windows(sequences, config)[0])
-        rows = np.split(pool_windows(windows), np.cumsum([len(p) for p in windows.parts])[:-1])
+        rows = np.split(pool_windows(windows), np.cumsum(windows.counts)[:-1])
     arm = [(config.scheme_name, config.weighting)]
 
     folds = []

@@ -290,24 +290,22 @@ BLOCK_WINDOWS = 256
 
 
 class WindowSet:
-    """An [n, length, columns] stack of windows that is never joined
-    unless asked: it holds one [n_i, length, width] array per sequence
-    (the read-only strided views that ``make_windows`` returns) and the
-    columns to read from them (all ``width`` when None). ``shape`` is
-    the joined stack's and ``len`` its window count.
+    """An [n, length, columns] stack of windows that is never joined: it
+    holds each sequence's read-only [n_frames, width] frames, the window
+    length and stride, and the columns to read (all ``width`` when None).
+    ``shape`` is the joined stack's, ``len`` its window count and
+    ``counts`` each sequence's.
 
     ``blocks`` copies the selected columns of at most BLOCK_WINDOWS
-    windows of one part at a time, so the pooled models and the
-    weighting never hold the joined tensor; only ``array``, which the
-    convolution reads, builds it.
+    windows of one sequence at a time, for the pooled models and the
+    weighting; the convolution reads the frames (see ``_model_input``).
     """
 
-    def __init__(self, parts, length: int, width: int, columns=None):
-        self.parts = tuple(parts)
-        self._width = width
-        self._columns = _column_index(columns)
-        n_columns = width if columns is None else len(columns)
-        self.shape = (sum(len(part) for part in self.parts), length, n_columns)
+    def __init__(self, frames, length: int, stride: int, width: int, columns=None):
+        self.frames, self.stride = tuple(frames), stride
+        self._width, self._columns = width, _column_index(columns)
+        self.counts = tuple(max(0, (len(f) - length) // stride + 1) for f in self.frames)
+        self.shape = (sum(self.counts), length, width if columns is None else len(columns))
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -315,20 +313,14 @@ class WindowSet:
     def blocks(self):
         """(first window index, block) pairs in window order; each block
         is a new C-ordered float64 array of at most BLOCK_WINDOWS windows
-        and never spans two parts."""
+        and never spans two sequences."""
         offset = 0
-        for part in self.parts:
-            for start in range(0, len(part), BLOCK_WINDOWS):
-                block = part[start : start + BLOCK_WINDOWS, :, self._columns]
-                yield offset + start, np.array(block, np.float64, order="C")
-            offset += len(part)
-
-    def array(self) -> np.ndarray:
-        """The joined C-ordered [n, length, columns] float64 tensor."""
-        joined = np.empty(self.shape)
-        for start, block in self.blocks():
-            joined[start : start + len(block)] = block
-        return joined
+        for frames, count in zip(self.frames, self.counts):
+            for start in range(0, count, BLOCK_WINDOWS):
+                block = np.lib.stride_tricks.sliding_window_view(frames, self.shape[1], axis=0)
+                block = block[:: self.stride][start : start + BLOCK_WINDOWS, self._columns]
+                yield offset + start, np.array(block.transpose(0, 2, 1), np.float64, order="C")
+            offset += count
 
 
 def _column_index(columns):
@@ -352,20 +344,21 @@ def select_columns(x, columns):
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return x[:, _column_index(columns)]
     windows = _as_windows(x)
-    selected = np.arange(windows._width)[windows._columns][list(columns)]
-    return WindowSet(windows.parts, windows.shape[1], windows._width, selected.tolist())
+    selected = np.arange(windows._width)[windows._columns][list(columns)].tolist()
+    return WindowSet(windows.frames, windows.shape[1], windows.stride, windows._width, selected)
 
 
 def _as_windows(windows, width=None) -> WindowSet:
-    """Windows as a WindowSet (a 3-D array becomes its single part);
-    ``width``, when given, is the required number of columns."""
+    """Windows as a WindowSet (a 3-D array becomes one sequence of its
+    windows' frames); ``width``, when given, is the required column count."""
     if not isinstance(windows, WindowSet):
         array = np.asarray(windows, dtype=np.float64)
         if array.ndim != 3:
             raise DataError(
                 f"windows have shape {array.shape}, expected [n, length, {width or 'columns'}]"
             )
-        windows = WindowSet([array], *array.shape[1:])
+        n, length, d = array.shape
+        windows = WindowSet([array.reshape(n * length, d)], length, length, d)
     if width not in (None, windows.shape[2]):
         raise DataError(f"windows have shape {windows.shape}, expected [n, length, {width}]")
     return windows
@@ -421,18 +414,24 @@ def _pooled_rows(windows, width: int) -> np.ndarray:
     return windows
 
 
-def _model_input(kind: str, windows, mean, std, width: int) -> np.ndarray:
-    """A model's standardized input: for the pooled kinds the [n, width]
-    window time means made C order (a Fortran-ordered one takes another
-    BLAS path); else the tensor."""
-    if kind not in POOLED_KINDS:
-        joined = _as_windows(windows, width).array()
-        joined -= mean
-        joined /= std
-        return joined
-    X = np.subtract(_pooled_rows(windows, width), mean, order="C")
+def _model_input(kind: str, windows, mean, std, width: int):
+    """A model's standardized input X and rows such that ``X.take(rows[i],
+    axis=0)`` is window i: the pooled kinds' [n, width] window time means
+    made C order (a Fortran-ordered one takes another BLAS path); else the
+    selected columns of the joined frames, one sequence at a time."""
+    if kind in POOLED_KINDS:
+        X = np.subtract(_pooled_rows(windows, width), mean, order="C")
+        X /= std
+        return X, np.arange(len(X))
+    windows = _as_windows(windows, width)
+    X = np.empty((sum(len(f) for f in windows.frames), width))
+    starts, offset, length = [], 0, windows.shape[1]
+    for frames in windows.frames:
+        np.subtract(frames[:, windows._columns], mean, out=X[offset : offset + len(frames)])
+        starts.append(np.arange(offset, offset + len(frames) - length + 1, windows.stride))
+        offset += len(frames)
     X /= std
-    return X
+    return X, np.concatenate(starts)[:, None] + np.arange(length)
 
 
 def _training_labels(windows, labels) -> np.ndarray:
@@ -474,12 +473,14 @@ class TrainedClassifier:
         """Probability of the positive class for each window of a
         [n, length, n_features] array or WindowSet, or for the pooled
         kinds of the [n, n_features] array of the windows' time means."""
-        if len(windows) == 0:
-            return np.zeros(0)
-        X = _model_input(
+        X, rows = _model_input(
             self.spec.kind, windows, self.feature_mean, self.feature_std, self.n_features
         )
-        z, _ = _architecture(self.spec, self.n_features).raw_scores(self.params, X)
+        arch = _architecture(self.spec, self.n_features)
+        # BLOCK_WINDOWS at a time, the last block taking the remainder: BLAS
+        # gives small products other kernels and can change a row's bits.
+        blocks = np.split(rows, range(BLOCK_WINDOWS, len(rows) - BLOCK_WINDOWS + 1, BLOCK_WINDOWS))
+        z = np.concatenate([arch.raw_scores(self.params, X.take(b, axis=0))[0] for b in blocks])
         return _sigmoid(z)
 
 
@@ -519,6 +520,8 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     NumericError for the first model, in input order, whose loss or
     gradient left the finite range, with the error's ``model`` its index.
     """
+    if len(columns) != len(specs):
+        raise ConfigError(f"got {len(specs)} specs and {len(columns)} column selections")
     for spec in specs:
         spec.validate()
     if any(replace(spec, seed=0) != replace(specs[0], seed=0) for spec in specs):
@@ -532,7 +535,7 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     # Pooled once; each model standardizes its own copy of its columns,
     # elementwise, so it gets the bits of a model given only those columns.
     windows = _pooled_rows(windows, len(mean)) if pooled else _as_windows(windows, len(mean))
-    Xs = [
+    inputs = [
         _model_input(spec.kind, select_columns(windows, c), mean[c], std[c], len(c))
         for c in columns
     ]
@@ -555,10 +558,11 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
             order = np.array([rng.permutation(n) for rng in rngs])
             y_epoch = y[order]
             pos_y, neg_y = pos_weight * y_epoch, 1.0 - y_epoch
+            epoch_rows = [index[o] for (_, index), o in zip(inputs, order)]
             totals = np.zeros(len(specs))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                batches = [X.take(o[rows], axis=0) for X, o in zip(Xs, order)]
+                batches = [X.take(r[rows], axis=0) for (X, _), r in zip(inputs, epoch_rows)]
                 losses = _losses_and_grads(
                     archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
                 )
@@ -616,7 +620,7 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
     y = _training_labels(windows, labels)
     mean, std = frame_statistics(windows)
     arch = _architecture(spec, len(mean))
-    X = _model_input(spec.kind, windows, mean, std, len(mean))
+    X = np.take(*_model_input(spec.kind, windows, mean, std, len(mean)), axis=0)
     pos_weight, _ = resolve_positive_weight(spec, y)
     pos_y, neg_y = pos_weight * y, 1.0 - y
 

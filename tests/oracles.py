@@ -187,3 +187,13 @@ def serialize_oracle(features, extras, labels):
         fields.append(str(int(labels[i])))
         out.append(",".join(fields))
     return "\n".join(out) + "\n"
+
+
+def joined_windows_oracle(views, columns=None):
+    """The C-ordered [n, length, columns] float64 tensor of every window:
+    the per-sequence [n_i, length, 70] window views joined along the
+    window axis, then the selected columns (all when None)."""
+    joined = np.concatenate(views)
+    if columns is not None:
+        joined = joined[:, :, list(columns)]
+    return np.ascontiguousarray(joined, dtype=np.float64)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from oracles import serialize_oracle
+from oracles import joined_windows_oracle, serialize_oracle
 
 from painfusion import (
     ClassifierSpec,
@@ -249,9 +249,11 @@ class TestWindows:
     )
     @settings(max_examples=100, deadline=None)
     def test_window_tensor(self, n_frames, length, stride, threshold, columns, seed):
-        """The collected windows, joined, against a per-window reference:
-        contents, threshold labels, dropped partial window, count and
-        memory layout, for contiguous and scattered column sets."""
+        """The collected windows, read block by block and against the
+        joined views of ``make_windows``, and that joined tensor against a
+        per-window reference: contents, threshold labels, dropped partial
+        window, count and memory layout, for contiguous and scattered
+        column sets."""
         length = min(length, n_frames)
         rng = np.random.default_rng(seed)
         seq = SequenceData(
@@ -276,7 +278,8 @@ class TestWindows:
         windows, labels, subjects = collect_windows([seq], config)
         if columns is not None:
             windows = select_columns(windows, idx)
-        tensor = windows.array()
+        tensor = joined_windows_oracle([make_windows(seq, length, stride, threshold)[0]], idx)
+        assert np.array_equal(np.concatenate([b for _, b in windows.blocks()]), tensor)
 
         n = _window_count(n_frames, length, stride)
         assert len(windows) == n

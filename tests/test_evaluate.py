@@ -37,10 +37,9 @@ from painfusion.evaluate import (
     weights_csv,
 )
 from painfusion.modality import SEGMENTS
-from painfusion.models import select_columns
 from painfusion.presets import synthetic_split
 
-from oracles import metric_oracle
+from oracles import joined_windows_oracle, metric_oracle
 
 
 def _corpus(n_subjects=6, seed=0, frames=300):
@@ -313,16 +312,19 @@ class TestPooledPath:
         joint_map = JointSegmentMap({j: SEGMENTS[j % 3] for j in range(22)})
         config = replace(_config(hidden_units=4), joint_map=joint_map)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
+        rule = (config.window_length, config.window_stride)
         checked = set()
         for _, result in run_matrix(seqs[:4], seqs[4:], config):
             scheme = scheme_by_name(result.config.scheme_name, joint_map)
             for name, model in result.classifiers.items():
                 columns = scheme.modalities[name]
-                train, labels, _ = collect_windows(seqs[:4], config)
-                train = select_columns(train, columns)
-                valid = select_columns(collect_windows(seqs[4:], config)[0], columns).array()
+                labels = collect_windows(seqs[:4], config)[1]
+                train, valid = (
+                    joined_windows_oracle([make_windows(s, *rule)[0] for s in split], columns)
+                    for split in (seqs[:4], seqs[4:])
+                )
                 seed = derive_seed(config.classifier.seed, "clf:" + name)
-                alone = fit(train.array(), labels, replace(config.classifier, seed=seed))
+                alone = fit(train, labels, replace(config.classifier, seed=seed))
                 assert np.array_equal(model.params, alone.params)
                 assert np.array_equal(model.feature_mean, alone.feature_mean)
                 assert np.array_equal(model.feature_std, alone.feature_std)
@@ -331,6 +333,22 @@ class TestPooledPath:
                 assert np.array_equal(result.per_modality_probas[name], expected)
                 checked.add(name)
         assert checked == {"all", "coords", "semg", *SEGMENTS}
+
+    def test_cnn1d_matrix_trains_on_one_round(self, monkeypatch):
+        """cnn1d puts every distinct modality of a matrix, one model per
+        group, on a single ``_map_indexed`` round."""
+        real_map, rounds = evaluate_module._map_indexed, []
+
+        def recording_map(fn, items, threads):
+            rounds.append([len(group) for group in items])
+            return real_map(fn, items, threads)
+
+        monkeypatch.setattr(evaluate_module, "_map_indexed", recording_map)
+        seqs = _corpus(n_subjects=4, frames=120)
+        config = _config(epochs=1)
+        config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
+        run_matrix(seqs[:3], seqs[3:], config, threads=2)
+        assert rounds == [[1] * 6]
 
 
 class TestLoocv:
@@ -354,6 +372,18 @@ class TestLoocv:
         result = loocv(seqs, _config())
         for fold in result.folds:
             assert set(fold.result.valid_subjects) == {fold.fold_id}
+
+    def test_sequence_folds_need_one_sequence_per_subject(self):
+        """A subject with two sequences cannot be held out one sequence at
+        a time; loocv says so up front, with the data exit code."""
+        seqs = _corpus(n_subjects=3)
+        seqs.append(replace(seqs[0]))
+        with pytest.raises(DataError) as caught:
+            loocv(seqs, _config(), granularity="sequence")
+        assert str(caught.value) == (
+            "subject 'S01' has 2 sequences; sequence folds need one sequence per subject"
+        )
+        assert caught.value.exit_code == 3
 
     def test_too_few_subjects(self):
         seqs = _corpus(n_subjects=1)

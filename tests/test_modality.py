@@ -22,6 +22,8 @@ from painfusion.modality import (
 )
 from painfusion.models import WindowSet
 
+from oracles import joined_windows_oracle
+
 
 class TestSchemes:
     def test_singular_covers_everything(self):
@@ -99,11 +101,15 @@ class TestJointMapParsing:
 
 
 def _window(features, columns=None):
-    """The single window spanning all frames, with the selected columns."""
+    """The single window spanning all frames, with the selected columns,
+    as a WindowSet over the frames reads it; it must equal the joined
+    ``make_windows`` view."""
     n = len(features)
     seq = SequenceData("s1", "healthy", features, np.zeros(n, dtype=np.int8), np.zeros((n, 2)))
     windows, _ = make_windows(seq, n, n)
-    return WindowSet([windows], n, 70, columns).array()[0]
+    ((_, block),) = WindowSet([seq.features], n, n, 70, columns).blocks()
+    assert np.array_equal(block, joined_windows_oracle([windows], columns))
+    return block[0]
 
 
 class TestProjection:

@@ -20,7 +20,13 @@ from painfusion.evaluate import confusion, metrics
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.models import STD_FLOOR, WindowSet, fit_lockstep, frame_statistics, pool_windows
 
-from oracles import bce_dz_oracle, conv_taps_oracle, conv_weight_grad_oracle, sgd_oracle
+from oracles import (
+    bce_dz_oracle,
+    conv_taps_oracle,
+    conv_weight_grad_oracle,
+    joined_windows_oracle,
+    sgd_oracle,
+)
 
 
 def _separable(n=40, d=6, frames=5, seed=0, margin=2.0):
@@ -245,6 +251,15 @@ class TestLockstep:
         with pytest.raises(ConfigError, match="share every spec field but the seed"):
             fit_lockstep(windows, labels, specs, [None, None])
 
+    def test_specs_and_column_selections_must_pair_up(self):
+        """One column selection per spec, checked before any training."""
+        windows, labels = _random_windows()
+        specs = [ClassifierSpec(kind="logistic", seed=s) for s in (1, 2)]
+        with pytest.raises(ConfigError, match="^got 1 specs and 2 column selections$"):
+            fit_lockstep(windows, labels, specs[:1], [[0], [1]])
+        with pytest.raises(ConfigError, match="^got 2 specs and 1 column selections$"):
+            fit_lockstep(windows, labels, specs, [None])
+
 
 class TestPredict:
     def test_zero_parameters_give_half(self):
@@ -275,6 +290,40 @@ class TestPredict:
         model = _hand_built(np.zeros(5))
         assert model.predict_proba_windows(np.zeros((0, 3, 4))).shape == (0,)
 
+    def test_cnn1d_predicts_block_by_block(self):
+        """cnn1d scores BLOCK_WINDOWS windows at a time from its
+        standardized frames, the last block taking the remainder. With
+        32-window blocks, the second of which spans two sequences, on the
+        shipped window and layer sizes, its probabilities equal, bit for
+        bit, the sigmoid of the raw scores of the whole standardized joined
+        tensor. (Scored alone, the 65th window would reach BLAS's
+        small-matrix kernels, which here move its last bits.)"""
+        rng = np.random.default_rng(3)
+        seqs = [
+            SequenceData(
+                "A",
+                "healthy",
+                rng.standard_normal((n, 70)) + rng.uniform(-2, 2, 70),
+                (rng.random(n) < 0.3).astype(np.int8),
+                np.zeros((n, 2)),
+            )
+            for n in (600, 405)
+        ]
+        windows = WindowSet([s.features for s in seqs], 30, 15, 70)
+        labels = np.concatenate([make_windows(s, 30, 15)[1] for s in seqs])
+        labels[:2] = (0, 1)
+        spec = ClassifierSpec(kind="cnn1d", seed=3, epochs=2)
+        model = fit(windows, labels, spec)
+        joined = joined_windows_oracle([make_windows(s, 30, 15)[0] for s in seqs])
+        joined -= model.feature_mean
+        joined /= model.feature_std
+        z, _ = models._architecture(spec, 70).raw_scores(model.params, joined)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "BLOCK_WINDOWS", 32)
+            probas = model.predict_proba_windows(windows)
+        assert len(windows) == 65
+        assert probas.tobytes() == models._sigmoid(z).tobytes()
+
 
 class TestWindowBlocks:
     @given(
@@ -288,13 +337,15 @@ class TestWindowBlocks:
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_joined_tensor(self, length, stride, extra_frames, block, columns, seed):
         """Time reductions and frame statistics read block by block from
-        per-sequence views equal those of the joined C-ordered tensor bit
-        for bit, for blocks smaller than, equal to and larger than the
-        first sequence's window count, and for all 70 columns, the
-        contiguous sEMG and the scattered trunk columns."""
+        per-sequence frames equal those of the joined C-ordered tensor of
+        ``make_windows`` views bit for bit, for blocks smaller than, equal
+        to and larger than the first sequence's window count, and for all
+        70 columns, the contiguous sEMG and the scattered trunk columns;
+        so do the blocks themselves and the convolution's input, the
+        selected frame columns gathered by window frame rows."""
         rng = np.random.default_rng(seed)
         selected = None if columns is None else quadrifurcated_scheme().modalities[columns]
-        parts = []
+        frames, parts = [], []
         for extra in extra_frames:
             n_frames = length + extra
             seq = SequenceData(
@@ -304,14 +355,12 @@ class TestWindowBlocks:
                 np.zeros(n_frames, dtype=np.int8),
                 np.zeros((n_frames, 2)),
             )
+            frames.append(seq.features)
             parts.append(make_windows(seq, length, stride)[0])
-        joined = np.concatenate(parts)
-        if selected is not None:
-            joined = joined[:, :, list(selected)]
-        joined = np.ascontiguousarray(joined)
+        joined = joined_windows_oracle(parts, selected)
         first = len(parts[0])
         size = {"smaller": max(1, first - 1), "equal": first, "larger": first + 5}[block]
-        windows = WindowSet(parts, length, 70, selected)
+        windows = WindowSet(frames, length, stride, 70, selected)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "BLOCK_WINDOWS", size)
@@ -324,7 +373,9 @@ class TestWindowBlocks:
             mean, std = frame_statistics(windows)
         assert np.array_equal(mean, joined.mean(axis=(0, 1)))
         assert np.array_equal(std, np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
-        assert np.array_equal(windows.array(), joined)
+        assert np.array_equal(np.concatenate([b for _, b in windows.blocks()]), joined)
+        X, rows = models._model_input("cnn1d", windows, 0.0, 1.0, joined.shape[2])
+        assert np.array_equal(X.take(rows, axis=0), joined)
 
 
 class TestGradients:
