@@ -40,7 +40,7 @@ from .evaluate import (
     run_matrix,
     weights_csv,
 )
-from .errors import PainFusionError, ZeroVariance
+from .errors import DataError, PainFusionError, ZeroVariance
 from .modality import scheme_by_name
 from .presets import synthetic_split
 from .stats import feature_relevance, fusion_weights, normality_report, recommend_method
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="cnn1d modalities trained at once, and corpus files written or parsed at once",
+        help="worker processes training cnn1d modalities or writing or parsing corpus files",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -92,6 +92,15 @@ def _load_dataset(run: RunConfig):
     return train, valid, sequences
 
 
+def _train_split(run: RunConfig):
+    """The train split, which ``analyze`` and ``weights`` read; an empty
+    one raises DataError."""
+    train = _load_dataset(run)[0]
+    if not train:
+        raise DataError("train split is empty: no sequence is assigned to train")
+    return train
+
+
 def _write(run: RunConfig, name: str, text: str) -> str:
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, name)
@@ -101,7 +110,7 @@ def _write(run: RunConfig, name: str, text: str) -> str:
 
 
 def cmd_analyze(run: RunConfig, args) -> int:
-    train, _, _ = _load_dataset(run)
+    train = _train_split(run)
     frames = np.concatenate([seq.features for seq in train], axis=0)
 
     rows = [
@@ -130,7 +139,7 @@ def cmd_analyze(run: RunConfig, args) -> int:
 
 
 def cmd_weights(run: RunConfig, args) -> int:
-    train, _, _ = _load_dataset(run)
+    train = _train_split(run)
     config = run.experiment
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
 
@@ -145,11 +154,6 @@ def cmd_weights(run: RunConfig, args) -> int:
     return 0
 
 
-def _write_sequence(job) -> None:
-    """Write one (sequence, path) job; a worker process runs this."""
-    write_sequence_file(*job)
-
-
 def cmd_synth(run: RunConfig, args) -> int:
     sequences = generate_synthetic(run.synthetic)
     train_ids = set(synthetic_split(run.synthetic.n_subjects)[0])
@@ -160,7 +164,7 @@ def cmd_synth(run: RunConfig, args) -> int:
         split = "train" if seq.subject_id in train_ids else "valid"
         entries.append(ManifestEntry(seq.subject_id, seq.group, split, filename))
         jobs.append((seq, os.path.join(run.out_dir, filename)))
-    map_ordered(_write_sequence, jobs, run.threads)
+    map_ordered(lambda job: write_sequence_file(*job), jobs, run.threads)
     write_manifest(entries, os.path.join(run.out_dir, "manifest.csv"))
 
     total = sum(seq.n_frames for seq in sequences)

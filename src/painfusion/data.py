@@ -408,14 +408,21 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
             writer.writerow([e.subject_id, e.group, e.split, e.path])
 
 
-def map_ordered(fn, items, workers: int) -> list:
-    """Apply the module-level function ``fn`` to every item on up to
-    ``workers`` forked worker processes, returning the results in input
-    order. The first item, in input order, whose call raises raises
-    here. With one worker or one item it runs serially in this process.
+_work = {}  # the fn and items of the map_ordered call a worker was forked for
 
-    Workers are forked, so call it before the process starts threads of
-    its own: the CLI does, loading or writing a corpus before training.
+
+def _apply(index: int):
+    return _work["fn"](_work["items"][index])
+
+
+def map_ordered(fn, items, workers: int) -> list:
+    """Apply ``fn`` to every item on up to ``workers`` forked worker
+    processes, returning the results in input order; the first item, in
+    input order, whose call raises raises here. One worker or one item
+    runs serially in this process. Workers inherit ``fn`` and the items
+    when forked, so any callable will do: tasks carry item indices, and
+    only results are pickled back. Call it while the process runs no
+    threads of its own, as the CLI does.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
@@ -428,8 +435,9 @@ def map_ordered(fn, items, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=context) as pool:
-        return list(pool.map(fn, items))
+    size, work = min(workers, len(items)), {"fn": fn, "items": items}
+    with ProcessPoolExecutor(size, context, initializer=_work.update, initargs=(work,)) as pool:
+        return list(pool.map(_apply, range(len(items))))
 
 
 def _load_entry(job: tuple[ManifestEntry, str]) -> SequenceData:

@@ -7,13 +7,12 @@ Ratios with an empty denominator are reported as 0.0 and flagged, never
 raised, so heavily imbalanced splits still produce a full report.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
-from .data import SequenceData, _stable_key, check_window_rule, make_windows
+from .data import SequenceData, _stable_key, check_window_rule, make_windows, map_ordered
 from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
@@ -200,15 +199,6 @@ def collect_windows(sequences, config: ExperimentConfig):
     return windows, labels, subjects
 
 
-def _map_indexed(fn, items, threads: int):
-    """Apply fn over items, possibly on a thread pool, always returning
-    results in input order so parallelism cannot reorder anything."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _stage(name: str, fn):
     try:
         return fn()
@@ -237,7 +227,7 @@ def _run_arms(
     input per split (the pooled kinds' [n_windows, 70] window time means,
     which ``rows`` may hold, or cnn1d's 70-column WindowSet) and the train
     frame statistics. The pooled kinds train all modalities in one lockstep
-    on the calling thread, cnn1d one per task on one pool of ``threads``.
+    in this process, cnn1d one per task on ``threads`` worker processes.
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -285,7 +275,7 @@ def _run_arms(
 
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     groups = [keys] if pooled else [[k] for k in keys]
-    outcomes = _stage("training", lambda: _map_indexed(train, groups, threads))
+    outcomes = _stage("training", lambda: map_ordered(train, groups, threads))
     trained = dict(zip(keys, (outcome for group in outcomes for outcome in group)))
 
     results = []

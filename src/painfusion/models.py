@@ -12,11 +12,13 @@ documented on the architecture classes), gradients are hand-derived,
 and optimization is plain mini-batch SGD with optional momentum;
 models that share their labels and hyperparameters advance in lockstep
 (``fit_lockstep``). Every random draw goes through
-``numpy.random.SeedSequence`` so that training is a pure function of
-(windows, labels, spec).
+``numpy.random.SeedSequence``, and OpenBLAS, where numpy links it, runs
+training and prediction on one thread, so that training is a pure
+function of (windows, labels, spec), whatever BLAS's thread count.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,32 @@ CLASSIFIER_KINDS = ("logistic", "mlp", "cnn1d")
 POOLED_KINDS = ("logistic", "mlp")
 
 STD_FLOOR = 1e-8
+_OPENBLAS = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS (wheel or system build) on one thread in the
+    block or decorated call: its threads change some products' last bits,
+    and in ``--threads`` worker processes they would crowd the cores."""
+    import ctypes
+
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    name = next((n for n in _OPENBLAS if hasattr(blas, n.format("set_num_threads"))), None)
+    if name is None:
+        yield
+        return
+    get_threads = getattr(blas, name.format("get_num_threads"))
+    set_threads = getattr(blas, name.format("set_num_threads"))
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -469,6 +497,7 @@ class TrainedClassifier:
     single_class: bool
     training_log: tuple[float, ...] = field(repr=False, default=())
 
+    @_one_blas_thread()
     def predict_proba_windows(self, windows) -> np.ndarray:
         """Probability of the positive class for each window of a
         [n, length, n_features] array or WindowSet, or for the pooled
@@ -500,6 +529,7 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
     return fit_lockstep(windows, labels, [spec], [None], frame_stats)[0]
 
 
+@_one_blas_thread()
 def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[TrainedClassifier]:
     """Train one model per spec side by side on one set of training
     windows (anything ``fit`` takes), model i reading the feature columns

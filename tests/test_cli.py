@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -151,6 +152,28 @@ class TestFailureModes:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error[data]: ")
         assert "manifest.csv" in err_lines[0]
+
+    @pytest.mark.parametrize("command", ["analyze", "weights"])
+    @pytest.mark.parametrize("source", ["one-subject", "all-valid-manifest"])
+    def test_empty_train_split_exits_3(self, ini, tmp_path, capsys, command, source):
+        """One synthetic subject goes to validation, and a manifest can mark
+        every row valid; either way the train split is named, exit 3."""
+        argv = [command, "--out", str(tmp_path / "o")]
+        if source == "one-subject":
+            one = tmp_path / "one.ini"
+            one.write_text(SMALL_INI.replace("n_subjects = 6", "n_subjects = 1"))
+            argv += ["--config", str(one)]
+        else:
+            corpus = tmp_path / "corpus"
+            assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+            manifest = corpus / "manifest.csv"
+            manifest.write_text(manifest.read_text().replace(",train,", ",valid,"))
+            argv += ["--config", ini, "--manifest", str(manifest)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: train split is empty: no sequence is assigned to train"
+        ]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -302,24 +325,25 @@ class TestFailureModes:
 
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy
-        warning. Runs in a child process, since pytest captures warnings."""
-        bad = tmp_path / "bad.ini"
-        bad.write_text(
-            SMALL_INI.replace("n_subjects = 6", "n_subjects = 4").replace(
-                "learning_rate = 0.1", "learning_rate = 1e200"
-            )
+        warning, also when cnn1d diverges in a worker process. Runs in a
+        child process, since pytest captures warnings."""
+        diverging = SMALL_INI.replace("n_subjects = 6", "n_subjects = 4").replace(
+            "learning_rate = 0.1", "learning_rate = 1e200"
         )
         src = os.path.dirname(os.path.dirname(painfusion.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", str(bad),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 4
-        err_lines = proc.stderr.splitlines()
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error[numeric]: ")
+        for kind, threads in (("logistic", 1), ("cnn1d", 2)):
+            bad = tmp_path / f"{kind}.ini"
+            bad.write_text(diverging.replace("kind = logistic", f"kind = {kind}"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", str(bad),
+                 "--threads", str(threads), "--out", str(tmp_path / kind)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 4
+            err_lines = proc.stderr.splitlines()
+            assert len(err_lines) == 1
+            assert re.match(r"error\[numeric\]: training: (coords|semg): epoch \d+: ", err_lines[0])
 
 
 class TestEvaluate:

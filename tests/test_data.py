@@ -1,4 +1,8 @@
-"""Parsing, windowing, synthetic generation, and manifests."""
+"""Parsing, windowing, synthetic generation, manifests, and the worker pool."""
+
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from painfusion.data import (
     ManifestEntry,
     SyntheticConfig,
     load_sequences,
+    map_ordered,
     read_manifest,
     write_manifest,
     write_sequence_file,
@@ -415,3 +420,36 @@ class TestManifest:
         )
         with pytest.raises(DataError, match="line 2: bad split 'test'"):
             read_manifest(manifest)
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closures_and_lambdas_keep_input_order(self, workers):
+        """Workers inherit the callable when they are forked, so a closure
+        or a lambda serves as well as a module-level function."""
+        offset = 10
+
+        def shifted(x):
+            return x + offset
+
+        items = [3, 1, 4, 1, 5]
+        assert map_ordered(shifted, items, workers) == [13, 11, 14, 11, 15]
+        assert map_ordered(lambda x: x * x, items, workers) == [9, 1, 16, 1, 25]
+        pids = set(map_ordered(lambda _: os.getpid(), items, workers))
+        assert (os.getpid() in pids) == (workers == 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_item_raises(self, workers):
+        """Items 1 and 2 fail, item 1 later than item 2 at two workers;
+        the error of item 1, first in input order, is the one raised."""
+
+        def check(x):
+            if x == 1:
+                time.sleep(0.2)
+            if x in (1, 2):
+                raise DataError(f"item {x}")
+            return x
+
+        with pytest.raises(DataError, match="^item 1$"):
+            map_ordered(check, range(4), workers)

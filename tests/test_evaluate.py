@@ -1,5 +1,6 @@
 """Scoring, the experiment pipeline, and cross validation."""
 
+import concurrent.futures
 import tracemalloc
 from dataclasses import replace
 
@@ -210,6 +211,16 @@ class TestRunExperiment:
         names = "|".join(["lower_limbs", "semg", "trunk", "upper_limbs"])
         with pytest.raises(NumericError, match=rf"^training: ({names}): epoch \d+: "):
             run_experiment(seqs[:4], seqs[4:], config)
+        # cnn1d trains each modality on its own task, in a worker process at
+        # two threads; the first failing modality's error crosses back whole.
+        cnn = replace(config, classifier=replace(config.classifier, kind="cnn1d", epochs=1))
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(NumericError, match=r"^training: lower_limbs: epoch 0: ") as caught:
+                run_experiment(seqs[:4], seqs[4:], cnn, threads=threads)
+            assert caught.value.exit_code == 4
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_threads_do_not_change_results(self):
         seqs = _corpus()
@@ -336,14 +347,14 @@ class TestPooledPath:
 
     def test_cnn1d_matrix_trains_on_one_round(self, monkeypatch):
         """cnn1d puts every distinct modality of a matrix, one model per
-        group, on a single ``_map_indexed`` round."""
-        real_map, rounds = evaluate_module._map_indexed, []
+        group, on a single ``map_ordered`` round."""
+        real_map, rounds = evaluate_module.map_ordered, []
 
-        def recording_map(fn, items, threads):
+        def recording_map(fn, items, workers):
             rounds.append([len(group) for group in items])
-            return real_map(fn, items, threads)
+            return real_map(fn, items, workers)
 
-        monkeypatch.setattr(evaluate_module, "_map_indexed", recording_map)
+        monkeypatch.setattr(evaluate_module, "map_ordered", recording_map)
         seqs = _corpus(n_subjects=4, frames=120)
         config = _config(epochs=1)
         config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
@@ -424,8 +435,8 @@ class TestLoocv:
             _assert_same_models(fold.result, run_experiment(train, valid, fold_config))
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-    def test_pooled_kinds_open_no_thread_pool(self, kind, monkeypatch):
-        """The pooled kinds train on the calling thread and loocv runs its
+    def test_pooled_kinds_open_no_process_pool(self, kind, monkeypatch):
+        """The pooled kinds train in the calling process and loocv runs its
         folds in order, so neither opens a pool whatever ``threads`` is."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", hidden_units=4)
@@ -434,9 +445,9 @@ class TestLoocv:
         loocv_one = loocv(seqs, config, threads=1)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was opened")
+            raise AssertionError("a process pool was opened")
 
-        monkeypatch.setattr(evaluate_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         matrix_three = run_matrix(seqs[:3], seqs[3:], config, threads=3)
         loocv_three = loocv(seqs, config, threads=3)
         for (name, one), (name_three, three) in zip(matrix_one, matrix_three):

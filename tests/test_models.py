@@ -1,5 +1,6 @@
 """Classifier training, gradients, and prediction."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -484,3 +485,35 @@ class TestConvRegression:
         predicted = (model.predict_proba_windows(valid) >= 0.5).astype(int)
         report = metrics(confusion(predicted, valid_labels))
         assert report.f1_pos >= 0.6
+
+
+class TestBlasThreads:
+    def test_training_and_prediction_run_one_openblas_thread(self, monkeypatch):
+        """OpenBLAS's threads can change a product's last bits, so ``fit``
+        and ``predict_proba_windows`` run it on one thread, and leave the
+        caller's thread count as they found it."""
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        names = [n for n in models._OPENBLAS if hasattr(blas, n.format("set_num_threads"))]
+        if not names:
+            pytest.skip("NumPy does not link OpenBLAS")
+        get_threads = getattr(blas, names[0].format("get_num_threads"))
+        set_threads = getattr(blas, names[0].format("set_num_threads"))
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        real_sigmoid, seen = models._sigmoid, []
+
+        def recording_sigmoid(z):
+            seen.append(get_threads())
+            return real_sigmoid(z)
+
+        monkeypatch.setattr(models, "_sigmoid", recording_sigmoid)
+        before = get_threads()
+        set_threads(2)
+        try:
+            windows, labels = _separable()
+            model = fit(windows, labels, ClassifierSpec(kind="cnn1d", seed=0, epochs=1))
+            model.predict_proba_windows(windows)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen and set(seen) == {1}
