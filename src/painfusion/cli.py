@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes training cnn1d modalities or writing or parsing corpus files",
+        help="worker processes for loocv folds, cnn1d modalities and corpus files",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 

@@ -224,10 +224,10 @@ def _run_arms(
     the train split only. Errors are re-raised with the stage prefixed.
 
     Every model trains in ``fit_lockstep`` on column selections of one
-    input per split (the pooled kinds' [n_windows, 70] window time means,
-    which ``rows`` may hold, or cnn1d's 70-column WindowSet) and the train
-    frame statistics. The pooled kinds train all modalities in one lockstep
-    in this process, cnn1d one per task on ``threads`` worker processes.
+    input per split (the pooled kinds' window time means, which ``rows``
+    may hold, or cnn1d's 70-column WindowSet) and the train statistics.
+    The pooled kinds train all modalities in one lockstep in this process,
+    cnn1d one per task on ``threads`` workers (in turn at 1, as in loocv).
     """
     configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
     for config in configs:
@@ -366,9 +366,10 @@ def loocv(
     threads: int = 1,
 ) -> LoocvResult:
     """Leave-one-out cross validation, by subject (default) or by
-    individual sequence. Weights, standardization, and classifier
-    training are redone inside every fold from that fold's train part;
-    each fold's classifier seed is derived from (config.seed, fold id).
+    individual sequence, one fold per task on ``threads`` worker processes.
+    Every fold redoes weights, standardization, and classifier training
+    from its own train part, with a classifier seed derived from
+    (config.seed, fold id). The first failing fold in order raises, named.
     """
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
@@ -394,19 +395,21 @@ def loocv(
         rows = np.split(pool_windows(windows), np.cumsum(windows.counts)[:-1])
     arm = [(config.scheme_name, config.weighting)]
 
-    folds = []
-    for key in keys:
+    def fold(key):
         valid = held_out[key]
         splits = ([i for i in range(len(sequences)) if i not in valid], valid)
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
         fold_config = replace(config, classifier=fold_spec)
         seqs = [[sequences[i] for i in split] for split in splits]
         fold_rows = rows and [np.concatenate([rows[i] for i in split]) for split in splits]
-        (result,) = _run_arms(*seqs, fold_config, arm, threads, fold_rows)
-        folds.append(FoldResult(key, result))
-    pooled = folds[0].result.confusion_matrix
-    for fold in folds[1:]:
-        pooled = pooled + fold.result.confusion_matrix
+        (result,) = _stage(
+            f"fold {key}", lambda: _run_arms(*seqs, fold_config, arm, 1, fold_rows)
+        )
+        return FoldResult(key, result)
+
+    folds = map_ordered(fold, keys, threads)
+    matrices = [f.result.confusion_matrix for f in folds]
+    pooled = sum(matrices[1:], matrices[0])
     return LoocvResult(
         config=config,
         granularity=granularity,

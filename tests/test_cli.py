@@ -325,25 +325,32 @@ class TestFailureModes:
 
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy
-        warning, also when cnn1d diverges in a worker process. Runs in a
-        child process, since pytest captures warnings."""
+        warning, also when cnn1d diverges in a worker process and when a
+        loocv fold fails on the fold pool, named. Runs in a child process,
+        since pytest captures warnings."""
         diverging = SMALL_INI.replace("n_subjects = 6", "n_subjects = 4").replace(
             "learning_rate = 0.1", "learning_rate = 1e200"
         )
         src = os.path.dirname(os.path.dirname(painfusion.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for kind, threads in (("logistic", 1), ("cnn1d", 2)):
+        runs = (
+            ("evaluate", "logistic", 1, ""),
+            ("evaluate", "cnn1d", 2, ""),
+            ("loocv", "logistic", 2, "fold S01: "),
+        )
+        for command, kind, threads, prefix in runs:
             bad = tmp_path / f"{kind}.ini"
             bad.write_text(diverging.replace("kind = logistic", f"kind = {kind}"))
             proc = subprocess.run(
-                [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", str(bad),
-                 "--threads", str(threads), "--out", str(tmp_path / kind)],
+                [sys.executable, "-m", "painfusion.cli", command, "--config", str(bad),
+                 "--threads", str(threads), "--out", str(tmp_path / command / kind)],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 4
             err_lines = proc.stderr.splitlines()
             assert len(err_lines) == 1
-            assert re.match(r"error\[numeric\]: training: (coords|semg): epoch \d+: ", err_lines[0])
+            pattern = rf"error\[numeric\]: {prefix}training: (coords|semg): epoch \d+: "
+            assert re.match(pattern, err_lines[0])
 
 
 class TestEvaluate:

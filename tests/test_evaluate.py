@@ -291,6 +291,19 @@ class TestRunExperiment:
         assert peak < tensor_bytes
 
 
+def _count_pools(run):
+    """run() and the number of process pools it opened."""
+    real_pool, opened = concurrent.futures.ProcessPoolExecutor, []
+
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return real_pool(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        return run(), len(opened)
+
+
 def _assert_same_models(result, reference):
     """Two experiment results hold bit-identical models, probabilities,
     weights and confusion matrices."""
@@ -436,27 +449,80 @@ class TestLoocv:
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_pooled_kinds_open_no_process_pool(self, kind, monkeypatch):
-        """The pooled kinds train in the calling process and loocv runs its
-        folds in order, so neither opens a pool whatever ``threads`` is."""
+        """The pooled kinds train in the calling process, so a matrix opens
+        no pool whatever ``threads`` is. loocv spreads its folds over one
+        pool at three threads, none at one, and gets the same folds back in
+        fold order."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", hidden_units=4)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
         matrix_one = run_matrix(seqs[:3], seqs[3:], config, threads=1)
-        loocv_one = loocv(seqs, config, threads=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was opened")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         matrix_three = run_matrix(seqs[:3], seqs[3:], config, threads=3)
-        loocv_three = loocv(seqs, config, threads=3)
         for (name, one), (name_three, three) in zip(matrix_one, matrix_three):
             assert name == name_three
             _assert_same_models(three, one)
+        monkeypatch.undo()
+
+        loocv_one, pools_one = _count_pools(lambda: loocv(seqs, config, threads=1))
+        loocv_three, pools_three = _count_pools(lambda: loocv(seqs, config, threads=3))
+        assert (pools_one, pools_three) == (0, 1)
         assert loocv_three.pooled_confusion == loocv_one.pooled_confusion
-        for one, three in zip(loocv_one.folds, loocv_three.folds):
+        assert [f.fold_id for f in loocv_three.folds] == ["S01", "S02", "S03", "S04"]
+        for one, three in zip(loocv_one.folds, loocv_three.folds, strict=True):
             assert one.fold_id == three.fold_id
             _assert_same_models(three.result, one.result)
+
+    def test_cnn1d_folds_share_one_pool(self):
+        """A cnn1d fold trains its modalities one after another in its
+        worker, so a loocv run forks one pool, not one per fold, and its
+        folds are the same bytes as at one thread."""
+        seqs = _corpus(n_subjects=4)
+        config = _config(epochs=1)
+        config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
+        one, pools_one = _count_pools(lambda: loocv(seqs, config, threads=1))
+        three, pools_three = _count_pools(lambda: loocv(seqs, config, threads=3))
+        assert (pools_one, pools_three) == (0, 1)
+        assert one.pooled_confusion == three.pooled_confusion
+        for fa, fb in zip(one.folds, three.folds, strict=True):
+            assert fa.fold_id == fb.fold_id
+            assert (
+                fa.result.fused_probabilities.tobytes()
+                == fb.result.fused_probabilities.tobytes()
+            )
+
+    def test_failing_fold_names_itself(self, monkeypatch):
+        """A fold's error carries its fold id, keeps its type, and the
+        earliest failing fold in fold order is the one raised, whatever
+        fold fails first on the pool."""
+        seqs = _corpus(n_subjects=4)
+        config = _config()
+        names = sorted(scheme_by_name(config.scheme_name).names)
+        failing = {
+            derive_seed(derive_seed(config.seed, "fold:" + key), "clf:" + name)
+            for key in ("S02", "S04")
+            for name in names
+        }
+        real_fit = evaluate_module.fit_lockstep
+
+        def fit_failing_folds(X, labels, specs, *args):
+            if specs[0].seed in failing:
+                error = NumericError("epoch 0: loss became nan")
+                error.model = 0
+                raise error
+            return real_fit(X, labels, specs, *args)
+
+        # Forked fold workers inherit the patch.
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", fit_failing_folds)
+        for threads in (1, 3):
+            with pytest.raises(NumericError) as caught:
+                loocv(seqs, config, threads=threads)
+            assert str(caught.value) == f"fold S02: training: {names[0]}: epoch 0: loss became nan"
+            assert caught.value.exit_code == 4
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)
