@@ -144,7 +144,7 @@ def cmd_weights(run: RunConfig, args) -> int:
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
 
     def relevance():
-        windows, labels, _ = collect_windows(train, config)
+        windows, labels = collect_windows(train, config)
         return feature_relevance(windows, labels, config.reduction)
 
     weights = fusion_weights(config.weighting, scheme, relevance)

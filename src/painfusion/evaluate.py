@@ -7,6 +7,7 @@ Ratios with an empty denominator are reported as 0.0 and flagged, never
 raised, so heavily imbalanced splits still produce a full report.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -186,19 +187,6 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(key.generate_state(1, dtype=np.uint64)[0])
 
 
-def collect_windows(sequences, config: ExperimentConfig):
-    """All windows of the sequences under the config's window rule, as a
-    WindowSet over the 70 feature columns (``select_columns`` narrows it),
-    plus the int8 window labels and the subject id of every window.
-    Nothing is copied: the set holds each sequence's read-only frames."""
-    rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
-    labels = [make_windows(seq, *rule)[1] for seq in sequences]
-    windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
-    subjects = np.repeat([seq.subject_id for seq in sequences], [len(y) for y in labels])
-    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
-    return windows, labels, subjects
-
-
 def _stage(name: str, fn):
     try:
         return fn()
@@ -206,59 +194,71 @@ def _stage(name: str, fn):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _run_arms(
-    train_seqs: list[SequenceData],
-    valid_seqs: list[SequenceData],
-    base: ExperimentConfig,
-    arms: list[tuple[str, str]],
-    threads: int,
-    rows=None,
-) -> list[ExperimentResult]:
-    """Score one arm per (scheme name, weighting) pair, all on the base
-    config's windowing, classifier, and seed.
+def collect_windows(sequences, config: ExperimentConfig):
+    """All windows of the sequences under the config's window rule, as a
+    WindowSet over the 70 feature columns (``select_columns`` narrows it),
+    plus the int8 window labels. Nothing is copied: the set holds each
+    sequence's read-only frames. A sequence shorter than a window raises,
+    with the stage prefixed."""
+    rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
+    labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
+    windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
+    return windows, np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
 
-    Each distinct modality is trained once, whichever arms use it (its
-    classifier seed depends only on its name); weighting and voting are
-    pure functions of the train-split relevance and the cached validation
-    probabilities. Fusion weights and standardization constants come from
-    the train split only. Errors are re-raised with the stage prefixed.
 
-    Every model trains in ``fit_lockstep`` on column selections of one
-    input per split (the pooled kinds' window time means, which ``rows``
-    may hold, or cnn1d's 70-column WindowSet) and the train statistics.
-    The pooled kinds train all modalities in one lockstep in this process,
-    cnn1d one per task on ``threads`` workers (in turn at 1, as in loocv).
-    """
-    configs = [replace(base, scheme_name=s, weighting=w) for s, w in arms]
-    for config in configs:
-        config.validate()
-    shared = {s.subject_id for s in train_seqs} & {s.subject_id for s in valid_seqs}
-    if shared:
-        raise DataError(f"subject(s) in both splits: {sorted(shared)}")
-    schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
-    train_windows, train_labels, _ = _stage("windowing", lambda: collect_windows(train_seqs, base))
-    valid_windows, valid_labels, valid_subjects = _stage(
-        "windowing", lambda: collect_windows(valid_seqs, base)
-    )
-    if not len(train_labels):
-        raise DataError("windowing: train split produced no windows")
-    if not len(valid_labels):
-        raise DataError("windowing: validation split produced no windows")
+def window_run(sequences, config: ExperimentConfig) -> list:
+    """Window every sequence of a run once (see ``collect_windows``): per
+    sequence, (sequence, int8 window labels, [n_windows, 70] window time
+    means for the pooled kinds, else None). None of it depends on a split."""
+    windows, labels = collect_windows(sequences, config)
+    bounds = np.cumsum(windows.counts)[:-1]
+    pooled = config.classifier.kind in POOLED_KINDS
+    means = np.split(pool_windows(windows), bounds) if pooled else [None] * len(sequences)
+    return list(zip(sequences, np.split(labels, bounds), means))
+
+
+@dataclass(frozen=True)
+class TrainedSplit:
+    """A trained train/valid split: (model, validation probabilities) per
+    distinct (modality name, columns), the train window count, the
+    validation labels and subjects, and ``relevance()``, the train part's
+    cached ``feature_relevance`` under the base config's reduction."""
+
+    models: dict[tuple[str, tuple[int, ...]], tuple[TrainedClassifier, np.ndarray]]
+    n_train_windows: int
+    valid_labels: np.ndarray
+    valid_subjects: tuple[str, ...]
+    relevance: Callable[[], np.ndarray]
+
+
+def train_split(run: list, splits, base: ExperimentConfig, schemes, threads: int) -> TrainedSplit:
+    """Train each distinct modality of the schemes once on the train part
+    of a ``window_run`` (``splits`` holds the train and the validation
+    indices into it) and predict the validation part. Each model trains in
+    ``fit_lockstep`` on its columns of the part's time means (pooled kinds,
+    all in one lockstep here) or 70-column WindowSet (cnn1d, one per task
+    on ``threads`` workers), with the train frame statistics and a seed
+    derived from its name. Errors are re-raised with the stage prefixed."""
+    parts = [[run[i] for i in split] for split in splits]
+    train_ids, valid_ids = ({s.subject_id for s, _, _ in part} for part in parts)
+    if train_ids & valid_ids:
+        raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
+    for name, part in zip(("train", "validation"), parts):
+        if not part:
+            raise DataError(f"windowing: {name} split produced no windows")
+    rule = (base.window_length, base.window_stride, N_FEATURES)
+    train_windows, valid_windows = (WindowSet([s.features for s, _, _ in p], *rule) for p in parts)
+    train_labels, valid_labels = (np.concatenate([y for _, y, _ in p]) for p in parts)
     pooled = base.classifier.kind in POOLED_KINDS
     mean, std = frame_statistics(train_windows)
     train_X, valid_X = train_windows, valid_windows
     if pooled:
-        train_X, valid_X = rows or (pool_windows(train_windows), pool_windows(valid_windows))
+        train_X, valid_X = (np.concatenate([m for _, _, m in p]) for p in parts)
 
     @cache
     def relevance():
         reduced = train_X if base.reduction == "mean" else train_windows
         return feature_relevance(reduced, train_labels, base.reduction)
-
-    weights = [
-        _stage("weighting", lambda: fusion_weights(c.weighting, scheme, relevance))
-        for c, scheme in zip(configs, schemes)
-    ]
 
     def train(keys):
         names, columns = [name for name, _ in keys], [c for _, c in keys]
@@ -276,33 +276,58 @@ def _run_arms(
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     groups = [keys] if pooled else [[k] for k in keys]
     outcomes = _stage("training", lambda: map_ordered(train, groups, threads))
-    trained = dict(zip(keys, (outcome for group in outcomes for outcome in group)))
+    subjects = np.repeat([s.subject_id for s, _, _ in parts[1]], [len(y) for _, y, _ in parts[1]])
+    return TrainedSplit(
+        models=dict(zip(keys, (outcome for group in outcomes for outcome in group))),
+        n_train_windows=len(train_labels),
+        valid_labels=valid_labels.astype(np.int64),
+        valid_subjects=tuple(subjects.tolist()),
+        relevance=relevance,
+    )
 
-    results = []
-    for config, scheme, arm_weights in zip(configs, schemes, weights):
-        outcomes = {name: trained[name, scheme.modalities[name]] for name in sorted(scheme.names)}
-        probas = {name: p for name, (_, p) in outcomes.items()}
-        threshold, mode = config.decision_threshold, config.vote_mode
-        fused, predicted = _stage(
-            "fusion", lambda: fuse_batch(probas, arm_weights, threshold, mode)
-        )
-        cm = _stage("scoring", lambda: confusion(predicted, valid_labels))
-        results.append(
-            ExperimentResult(
-                config=config,
-                weights=arm_weights,
-                classifiers={name: model for name, (model, _) in outcomes.items()},
-                n_train_windows=len(train_labels),
-                valid_subjects=tuple(valid_subjects.tolist()),
-                valid_labels=valid_labels.astype(np.int64),
-                per_modality_probas=probas,
-                fused_probabilities=fused,
-                predicted=predicted.astype(np.int64),
-                confusion_matrix=cm,
-                metric_set=metrics(cm),
-            )
-        )
-    return results
+
+def score_arm(split: TrainedSplit, config: ExperimentConfig, scheme) -> ExperimentResult:
+    """Score one arm on a trained split without training anything: the
+    scheme's weights under the config's weighting rule, the vote of its
+    modalities' validation probabilities, and the confusion matrix and
+    metrics against the validation labels."""
+    weights = _stage("weighting", lambda: fusion_weights(config.weighting, scheme, split.relevance))
+    outcomes = {name: split.models[name, scheme.modalities[name]] for name in sorted(scheme.names)}
+    probas = {name: p for name, (_, p) in outcomes.items()}
+    threshold, mode = config.decision_threshold, config.vote_mode
+    fused, predicted = _stage("fusion", lambda: fuse_batch(probas, weights, threshold, mode))
+    cm = _stage("scoring", lambda: confusion(predicted, split.valid_labels))
+    return ExperimentResult(
+        config=config,
+        weights=weights,
+        classifiers={name: model for name, (model, _) in outcomes.items()},
+        n_train_windows=split.n_train_windows,
+        valid_subjects=split.valid_subjects,
+        valid_labels=split.valid_labels,
+        per_modality_probas=probas,
+        fused_probabilities=fused,
+        predicted=predicted.astype(np.int64),
+        confusion_matrix=cm,
+        metric_set=metrics(cm),
+    )
+
+
+def _run_arms(
+    train_seqs: list[SequenceData],
+    valid_seqs: list[SequenceData],
+    configs: list[ExperimentConfig],
+    threads: int,
+) -> list[ExperimentResult]:
+    """One result per config, the configs differing in scheme and weighting
+    only: both splits windowed once (``window_run``), trained once
+    (``train_split``) and scored per config (``score_arm``)."""
+    for config in configs:
+        config.validate()
+    schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
+    run = window_run([*train_seqs, *valid_seqs], configs[0])
+    splits = (range(len(train_seqs)), range(len(train_seqs), len(run)))
+    split = train_split(run, splits, configs[0], schemes, threads)
+    return [score_arm(split, config, scheme) for config, scheme in zip(configs, schemes)]
 
 
 def run_experiment(
@@ -312,9 +337,9 @@ def run_experiment(
     threads: int = 1,
 ) -> ExperimentResult:
     """Train per-modality classifiers on the train split, fuse their
-    validation probabilities, and score the result (see ``_run_arms``)."""
-    arm = [(config.scheme_name, config.weighting)]
-    return _run_arms(train_seqs, valid_seqs, config, arm, threads)[0]
+    validation probabilities, and score the result: ``window_run``,
+    ``train_split`` and ``score_arm`` for the config's one arm."""
+    return _run_arms(train_seqs, valid_seqs, [config], threads)[0]
 
 
 MATRIX_ARMS = (
@@ -332,12 +357,13 @@ def run_matrix(
     threads: int = 1,
 ) -> list[tuple[str, ExperimentResult]]:
     """Run the four standard arms (one scheme/weighting pair each) with
-    shared windowing, classifier, and seed settings. Each of the six
-    distinct modalities is trained once, so the two quadrifurcated rows
-    share their models and differ only in weighting. Every arm equals a
+    shared windowing, classifier, and seed settings. One ``train_split``
+    trains each of the six distinct modalities once, and ``score_arm``
+    scores every arm on it, so the two quadrifurcated arms share their
+    models and differ only in weighting. Every arm equals a
     ``run_experiment`` on its own config, bit for bit."""
-    arms = [arm[1:] for arm in MATRIX_ARMS]
-    results = _run_arms(train_seqs, valid_seqs, base, arms, threads)
+    configs = [replace(base, scheme_name=s, weighting=w) for _, s, w in MATRIX_ARMS]
+    results = _run_arms(train_seqs, valid_seqs, configs, threads)
     return [(arm[0], result) for arm, result in zip(MATRIX_ARMS, results)]
 
 
@@ -366,10 +392,12 @@ def loocv(
     threads: int = 1,
 ) -> LoocvResult:
     """Leave-one-out cross validation, by subject (default) or by
-    individual sequence, one fold per task on ``threads`` worker processes.
-    Every fold redoes weights, standardization, and classifier training
-    from its own train part, with a classifier seed derived from
-    (config.seed, fold id). The first failing fold in order raises, named.
+    individual sequence. The run is windowed once, before any fold
+    (``window_run``); each fold is a ``train_split`` of it, which redoes
+    standardization and training from the fold's own train part with a
+    classifier seed derived from (config.seed, fold id), scored by
+    ``score_arm``. Folds run one per task on ``threads`` worker processes;
+    the first failing fold in order raises, named.
     """
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
@@ -387,25 +415,16 @@ def loocv(
         held_out = {k: [i] for i, k in enumerate(keys)}
     if len(keys) < 2:
         raise DataError(f"cross validation needs at least 2 folds, got {len(keys)}")
-    # A window's time-mean row does not depend on the fold, so the pooled
-    # kinds pool every window once; folds still sum their frame statistics.
-    rows = None
-    if config.classifier.kind in POOLED_KINDS:
-        windows = _stage("windowing", lambda: collect_windows(sequences, config)[0])
-        rows = np.split(pool_windows(windows), np.cumsum(windows.counts)[:-1])
-    arm = [(config.scheme_name, config.weighting)]
+    scheme = scheme_by_name(config.scheme_name, config.joint_map)
+    run = window_run(sequences, config)
 
     def fold(key):
         valid = held_out[key]
         splits = ([i for i in range(len(sequences)) if i not in valid], valid)
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
         fold_config = replace(config, classifier=fold_spec)
-        seqs = [[sequences[i] for i in split] for split in splits]
-        fold_rows = rows and [np.concatenate([rows[i] for i in split]) for split in splits]
-        (result,) = _stage(
-            f"fold {key}", lambda: _run_arms(*seqs, fold_config, arm, 1, fold_rows)
-        )
-        return FoldResult(key, result)
+        split = _stage(f"fold {key}", lambda: train_split(run, splits, fold_config, [scheme], 1))
+        return FoldResult(key, _stage(f"fold {key}", lambda: score_arm(split, fold_config, scheme)))
 
     folds = map_ordered(fold, keys, threads)
     matrices = [f.result.confusion_matrix for f in folds]

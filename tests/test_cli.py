@@ -387,15 +387,22 @@ class TestEvaluate:
         main(["evaluate", "--config", ini, "--out", str(out4), "--threads", "4"])
         assert _read_all(out1) == _read_all(out4)
 
-    def test_short_sequence_file_names_its_subject(self, ini, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    @pytest.mark.parametrize("command", ["evaluate", "weights", "matrix", "loocv"])
+    def test_short_sequence_file_names_its_subject(self, tmp_path, capsys, command, kind):
         """A corpus file with fewer frames than one window exits 3 with
-        one stderr line that names the subject it holds."""
+        one stderr line that names the subject it holds, whatever the
+        command and classifier kind: the run is windowed once, up front,
+        so no loocv fold repeats or misplaces the error."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(SMALL_INI.replace("kind = logistic", f"kind = {kind}"))
+        assert f"kind = {kind}\n" in ini.read_text()
         corpus = tmp_path / "corpus"
-        main(["synth", "--config", ini, "--out", str(corpus)])
+        main(["synth", "--config", str(ini), "--out", str(corpus)])
         short = corpus / "S01.csv"
         short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
         capsys.readouterr()
-        argv = ["evaluate", "--config", ini, "--out", str(tmp_path / "o")]
+        argv = [command, "--config", str(ini), "--out", str(tmp_path / "o")]
         assert main(argv + ["--manifest", str(corpus / "manifest.csv")]) == 3
         err_lines = capsys.readouterr().err.splitlines()
         assert err_lines == [

@@ -280,7 +280,7 @@ class TestWindows:
             window_stride=stride,
             positive_fraction_threshold=threshold,
         )
-        windows, labels, subjects = collect_windows([seq], config)
+        windows, labels = collect_windows([seq], config)
         if columns is not None:
             windows = select_columns(windows, idx)
         tensor = joined_windows_oracle([make_windows(seq, length, stride, threshold)[0]], idx)
@@ -290,7 +290,6 @@ class TestWindows:
         assert len(windows) == n
         assert windows.shape == tensor.shape == (n, length, len(idx))
         assert labels.shape == (n,) and labels.dtype == np.int8
-        assert subjects.tolist() == ["A"] * n
         assert tensor.flags.c_contiguous
         for k in range(n):
             rows = slice(k * stride, k * stride + length)

@@ -35,7 +35,10 @@ from painfusion.evaluate import (
     confusion_csv,
     derive_seed,
     metrics_csv,
+    score_arm,
+    train_split,
     weights_csv,
+    window_run,
 )
 from painfusion.modality import SEGMENTS
 from painfusion.presets import synthetic_split
@@ -270,6 +273,29 @@ class TestRunExperiment:
             assert arm.weights == alone.weights
             assert arm.confusion_matrix == alone.confusion_matrix
 
+    def test_weighting_change_never_retrains(self, monkeypatch):
+        """One ``train_split`` serves both weighting rules: with training
+        disabled, ``score_arm`` gives each config's ``run_experiment``
+        result bit for bit."""
+        seqs = _corpus()
+        weightings = ("statistical", "average")
+        configs = [_config(scheme="quadrifurcated", weighting=w) for w in weightings]
+        expected = [run_experiment(seqs[:4], seqs[4:], config) for config in configs]
+        scheme = scheme_by_name("quadrifurcated")
+        run = window_run(seqs, configs[0])
+        split = train_split(run, (range(4), range(4, 6)), configs[0], [scheme], 1)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", no_training)
+        for config, reference in zip(configs, expected, strict=True):
+            result = score_arm(split, config, scheme)
+            _assert_same_models(result, reference)
+            assert result.weights == reference.weights
+            assert result.confusion_matrix == reference.confusion_matrix
+        assert expected[0].weights != expected[1].weights
+
     def test_matrix_memory_stays_below_train_tensor(self):
         """A logistic matrix on the default windowing never allocates as
         much as one joined 70-column train tensor: pooling and weighting
@@ -419,25 +445,41 @@ class TestLoocv:
         with pytest.raises(ConfigError, match="granularity must be one of"):
             loocv(seqs, _config(), granularity="session")
 
-    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
     def test_folds_reuse_pooled_rows(self, kind, monkeypatch):
-        """Every window is pooled once per loocv call, not once per fold,
-        and every fold equals a standalone ``run_experiment`` on its split
-        and fold config bit for bit."""
+        """A loocv call windows every sequence once, not once per fold. The
+        pooled kinds pool every window once, in ``window_run``; a cnn1d run
+        pools nothing, and only its statistical weighting reduces each
+        fold's train windows. Every fold equals a standalone
+        ``run_experiment`` on its split and fold config bit for bit."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", hidden_units=4)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
+        real_windows, windowed = evaluate_module.make_windows, []
         real_pool, pooled = models_module.pool_windows, []
 
-        def counting_pool(windows, reduction="mean"):
-            pooled.append(len(windows))
-            return real_pool(windows, reduction)
+        def counting_windows(seq, *rule):
+            windowed.append(seq.subject_id)
+            return real_windows(seq, *rule)
 
+        def counting_pool(module):
+            def pool(windows, reduction="mean"):
+                pooled.append((module.__name__, len(windows)))
+                return real_pool(windows, reduction)
+
+            return pool
+
+        monkeypatch.setattr(evaluate_module, "make_windows", counting_windows)
         for module in (evaluate_module, models_module, stats_module):
-            monkeypatch.setattr(module, "pool_windows", counting_pool)
+            monkeypatch.setattr(module, "pool_windows", counting_pool(module))
         result = loocv(seqs, config)
         monkeypatch.undo()
-        assert pooled == [sum(len(make_windows(s, 20, 10)[1]) for s in seqs)]
+        assert windowed == [s.subject_id for s in seqs]
+        counts = [len(make_windows(s, 20, 10)[1]) for s in seqs]
+        if kind == "cnn1d":
+            assert pooled == [("painfusion.stats", sum(counts) - n) for n in counts]
+        else:
+            assert pooled == [("painfusion.evaluate", sum(counts))]
 
         for fold in result.folds:
             train = [s for s in seqs if s.subject_id != fold.fold_id]
