@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet
-from .models import fit_lockstep, frame_statistics, pool_windows, select_columns
+from .models import fit_lockstep, frame_statistics, pool_windows
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -196,8 +196,8 @@ def _stage(name: str, fn):
 
 def collect_windows(sequences, config: ExperimentConfig):
     """All windows of the sequences under the config's window rule, as a
-    WindowSet over the 70 feature columns (``select_columns`` narrows it),
-    plus the int8 window labels. Nothing is copied: the set holds each
+    WindowSet over the 70 feature columns (each model reads its own), plus
+    the int8 window labels. Nothing is copied: the set holds each
     sequence's read-only frames. A sequence shorter than a window raises,
     with the stage prefixed."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
@@ -207,14 +207,12 @@ def collect_windows(sequences, config: ExperimentConfig):
 
 
 def window_run(sequences, config: ExperimentConfig) -> list:
-    """Window every sequence of a run once (see ``collect_windows``): per
-    sequence, (sequence, int8 window labels, [n_windows, 70] window time
-    means for the pooled kinds, else None). None of it depends on a split."""
+    """Window and pool every sequence of a run once (see
+    ``collect_windows``): per sequence, (sequence, int8 window labels,
+    [n_windows, 70] window time means). None of it depends on a split."""
     windows, labels = collect_windows(sequences, config)
     bounds = np.cumsum(windows.counts)[:-1]
-    pooled = config.classifier.kind in POOLED_KINDS
-    means = np.split(pool_windows(windows), bounds) if pooled else [None] * len(sequences)
-    return list(zip(sequences, np.split(labels, bounds), means))
+    return list(zip(sequences, np.split(labels, bounds), np.split(pool_windows(windows), bounds)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,8 @@ class TrainedSplit:
     """A trained train/valid split: (model, validation probabilities) per
     distinct (modality name, columns), the train window count, the
     validation labels and subjects, and ``relevance()``, the train part's
-    cached ``feature_relevance`` under the base config's reduction."""
+    cached ``feature_relevance`` under the base config's reduction (of its
+    time means under ``mean``, whatever the kind)."""
 
     models: dict[tuple[str, tuple[int, ...]], tuple[TrainedClassifier, np.ndarray]]
     n_train_windows: int
@@ -235,10 +234,10 @@ def train_split(run: list, splits, base: ExperimentConfig, schemes, threads: int
     """Train each distinct modality of the schemes once on the train part
     of a ``window_run`` (``splits`` holds the train and the validation
     indices into it) and predict the validation part. Each model trains in
-    ``fit_lockstep`` on its columns of the part's time means (pooled kinds,
-    all in one lockstep here) or 70-column WindowSet (cnn1d, one per task
-    on ``threads`` workers), with the train frame statistics and a seed
-    derived from its name. Errors are re-raised with the stage prefixed."""
+    ``fit_lockstep`` on the part's 70-column time means (pooled kinds, all
+    in one lockstep here) or WindowSet (cnn1d, one per task on ``threads``
+    workers), with the train frame statistics and a seed derived from its
+    name. Errors are re-raised with the stage prefixed."""
     parts = [[run[i] for i in split] for split in splits]
     train_ids, valid_ids = ({s.subject_id for s, _, _ in part} for part in parts)
     if train_ids & valid_ids:
@@ -251,13 +250,12 @@ def train_split(run: list, splits, base: ExperimentConfig, schemes, threads: int
     train_labels, valid_labels = (np.concatenate([y for _, y, _ in p]) for p in parts)
     pooled = base.classifier.kind in POOLED_KINDS
     mean, std = frame_statistics(train_windows)
-    train_X, valid_X = train_windows, valid_windows
-    if pooled:
-        train_X, valid_X = (np.concatenate([m for _, _, m in p]) for p in parts)
+    train_means, valid_means = (np.concatenate([m for _, _, m in p]) for p in parts)
+    train_X, valid_X = (train_means, valid_means) if pooled else (train_windows, valid_windows)
 
     @cache
     def relevance():
-        reduced = train_X if base.reduction == "mean" else train_windows
+        reduced = train_means if base.reduction == "mean" else train_windows
         return feature_relevance(reduced, train_labels, base.reduction)
 
     def train(keys):
@@ -268,10 +266,7 @@ def train_split(run: list, splits, base: ExperimentConfig, schemes, threads: int
             models = fit_lockstep(train_X, train_labels, specs, columns, (mean, std))
         except NumericError as exc:
             raise NumericError(f"{names[exc.model]}: {exc}") from exc
-        return [
-            (model, model.predict_proba_windows(select_columns(valid_X, c)))
-            for model, c in zip(models, columns)
-        ]
+        return [(model, model.predict_proba_windows(valid_X)) for model in models]
 
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     groups = [keys] if pooled else [[k] for k in keys]

@@ -318,22 +318,20 @@ BLOCK_WINDOWS = 256
 
 
 class WindowSet:
-    """An [n, length, columns] stack of windows that is never joined: it
-    holds each sequence's read-only [n_frames, width] frames, the window
-    length and stride, and the columns to read (all ``width`` when None).
-    ``shape`` is the joined stack's, ``len`` its window count and
-    ``counts`` each sequence's.
+    """An [n, length, width] stack of windows that is never joined: it
+    holds each sequence's read-only [n_frames, width] frames and the
+    window length and stride. ``shape`` is the joined stack's, ``len``
+    its window count and ``counts`` each sequence's.
 
-    ``blocks`` copies the selected columns of at most BLOCK_WINDOWS
-    windows of one sequence at a time, for the pooled models and the
-    weighting; the convolution reads the frames (see ``_model_input``).
+    ``blocks`` copies at most BLOCK_WINDOWS windows of one sequence at a
+    time, for pooling and the frame statistics; the convolution reads the
+    frames (see ``_model_input``).
     """
 
-    def __init__(self, frames, length: int, stride: int, width: int, columns=None):
+    def __init__(self, frames, length: int, stride: int, width: int):
         self.frames, self.stride = tuple(frames), stride
-        self._width, self._columns = width, _column_index(columns)
         self.counts = tuple(max(0, (len(f) - length) // stride + 1) for f in self.frames)
-        self.shape = (sum(self.counts), length, width if columns is None else len(columns))
+        self.shape = (sum(self.counts), length, width)
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -346,14 +344,14 @@ class WindowSet:
         for frames, count in zip(self.frames, self.counts):
             for start in range(0, count, BLOCK_WINDOWS):
                 block = np.lib.stride_tricks.sliding_window_view(frames, self.shape[1], axis=0)
-                block = block[:: self.stride][start : start + BLOCK_WINDOWS, self._columns]
+                block = block[:: self.stride][start : start + BLOCK_WINDOWS]
                 yield offset + start, np.array(block.transpose(0, 2, 1), np.float64, order="C")
             offset += count
 
 
 def _column_index(columns):
     """An index for the last axis: a slice for all columns or for one
-    ascending run, which reads a view so that a block costs one copy
+    ascending run, which reads a view so that the input costs one copy
     rather than two; else the index list."""
     if columns is None:
         return slice(None)
@@ -362,18 +360,6 @@ def _column_index(columns):
     if columns == list(range(first, first + len(columns))):
         return slice(first, first + len(columns))
     return columns
-
-
-def select_columns(x, columns):
-    """The feature columns ``columns`` of x: for [n, d] rows their column
-    slice (a view when the columns are one ascending run); for windows
-    (anything ``fit`` takes) a WindowSet that reads only those columns,
-    counted within any selection the windows already have."""
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return x[:, _column_index(columns)]
-    windows = _as_windows(x)
-    selected = np.arange(windows._width)[windows._columns][list(columns)].tolist()
-    return WindowSet(windows.frames, windows.shape[1], windows.stride, windows._width, selected)
 
 
 def _as_windows(windows, width=None) -> WindowSet:
@@ -442,20 +428,21 @@ def _pooled_rows(windows, width: int) -> np.ndarray:
     return windows
 
 
-def _model_input(kind: str, windows, mean, std, width: int):
+def _model_input(kind: str, windows, mean, std, width: int, columns=None):
     """A model's standardized input X and rows such that ``X.take(rows[i],
-    axis=0)`` is window i: the pooled kinds' [n, width] window time means
-    made C order (a Fortran-ordered one takes another BLAS path); else the
-    selected columns of the joined frames, one sequence at a time."""
+    axis=0)`` is window i, from ``columns`` (all when None) of width-column
+    windows: the pooled kinds' time means in C order (a Fortran-ordered
+    one takes another BLAS path), else the joined frames."""
+    index = _column_index(columns)
     if kind in POOLED_KINDS:
-        X = np.subtract(_pooled_rows(windows, width), mean, order="C")
+        X = np.subtract(_pooled_rows(windows, width)[:, index], mean, order="C")
         X /= std
         return X, np.arange(len(X))
     windows = _as_windows(windows, width)
-    X = np.empty((sum(len(f) for f in windows.frames), width))
+    X = np.empty((sum(len(f) for f in windows.frames), width if columns is None else len(columns)))
     starts, offset, length = [], 0, windows.shape[1]
     for frames in windows.frames:
-        np.subtract(frames[:, windows._columns], mean, out=X[offset : offset + len(frames)])
+        np.subtract(frames[:, index], mean, out=X[offset : offset + len(frames)])
         starts.append(np.arange(offset, offset + len(frames) - length + 1, windows.stride))
         offset += len(frames)
     X /= std
@@ -485,8 +472,9 @@ def resolve_positive_weight(spec: ClassifierSpec, y: np.ndarray) -> tuple[float,
 @dataclass(frozen=True)
 class TrainedClassifier:
     """A fitted model: spec, standardization constants, flat parameters,
-    and the per-epoch training losses. ``single_class`` records that the
-    training set contained only one label value."""
+    the per-epoch training losses, and the ``columns`` (all when None) of
+    an ``n_features``-column input that it reads. ``single_class`` records
+    that the training set contained only one label value."""
 
     spec: ClassifierSpec
     n_features: int
@@ -496,16 +484,16 @@ class TrainedClassifier:
     positive_weight: float
     single_class: bool
     training_log: tuple[float, ...] = field(repr=False, default=())
+    columns: tuple[int, ...] | None = None
 
     @_one_blas_thread()
     def predict_proba_windows(self, windows) -> np.ndarray:
         """Probability of the positive class for each window of a
         [n, length, n_features] array or WindowSet, or for the pooled
         kinds of the [n, n_features] array of the windows' time means."""
-        X, rows = _model_input(
-            self.spec.kind, windows, self.feature_mean, self.feature_std, self.n_features
-        )
-        arch = _architecture(self.spec, self.n_features)
+        mean, std, width = self.feature_mean, self.feature_std, self.n_features
+        X, rows = _model_input(self.spec.kind, windows, mean, std, width, self.columns)
+        arch = _architecture(self.spec, len(mean))
         # BLOCK_WINDOWS at a time, the last block taking the remainder: BLAS
         # gives small products other kernels and can change a row's bits.
         blocks = np.split(rows, range(BLOCK_WINDOWS, len(rows) - BLOCK_WINDOWS + 1, BLOCK_WINDOWS))
@@ -532,10 +520,10 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
 @_one_blas_thread()
 def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[TrainedClassifier]:
     """Train one model per spec side by side on one set of training
-    windows (anything ``fit`` takes), model i reading the feature columns
-    ``columns[i]`` (every column when None). Model i gets the bits of
-    ``fit`` on those columns of ``windows`` with the matching entries of
-    ``frame_stats``; when ``frame_stats`` is None it is the
+    windows (anything ``fit`` takes), model i reading and recording the
+    feature columns ``columns[i]`` (every column when None). Model i gets
+    the bits of ``fit`` on those columns of ``windows`` with the matching
+    entries of ``frame_stats``; when ``frame_stats`` is None it is the
     ``frame_statistics`` of all the columns.
 
     The models share the labels, hence n and the positive weight, and
@@ -559,17 +547,14 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     spec, y = specs[0], _training_labels(windows, labels)
     pos_weight, single_class = resolve_positive_weight(spec, y)
     mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
-    every = list(range(len(mean)))
-    columns = [every if c is None else list(c) for c in columns]
-    pooled = spec.kind in POOLED_KINDS
+    width = len(mean)
+    picks = [list(range(width)) if c is None else list(c) for c in columns]
     # Pooled once; each model standardizes its own copy of its columns,
     # elementwise, so it gets the bits of a model given only those columns.
-    windows = _pooled_rows(windows, len(mean)) if pooled else _as_windows(windows, len(mean))
-    inputs = [
-        _model_input(spec.kind, select_columns(windows, c), mean[c], std[c], len(c))
-        for c in columns
-    ]
-    archs = [_architecture(spec, len(c)) for c in columns]
+    pooled = spec.kind in POOLED_KINDS
+    windows = _pooled_rows(windows, width) if pooled else _as_windows(windows, width)
+    inputs = [_model_input(spec.kind, windows, mean[c], std[c], width, c) for c in picks]
+    archs = [_architecture(spec, len(c)) for c in picks]
 
     rngs = [np.random.default_rng(np.random.SeedSequence(s.seed)) for s in specs]
     sizes = [a.n_params for a in archs]
@@ -607,15 +592,16 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     return [
         TrainedClassifier(
             spec=s,
-            n_features=len(c),
+            n_features=width,
             feature_mean=mean[c],
             feature_std=std[c],
             params=p.copy(),
             positive_weight=pos_weight,
             single_class=single_class,
-            training_log=tuple(model_log),
+            training_log=tuple(history),
+            columns=None if given is None else tuple(c),
         )
-        for s, c, p, model_log in zip(specs, columns, params, np.array(log).T.tolist())
+        for s, given, c, p, history in zip(specs, columns, picks, params, np.array(log).T.tolist())
     ]
 
 

@@ -32,7 +32,7 @@ from painfusion.data import (
     write_sequence_file,
 )
 from painfusion.evaluate import collect_windows
-from painfusion.models import select_columns
+from painfusion.models import _model_input
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.errors import ConfigError, DataError
 from painfusion.presets import (
@@ -254,11 +254,11 @@ class TestWindows:
     )
     @settings(max_examples=100, deadline=None)
     def test_window_tensor(self, n_frames, length, stride, threshold, columns, seed):
-        """The collected windows, read block by block and against the
-        joined views of ``make_windows``, and that joined tensor against a
-        per-window reference: contents, threshold labels, dropped partial
-        window, count and memory layout, for contiguous and scattered
-        column sets."""
+        """The collected windows, read block by block and as a model's
+        input reads their columns, against the joined views of
+        ``make_windows``, and that joined tensor against a per-window
+        reference: contents, threshold labels, dropped partial window,
+        count and memory layout, for contiguous and scattered column sets."""
         length = min(length, n_frames)
         rng = np.random.default_rng(seed)
         seq = SequenceData(
@@ -281,14 +281,17 @@ class TestWindows:
             positive_fraction_threshold=threshold,
         )
         windows, labels = collect_windows([seq], config)
-        if columns is not None:
-            windows = select_columns(windows, idx)
-        tensor = joined_windows_oracle([make_windows(seq, length, stride, threshold)[0]], idx)
-        assert np.array_equal(np.concatenate([b for _, b in windows.blocks()]), tensor)
+        views = [make_windows(seq, length, stride, threshold)[0]]
+        tensor = joined_windows_oracle(views, idx)
+        blocks = np.concatenate([b for _, b in windows.blocks()])
+        assert np.array_equal(blocks, joined_windows_oracle(views))
+        X, rows = _model_input("cnn1d", windows, 0.0, 1.0, 70, idx)
+        assert np.array_equal(X.take(rows, axis=0), tensor)
 
         n = _window_count(n_frames, length, stride)
         assert len(windows) == n
-        assert windows.shape == tensor.shape == (n, length, len(idx))
+        assert windows.shape == (n, length, 70)
+        assert tensor.shape == (n, length, len(idx))
         assert labels.shape == (n,) and labels.dtype == np.int8
         assert tensor.flags.c_contiguous
         for k in range(n):

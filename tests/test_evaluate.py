@@ -41,6 +41,7 @@ from painfusion.evaluate import (
     window_run,
 )
 from painfusion.modality import SEGMENTS
+from painfusion.stats import modality_weights
 from painfusion.presets import synthetic_split
 
 from oracles import joined_windows_oracle, metric_oracle
@@ -224,6 +225,24 @@ class TestRunExperiment:
             assert caught.value.exit_code == 4
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
+    def test_weights_are_modality_weights_of_train_windows(self, reduction, kind):
+        """A statistical run's weights equal ``modality_weights`` on its
+        joined train windows under the config's reduction bit for bit, for
+        every reduction and kind: under ``mean`` ``train_split`` reads
+        ``window_run``'s time means, else it reduces the train windows."""
+        seqs = _corpus(n_subjects=4)
+        config = _config(scheme="quadrifurcated", epochs=1)
+        classifier = replace(config.classifier, kind=kind)
+        config = replace(config, reduction=reduction, classifier=classifier)
+        result = run_experiment(seqs[:3], seqs[3:], config)
+        pairs = [make_windows(s, 20, 10) for s in seqs[:3]]
+        windows, labels = (np.concatenate(part) for part in zip(*pairs))
+        expected = modality_weights(windows, labels, scheme_by_name("quadrifurcated"), reduction)
+        assert expected.provenance == "statistical"
+        assert result.weights == expected
 
     def test_threads_do_not_change_results(self):
         seqs = _corpus()
@@ -447,11 +466,11 @@ class TestLoocv:
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
     def test_folds_reuse_pooled_rows(self, kind, monkeypatch):
-        """A loocv call windows every sequence once, not once per fold. The
-        pooled kinds pool every window once, in ``window_run``; a cnn1d run
-        pools nothing, and only its statistical weighting reduces each
-        fold's train windows. Every fold equals a standalone
-        ``run_experiment`` on its split and fold config bit for bit."""
+        """A loocv call windows and pools every sequence once, not once per
+        fold: every kind pools every window once, in ``window_run``, and the
+        statistical weighting of each fold reads those time means. Every
+        fold equals a standalone ``run_experiment`` on its split and fold
+        config bit for bit."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", hidden_units=4)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
@@ -476,10 +495,7 @@ class TestLoocv:
         monkeypatch.undo()
         assert windowed == [s.subject_id for s in seqs]
         counts = [len(make_windows(s, 20, 10)[1]) for s in seqs]
-        if kind == "cnn1d":
-            assert pooled == [("painfusion.stats", sum(counts) - n) for n in counts]
-        else:
-            assert pooled == [("painfusion.evaluate", sum(counts))]
+        assert pooled == [("painfusion.evaluate", sum(counts))]
 
         for fold in result.folds:
             train = [s for s in seqs if s.subject_id != fold.fold_id]

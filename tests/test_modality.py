@@ -20,7 +20,7 @@ from painfusion.modality import (
     default_joint_segment_map,
     parse_joint_segment_map,
 )
-from painfusion.models import WindowSet
+from painfusion.models import WindowSet, _model_input
 
 from oracles import joined_windows_oracle
 
@@ -102,12 +102,13 @@ class TestJointMapParsing:
 
 def _window(features, columns=None):
     """The single window spanning all frames, with the selected columns,
-    as a WindowSet over the frames reads it; it must equal the joined
-    ``make_windows`` view."""
+    as a model's input reads them from a WindowSet over the frames; it
+    must equal the joined ``make_windows`` view."""
     n = len(features)
     seq = SequenceData("s1", "healthy", features, np.zeros(n, dtype=np.int8), np.zeros((n, 2)))
     windows, _ = make_windows(seq, n, n)
-    ((_, block),) = WindowSet([seq.features], n, n, 70, columns).blocks()
+    X, rows = _model_input("cnn1d", WindowSet([seq.features], n, n, 70), 0.0, 1.0, 70, columns)
+    block = X.take(rows, axis=0)
     assert np.array_equal(block, joined_windows_oracle([windows], columns))
     return block[0]
 

@@ -99,6 +99,33 @@ class TestFit:
         with pytest.raises(DataError, match=r"shape \(4, 8, 5\), expected \[n, length, 6\]"):
             model.predict_proba_windows(windows[:, :, :5])
 
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    def test_modality_model_reads_its_columns(self, kind):
+        """A model that ``fit_lockstep`` trains on the sEMG columns of a
+        70-column input records them and reads them from any 70-column
+        input, with the bits of ``fit`` on the 4-column windows alone, which
+        reads all of them. It refuses a 4-column array or WindowSet with a
+        DataError (exit code 3), not an IndexError."""
+        rng = np.random.default_rng(4)
+        frames = rng.standard_normal((200, 70)) * rng.uniform(0.5, 2.0, 70)
+        windows = WindowSet([frames], 10, 5, 70)
+        labels = np.arange(len(windows)) % 2
+        semg = quadrifurcated_scheme().modalities["semg"]
+        spec = ClassifierSpec(kind=kind, seed=2, epochs=2)
+        (model,) = fit_lockstep(windows, labels, [spec], [semg])
+        narrow = WindowSet([frames[:, list(semg)]], 10, 5, 4)
+        alone = fit(narrow, labels, spec)
+        assert (model.columns, model.n_features) == (semg, 70)
+        assert (alone.columns, alone.n_features) == (None, 4)
+        assert model.params.tobytes() == alone.params.tobytes()
+        probas = model.predict_proba_windows(windows)
+        assert probas.tobytes() == alone.predict_proba_windows(narrow).tobytes()
+        joined = np.concatenate([block for _, block in narrow.blocks()])
+        for bad in (narrow, joined, pool_windows(narrow)):
+            with pytest.raises(DataError, match=r"expected \[n, (length, )?70\]") as caught:
+                model.predict_proba_windows(bad)
+            assert caught.value.exit_code == 3
+
     def test_huge_learning_rate_diverges(self):
         windows, labels = _separable()
         spec = ClassifierSpec(
@@ -341,9 +368,10 @@ class TestWindowBlocks:
         per-sequence frames equal those of the joined C-ordered tensor of
         ``make_windows`` views bit for bit, for blocks smaller than, equal
         to and larger than the first sequence's window count, and for all
-        70 columns, the contiguous sEMG and the scattered trunk columns;
-        so do the blocks themselves and the convolution's input, the
-        selected frame columns gathered by window frame rows."""
+        70 columns, the contiguous sEMG and the scattered trunk columns
+        picked from them; so do the blocks themselves and a model's input
+        from those columns: the pooled kinds' time means, and the
+        convolution's frame columns gathered by window frame rows."""
         rng = np.random.default_rng(seed)
         selected = None if columns is None else quadrifurcated_scheme().modalities[columns]
         frames, parts = [], []
@@ -359,9 +387,10 @@ class TestWindowBlocks:
             frames.append(seq.features)
             parts.append(make_windows(seq, length, stride)[0])
         joined = joined_windows_oracle(parts, selected)
+        pick = slice(None) if selected is None else list(selected)
         first = len(parts[0])
         size = {"smaller": max(1, first - 1), "equal": first, "larger": first + 5}[block]
-        windows = WindowSet(frames, length, stride, 70, selected)
+        windows = WindowSet(frames, length, stride, 70)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "BLOCK_WINDOWS", size)
@@ -370,12 +399,16 @@ class TestWindowBlocks:
             ]
             for reduction in ("mean", "max", "std"):
                 pooled = pool_windows(windows, reduction)
-                assert np.array_equal(pooled, getattr(joined, reduction)(axis=1))
+                assert np.array_equal(pooled[:, pick], getattr(joined, reduction)(axis=1))
             mean, std = frame_statistics(windows)
-        assert np.array_equal(mean, joined.mean(axis=(0, 1)))
-        assert np.array_equal(std, np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
-        assert np.array_equal(np.concatenate([b for _, b in windows.blocks()]), joined)
-        X, rows = models._model_input("cnn1d", windows, 0.0, 1.0, joined.shape[2])
+        assert np.array_equal(mean[pick], joined.mean(axis=(0, 1)))
+        assert np.array_equal(std[pick], np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
+        blocks = np.concatenate([b for _, b in windows.blocks()])
+        assert np.array_equal(blocks, joined_windows_oracle(parts))
+        assert np.array_equal(blocks[:, :, pick], joined)
+        X, rows = models._model_input("logistic", windows, 0.0, 1.0, 70, selected)
+        assert np.array_equal(X, joined.mean(axis=1))
+        X, rows = models._model_input("cnn1d", windows, 0.0, 1.0, 70, selected)
         assert np.array_equal(X.take(rows, axis=0), joined)
 
 
