@@ -30,7 +30,6 @@ from .data import (
     write_sequence_file,
 )
 from .evaluate import (
-    collect_windows,
     confusion_csv,
     loocv,
     metrics_csv,
@@ -39,11 +38,12 @@ from .evaluate import (
     run_experiment,
     run_matrix,
     weights_csv,
+    window_run,
 )
 from .errors import DataError, PainFusionError, ZeroVariance
 from .modality import scheme_by_name
 from .presets import synthetic_split
-from .stats import feature_relevance, fusion_weights, normality_report, recommend_method
+from .stats import fusion_weights, normality_report, recommend_method
 
 _POOLED_QQ_POINTS = 512
 _FEATURE_QQ_POINTS = 64
@@ -142,12 +142,9 @@ def cmd_weights(run: RunConfig, args) -> int:
     train = _train_split(run)
     config = run.experiment
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
-
-    def relevance():
-        windows, labels = collect_windows(train, config)
-        return feature_relevance(windows, labels, config.reduction)
-
-    weights = fusion_weights(config.weighting, scheme, relevance)
+    weights = fusion_weights(
+        config.weighting, scheme, lambda: window_run(train, config).relevance(config.reduction)
+    )
     _write(run, "weights.csv", weights_csv(weights))
     _write(run, "weights.txt", weights.to_text())
     print(weights.to_text(), end="")

@@ -9,7 +9,7 @@ raised, so heavily imbalanced splits still produce a full report.
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -103,6 +103,7 @@ def _f1(precision: float, recall: float, flags: list) -> float:
 
 def metrics(cm: ConfusionMatrix) -> MetricSet:
     flags: list = []
+    accuracy = _ratio(cm.tp + cm.tn, cm.total, flags)
     precision_pos = _ratio(cm.tp, cm.tp + cm.fp, flags)
     recall_pos = _ratio(cm.tp, cm.tp + cm.fn, flags)
     precision_neg = _ratio(cm.tn, cm.tn + cm.fn, flags)
@@ -110,7 +111,7 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
     f1_pos = _f1(precision_pos, recall_pos, flags)
     f1_neg = _f1(precision_neg, recall_neg, flags)
     return MetricSet(
-        accuracy=(cm.tp + cm.tn) / cm.total,
+        accuracy=accuracy,
         precision_pos=precision_pos,
         recall_pos=recall_pos,
         f1_pos=f1_pos,
@@ -194,34 +195,62 @@ def _stage(name: str, fn):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def collect_windows(sequences, config: ExperimentConfig):
-    """All windows of the sequences under the config's window rule, as a
-    WindowSet over the 70 feature columns (each model reads its own), plus
-    the int8 window labels. Nothing is copied: the set holds each
-    sequence's read-only frames. A sequence shorter than a window raises,
-    with the stage prefixed."""
+@dataclass(frozen=True)
+class WindowedRun:
+    """Sequences windowed once (see ``window_run``): the sequences, their
+    windows as one WindowSet over the 70 feature columns (each model reads
+    its own), the int8 window labels and ``means``, the [n_windows, 70]
+    window time means: the ``rows`` slices of ``pooled``, joined on first
+    use."""
+
+    sequences: tuple[SequenceData, ...]
+    windows: WindowSet
+    labels: np.ndarray
+    pooled: np.ndarray
+    rows: tuple[slice, ...]
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        parts = [self.pooled[r] for r in self.rows]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def relevance(self, reduction: str) -> np.ndarray:
+        """``feature_relevance`` of the run under the reduction: of its time
+        means under ``mean``, else of its windows."""
+        reduced = self.means if reduction == "mean" else self.windows
+        return feature_relevance(reduced, self.labels, reduction)
+
+
+def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
+    """Window and pool sequences once under the config's window rule. The
+    WindowSet copies nothing: it holds each sequence's read-only frames. A
+    sequence shorter than a window raises, with the stage prefixed."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
     labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
     windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
-    return windows, np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
+    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
+    return WindowedRun(tuple(sequences), windows, labels, pool_windows(windows), (slice(None),))
 
 
-def window_run(sequences, config: ExperimentConfig) -> list:
-    """Window and pool every sequence of a run once (see
-    ``collect_windows``): per sequence, (sequence, int8 window labels,
-    [n_windows, 70] window time means). None of it depends on a split."""
-    windows, labels = collect_windows(sequences, config)
-    bounds = np.cumsum(windows.counts)[:-1]
-    return list(zip(sequences, np.split(labels, bounds), np.split(pool_windows(windows), bounds)))
+def _pick(run: WindowedRun, indices) -> WindowedRun:
+    """The run of the sequences at ``indices`` of ``run``, in that order,
+    windowed and pooled by ``run``; its time means are copied on first
+    use, so a fold's train means are joined after its frame statistics."""
+    starts = np.cumsum((0,) + run.windows.counts).tolist()
+    rows = tuple(slice(starts[i], starts[i + 1]) for i in indices)
+    sequences = tuple(run.sequences[i] for i in indices)
+    rule = (run.windows.shape[1], run.windows.stride, N_FEATURES)
+    windows = WindowSet([s.features for s in sequences], *rule)
+    labels = np.concatenate([run.labels[r] for r in rows])
+    return WindowedRun(sequences, windows, labels, run.means, rows)
 
 
 @dataclass(frozen=True)
 class TrainedSplit:
     """A trained train/valid split: (model, validation probabilities) per
     distinct (modality name, columns), the train window count, the
-    validation labels and subjects, and ``relevance()``, the train part's
-    cached ``feature_relevance`` under the base config's reduction (of its
-    time means under ``mean``, whatever the kind)."""
+    validation labels and subjects, and ``relevance()``, the train run's
+    cached ``WindowedRun.relevance`` under the base config's reduction."""
 
     models: dict[tuple[str, tuple[int, ...]], tuple[TrainedClassifier, np.ndarray]]
     n_train_windows: int
@@ -230,52 +259,42 @@ class TrainedSplit:
     relevance: Callable[[], np.ndarray]
 
 
-def train_split(run: list, splits, base: ExperimentConfig, schemes, threads: int) -> TrainedSplit:
-    """Train each distinct modality of the schemes once on the train part
-    of a ``window_run`` (``splits`` holds the train and the validation
-    indices into it) and predict the validation part. Each model trains in
-    ``fit_lockstep`` on the part's 70-column time means (pooled kinds, all
-    in one lockstep here) or WindowSet (cnn1d, one per task on ``threads``
-    workers), with the train frame statistics and a seed derived from its
-    name. Errors are re-raised with the stage prefixed."""
-    parts = [[run[i] for i in split] for split in splits]
-    train_ids, valid_ids = ({s.subject_id for s, _, _ in part} for part in parts)
+def train_split(train, valid, base: ExperimentConfig, schemes, threads: int) -> TrainedSplit:
+    """Train each distinct modality of the schemes once on the train
+    ``WindowedRun`` and predict the validation one. Each model trains in
+    ``fit_lockstep`` on the train run's 70-column time means (pooled
+    kinds, all in one lockstep here) or WindowSet (cnn1d, one per task on
+    ``threads`` workers), with the train frame statistics and a seed
+    derived from its name. Errors are re-raised with the stage prefixed."""
+    train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
     if train_ids & valid_ids:
         raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
-    for name, part in zip(("train", "validation"), parts):
-        if not part:
+    for name, run in (("train", train), ("validation", valid)):
+        if not run.sequences:
             raise DataError(f"windowing: {name} split produced no windows")
-    rule = (base.window_length, base.window_stride, N_FEATURES)
-    train_windows, valid_windows = (WindowSet([s.features for s, _, _ in p], *rule) for p in parts)
-    train_labels, valid_labels = (np.concatenate([y for _, y, _ in p]) for p in parts)
     pooled = base.classifier.kind in POOLED_KINDS
-    mean, std = frame_statistics(train_windows)
-    train_means, valid_means = (np.concatenate([m for _, _, m in p]) for p in parts)
-    train_X, valid_X = (train_means, valid_means) if pooled else (train_windows, valid_windows)
+    mean, std = frame_statistics(train.windows)
+    train_X, valid_X = (train.means, valid.means) if pooled else (train.windows, valid.windows)
+    relevance = cache(lambda: train.relevance(base.reduction))
 
-    @cache
-    def relevance():
-        reduced = train_means if base.reduction == "mean" else train_windows
-        return feature_relevance(reduced, train_labels, base.reduction)
-
-    def train(keys):
+    def train_models(keys):
         names, columns = [name for name, _ in keys], [c for _, c in keys]
         seed = base.classifier.seed
         specs = [replace(base.classifier, seed=derive_seed(seed, "clf:" + n)) for n in names]
         try:
-            models = fit_lockstep(train_X, train_labels, specs, columns, (mean, std))
+            models = fit_lockstep(train_X, train.labels, specs, columns, (mean, std))
         except NumericError as exc:
             raise NumericError(f"{names[exc.model]}: {exc}") from exc
         return [(model, model.predict_proba_windows(valid_X)) for model in models]
 
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     groups = [keys] if pooled else [[k] for k in keys]
-    outcomes = _stage("training", lambda: map_ordered(train, groups, threads))
-    subjects = np.repeat([s.subject_id for s, _, _ in parts[1]], [len(y) for _, y, _ in parts[1]])
+    outcomes = _stage("training", lambda: map_ordered(train_models, groups, threads))
+    subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
     return TrainedSplit(
         models=dict(zip(keys, (outcome for group in outcomes for outcome in group))),
-        n_train_windows=len(train_labels),
-        valid_labels=valid_labels.astype(np.int64),
+        n_train_windows=len(train.labels),
+        valid_labels=valid.labels.astype(np.int64),
         valid_subjects=tuple(subjects.tolist()),
         relevance=relevance,
     )
@@ -314,14 +333,13 @@ def _run_arms(
     threads: int,
 ) -> list[ExperimentResult]:
     """One result per config, the configs differing in scheme and weighting
-    only: both splits windowed once (``window_run``), trained once
+    only: each split windowed once (``window_run``), trained once
     (``train_split``) and scored per config (``score_arm``)."""
     for config in configs:
         config.validate()
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
-    run = window_run([*train_seqs, *valid_seqs], configs[0])
-    splits = (range(len(train_seqs)), range(len(train_seqs), len(run)))
-    split = train_split(run, splits, configs[0], schemes, threads)
+    train, valid = (window_run(seqs, configs[0]) for seqs in (train_seqs, valid_seqs))
+    split = train_split(train, valid, configs[0], schemes, threads)
     return [score_arm(split, config, scheme) for config, scheme in zip(configs, schemes)]
 
 
@@ -388,7 +406,8 @@ def loocv(
 ) -> LoocvResult:
     """Leave-one-out cross validation, by subject (default) or by
     individual sequence. The run is windowed once, before any fold
-    (``window_run``); each fold is a ``train_split`` of it, which redoes
+    (``window_run``); each fold is a ``train_split`` of two runs picked
+    from it (its train and its held-out sequences), which redoes
     standardization and training from the fold's own train part with a
     classifier seed derived from (config.seed, fold id), scored by
     ``score_arm``. Folds run one per task on ``threads`` worker processes;
@@ -414,11 +433,11 @@ def loocv(
     run = window_run(sequences, config)
 
     def fold(key):
-        valid = held_out[key]
-        splits = ([i for i in range(len(sequences)) if i not in valid], valid)
+        train = [i for i in range(len(sequences)) if i not in held_out[key]]
+        train, valid = (_pick(run, part) for part in (train, held_out[key]))
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
         fold_config = replace(config, classifier=fold_spec)
-        split = _stage(f"fold {key}", lambda: train_split(run, splits, fold_config, [scheme], 1))
+        split = _stage(f"fold {key}", lambda: train_split(train, valid, fold_config, [scheme], 1))
         return FoldResult(key, _stage(f"fold {key}", lambda: score_arm(split, fold_config, scheme)))
 
     folds = map_ordered(fold, keys, threads)
@@ -503,19 +522,11 @@ def predictions_csv(result: ExperimentResult) -> str:
     header = ["window_index", "subject_id"]
     header.extend("proba_" + n for n in names)
     header.extend(["fused_probability", "label", "true_label"])
-    lines = [",".join(header)]
-    for i in range(len(result.valid_labels)):
-        row = [str(i), result.valid_subjects[i]]
-        row.extend(repr(float(result.per_modality_probas[n][i])) for n in names)
-        row.extend(
-            [
-                repr(float(result.fused_probabilities[i])),
-                str(int(result.predicted[i])),
-                str(int(result.valid_labels[i])),
-            ]
-        )
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = [map(str, range(len(result.valid_labels))), result.valid_subjects]
+    probas = [result.per_modality_probas[n] for n in names] + [result.fused_probabilities]
+    columns.extend(map(repr, p.tolist()) for p in probas)
+    columns.extend(map(str, y.tolist()) for y in (result.predicted, result.valid_labels))
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def weights_csv(weights: FusionWeights) -> str:

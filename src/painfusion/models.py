@@ -11,10 +11,13 @@ All parameters live in one flat float64 vector per model (layouts are
 documented on the architecture classes), gradients are hand-derived,
 and optimization is plain mini-batch SGD with optional momentum;
 models that share their labels and hyperparameters advance in lockstep
-(``fit_lockstep``). Every random draw goes through
-``numpy.random.SeedSequence``, and OpenBLAS, where numpy links it, runs
-training and prediction on one thread, so that training is a pure
-function of (windows, labels, spec), whatever BLAS's thread count.
+(``fit_lockstep``). Every architecture has one interface, over a stack
+of models: ``scores`` and ``grads`` (see ``_losses_and_grads``). One
+model is a stack of one, in prediction and ``grad_check`` alike. Every
+random draw goes through ``numpy.random.SeedSequence``, and OpenBLAS,
+where numpy links it, runs training and prediction on one thread, so
+that training is a pure function of (windows, labels, spec), whatever
+BLAS's thread count.
 """
 
 import math
@@ -108,21 +111,7 @@ def _he_uniform(rng, fan_in: int, size: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size)
 
 
-class _Pooled:
-    """The one-model view of a pooled kind's stacked ``scores`` and
-    ``grads`` (see ``_losses_and_grads``), for prediction and checks."""
-
-    def raw_scores(self, params, X):
-        Z, cache = self.scores(params[None], [params], [X])
-        return Z[0], cache
-
-    def backward(self, params, X, cache, dz):
-        G = np.empty((1, len(params)))
-        self.grads(params[None], [params], [X], cache, dz[None], G, G)
-        return G[0]
-
-
-class _Logistic(_Pooled):
+class _Logistic:
     """Flat layout: [w: d][b: 1]."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
@@ -147,7 +136,7 @@ class _Logistic(_Pooled):
         G[:, -1] = np.add.reduce(DZ, axis=1)
 
 
-class _Mlp(_Pooled):
+class _Mlp:
     """Flat layout: [W1: d*h, row-major][b1: h][w2: h][b2: 1]."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
@@ -191,7 +180,9 @@ class _Cnn1d:
     """Flat layout: [W: C*K*d, (channel, tap, feature) order][b_conv: C]
     [w: C][b: 1]. The convolution slides over time with stride 1, so a
     window of T frames yields T - K + 1 activations per channel before
-    the global max pool."""
+    the global max pool. ``scores`` and ``grads`` run ``_forward`` and
+    ``_backward`` model by model; a model's cache is (act, relu, peak,
+    pooled), and ``_backward`` writes its gradient row."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d = n_features
@@ -213,7 +204,7 @@ class _Cnn1d:
         params[C * K * d + C : C * K * d + 2 * C] = _he_uniform(rng, C, C)
         return params
 
-    def raw_scores(self, params, X):
+    def _forward(self, params, X):
         W, b_conv, w, b = self._unpack(params)
         (B, T, d), C, K = X.shape, self.C, self.K
         if T < K:
@@ -231,7 +222,7 @@ class _Cnn1d:
         pooled = relu[peak]
         return pooled @ w + b, (act, relu, peak, pooled)
 
-    def backward(self, params, X, cache, dz):
+    def _backward(self, params, X, cache, dz, grad):
         act, relu, peak, pooled = cache
         _, _, w, _ = self._unpack(params)
         (B, T, d), C, K = X.shape, self.C, self.K
@@ -245,20 +236,18 @@ class _Cnn1d:
         shifted = np.zeros((B, T, C, K))
         for k in range(K):
             shifted[:, k : k + span, :, k] = dact
-        grad = np.empty_like(params)
         grad[: C * K * d] = (shifted.reshape(-1, C * K).T @ X.reshape(-1, d)).reshape(-1)
         grad[C * K * d : C * K * d + C] = dact.sum(axis=(0, 1))
         grad[C * K * d + C : C * K * d + 2 * C] = pooled.T @ dz
         grad[-1] = dz.sum()
-        return grad
 
     def scores(self, P, params, Xs):
-        out = [self.raw_scores(p, X) for p, X in zip(params, Xs)]
+        out = [self._forward(p, X) for p, X in zip(params, Xs)]
         return np.array([z for z, _ in out]), [cache for _, cache in out]
 
     def grads(self, P, params, Xs, caches, DZ, G, grads):
-        for g, p, X, cache, dz in zip(grads, params, Xs, caches, DZ):
-            g[:] = self.backward(p, X, cache, dz)
+        for args in zip(params, Xs, caches, DZ, grads):
+            self._backward(*args)
 
     def pool_margin(self, cache) -> float:
         """Smallest gap between the winning and runner-up max-pool
@@ -418,24 +407,19 @@ def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, STD_FLOOR)
 
 
-def _pooled_rows(windows, width: int) -> np.ndarray:
-    """The [n, width] window time means: a 2-D ``windows`` as it is, in
-    any layout, else the pooled windows."""
-    if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
-        return pool_windows(_as_windows(windows, width))
-    if windows.shape[1] != width:
-        raise DataError(f"pooled windows have shape {windows.shape}, expected [n, {width}]")
-    return windows
-
-
 def _model_input(kind: str, windows, mean, std, width: int, columns=None):
     """A model's standardized input X and rows such that ``X.take(rows[i],
     axis=0)`` is window i, from ``columns`` (all when None) of width-column
-    windows: the pooled kinds' time means in C order (a Fortran-ordered
-    one takes another BLAS path), else the joined frames."""
+    windows: the pooled kinds' time means (a 2-D ``windows`` as it is, in
+    any layout, else the pooled windows) in C order (a Fortran-ordered one
+    takes another BLAS path), else the joined frames."""
     index = _column_index(columns)
     if kind in POOLED_KINDS:
-        X = np.subtract(_pooled_rows(windows, width)[:, index], mean, order="C")
+        if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
+            windows = pool_windows(_as_windows(windows, width))
+        if windows.shape[1] != width:
+            raise DataError(f"pooled windows have shape {windows.shape}, expected [n, {width}]")
+        X = np.subtract(windows[:, index], mean, order="C")
         X /= std
         return X, np.arange(len(X))
     windows = _as_windows(windows, width)
@@ -493,12 +477,12 @@ class TrainedClassifier:
         kinds of the [n, n_features] array of the windows' time means."""
         mean, std, width = self.feature_mean, self.feature_std, self.n_features
         X, rows = _model_input(self.spec.kind, windows, mean, std, width, self.columns)
-        arch = _architecture(self.spec, len(mean))
+        arch, P = _architecture(self.spec, len(mean)), self.params[None]
         # BLOCK_WINDOWS at a time, the last block taking the remainder: BLAS
         # gives small products other kernels and can change a row's bits.
         blocks = np.split(rows, range(BLOCK_WINDOWS, len(rows) - BLOCK_WINDOWS + 1, BLOCK_WINDOWS))
-        z = np.concatenate([arch.raw_scores(self.params, X.take(b, axis=0))[0] for b in blocks])
-        return _sigmoid(z)
+        z = [arch.scores(P, [self.params], [X.take(b, axis=0)])[0][0] for b in blocks]
+        return _sigmoid(np.concatenate(z))
 
 
 def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClassifier:
@@ -549,10 +533,8 @@ def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[Trai
     mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
     width = len(mean)
     picks = [list(range(width)) if c is None else list(c) for c in columns]
-    # Pooled once; each model standardizes its own copy of its columns,
-    # elementwise, so it gets the bits of a model given only those columns.
-    pooled = spec.kind in POOLED_KINDS
-    windows = _pooled_rows(windows, width) if pooled else _as_windows(windows, width)
+    # Each model standardizes its own copy of its columns, elementwise, so
+    # it gets the bits of a model given only those columns.
     inputs = [_model_input(spec.kind, windows, mean[c], std[c], width, c) for c in picks]
     archs = [_architecture(spec, len(c)) for c in picks]
 
@@ -644,7 +626,7 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
         params = arch.init(np.random.default_rng(child))
         if not hasattr(arch, "pool_margin"):
             break
-        if arch.pool_margin(arch.raw_scores(params, X)[1]) > _POOL_MARGIN:
+        if arch.pool_margin(arch.scores(params[None], [params], [X])[1][0]) > _POOL_MARGIN:
             break
     else:
         raise NumericError("could not find a max-pool-stable initialization")

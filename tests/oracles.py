@@ -154,8 +154,9 @@ def bce_dz_oracle(z, y, pos_weight):
 
 def sgd_oracle(arch, X, y, pos_weight, spec, rng):
     """Mini-batch SGD with momentum, one fancy-indexed gather per batch
-    and out-of-place updates. ``arch`` supplies init, raw_scores and
-    backward; returns the final parameters and the per-epoch mean loss."""
+    and out-of-place updates. ``arch`` supplies init and the stacked
+    scores and grads, called for one model; returns the final parameters
+    and the per-epoch mean loss."""
     params = arch.init(rng)
     velocity = np.zeros_like(params)
     log = []
@@ -165,9 +166,13 @@ def sgd_oracle(arch, X, y, pos_weight, spec, rng):
         for start in range(0, len(X), spec.batch_size):
             batch = order[start : start + spec.batch_size]
             Xb, yb = X[batch], y[batch]
-            z, cache = arch.raw_scores(params, Xb)
+            Z, cache = arch.scores(params[None], [params], [Xb])
+            z = Z[0]
             loss = weighted_bce_oracle(z, yb, pos_weight) + spec.l2 * float(params @ params)
-            grad = arch.backward(params, Xb, cache, bce_dz_oracle(z, yb, pos_weight))
+            G = np.empty((1, len(params)))
+            dz = bce_dz_oracle(z, yb, pos_weight)
+            arch.grads(params[None], [params], [Xb], cache, dz[None], G, G)
+            grad = G[0]
             grad += 2.0 * spec.l2 * params
             velocity = spec.momentum * velocity - spec.learning_rate * grad
             params = params + velocity

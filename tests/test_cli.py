@@ -140,6 +140,25 @@ class TestWeights:
         weights = [float(l.split(",")[1]) for l in lines[2:]]
         assert weights == [0.25, 0.25, 0.25, 0.25]
 
+    @pytest.mark.parametrize("reduction", ["mean", "max"])
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    def test_weights_command_equals_evaluate(self, tmp_path, kind, reduction):
+        """The weights command and evaluate weight the same train split
+        through one relevance path: for configs/quick.ini under either
+        kind and reduction, they write the same weights.csv bytes."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.ini")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.replace("kind = logistic", f"kind = {kind}")
+        ini = tmp_path / "run.ini"
+        ini.write_text(text.replace("[run]\n", f"[run]\nreduction = {reduction}\n"))
+        loaded = load_run_config(str(ini), "unused", None, 1).experiment
+        assert (loaded.classifier.kind, loaded.reduction) == (kind, reduction)
+        for command in ("weights", "evaluate"):
+            assert main([command, "--config", str(ini), "--out", str(tmp_path / command)]) == 0
+        written = [(tmp_path / c / "weights.csv").read_bytes() for c in ("weights", "evaluate")]
+        assert written[0] == written[1]
+
 
 class TestFailureModes:
     def test_missing_manifest_exits_3(self, ini, tmp_path, capsys):

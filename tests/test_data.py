@@ -31,7 +31,7 @@ from painfusion.data import (
     write_manifest,
     write_sequence_file,
 )
-from painfusion.evaluate import collect_windows
+from painfusion.evaluate import window_run
 from painfusion.models import _model_input
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.errors import ConfigError, DataError
@@ -280,7 +280,8 @@ class TestWindows:
             window_stride=stride,
             positive_fraction_threshold=threshold,
         )
-        windows, labels = collect_windows([seq], config)
+        run = window_run([seq], config)
+        windows, labels = run.windows, run.labels
         views = [make_windows(seq, length, stride, threshold)[0]]
         tensor = joined_windows_oracle(views, idx)
         blocks = np.concatenate([b for _, b in windows.blocks()])

@@ -31,7 +31,6 @@ from painfusion.errors import ConfigError, DataError, NumericError
 from painfusion.evaluate import (
     MATRIX_ARMS,
     METRIC_COLUMNS,
-    collect_windows,
     confusion_csv,
     derive_seed,
     metrics_csv,
@@ -123,6 +122,14 @@ class TestMetrics:
         ms = metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=5))
         assert ms.degenerate
         assert ms.precision_pos == 0.0
+
+    def test_empty_matrix_is_all_zero_and_degenerate(self):
+        """Every ratio of an empty matrix has a zero denominator, accuracy
+        included, so every metric is 0.0 and flagged, never raised."""
+        ms = metrics(ConfusionMatrix(0, 0, 0, 0))
+        values = [v for k, v in vars(ms).items() if k != "degenerate"]
+        assert values == [0.0] * 10
+        assert ms.degenerate
 
     @given(
         st.integers(0, 400),
@@ -301,8 +308,8 @@ class TestRunExperiment:
         configs = [_config(scheme="quadrifurcated", weighting=w) for w in weightings]
         expected = [run_experiment(seqs[:4], seqs[4:], config) for config in configs]
         scheme = scheme_by_name("quadrifurcated")
-        run = window_run(seqs, configs[0])
-        split = train_split(run, (range(4), range(4, 6)), configs[0], [scheme], 1)
+        train, valid = (window_run(part, configs[0]) for part in (seqs[:4], seqs[4:]))
+        split = train_split(train, valid, configs[0], [scheme], 1)
 
         def no_training(*args, **kwargs):
             raise AssertionError("a model was trained")
@@ -334,6 +341,33 @@ class TestRunExperiment:
             tracemalloc.stop()
         tensor_bytes = rows[0][1].n_train_windows * base.window_length * 70 * 8
         assert peak < tensor_bytes
+
+    def test_matrix_holds_the_time_means_once_while_training(self, monkeypatch):
+        """When a logistic matrix starts training, the memory traced since
+        the corpus was built is under 1.5 times one [n_windows, 70] float64
+        array of the run's time means: each split's means are held once,
+        not once for the run and again joined per split."""
+        run = load_run_config(None, "unused", 7, 1)
+        corpus = replace(run.synthetic, n_subjects=6, frames_per_subject=1500)
+        train_ids, valid_ids = synthetic_split(corpus.n_subjects)
+        train, valid = split_train_valid(generate_synthetic(corpus), train_ids, valid_ids)
+        base = replace(run.experiment, classifier=replace(run.experiment.classifier, epochs=1))
+        real_fit, held = evaluate_module.fit_lockstep, []
+
+        def measuring_fit(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", measuring_fit)
+        tracemalloc.start()
+        try:
+            run_matrix(train, valid, base, threads=1)
+        finally:
+            tracemalloc.stop()
+        rule = (base.window_length, base.window_stride)
+        n_windows = sum(len(make_windows(s, *rule)[1]) for s in train + valid)
+        assert len(held) == 1
+        assert held[0] < 1.5 * n_windows * 70 * 8
 
 
 def _count_pools(run):
@@ -387,7 +421,7 @@ class TestPooledPath:
             scheme = scheme_by_name(result.config.scheme_name, joint_map)
             for name, model in result.classifiers.items():
                 columns = scheme.modalities[name]
-                labels = collect_windows(seqs[:4], config)[1]
+                labels = window_run(seqs[:4], config).labels
                 train, valid = (
                     joined_windows_oracle([make_windows(s, *rule)[0] for s in split], columns)
                     for split in (seqs[:4], seqs[4:])

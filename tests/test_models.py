@@ -345,7 +345,8 @@ class TestPredict:
         joined = joined_windows_oracle([make_windows(s, 30, 15)[0] for s in seqs])
         joined -= model.feature_mean
         joined /= model.feature_std
-        z, _ = models._architecture(spec, 70).raw_scores(model.params, joined)
+        arch = models._architecture(spec, 70)
+        z = arch.scores(model.params[None], [model.params], [joined])[0][0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "BLOCK_WINDOWS", 32)
             probas = model.predict_proba_windows(windows)
@@ -465,7 +466,7 @@ class TestConvKernel:
         W, b_conv, w, b = arch._unpack(params)
 
         expected_act = conv_taps_oracle(X, W, b_conv)
-        act = arch.raw_scores(params, X)[1][0]
+        act = arch.scores(params[None], [params], [X])[1][0][0]
         _assert_close(act, expected_act)
 
         # Backward through max pooling and ReLU from the reference
