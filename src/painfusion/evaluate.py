@@ -9,7 +9,7 @@ raised, so heavily imbalanced splits still produce a full report.
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, partial
 
 import numpy as np
 
@@ -200,8 +200,8 @@ class WindowedRun:
     """Sequences windowed once (see ``window_run``): the sequences, their
     windows as one WindowSet over the 70 feature columns (each model reads
     its own), the int8 window labels and ``means``, the [n_windows, 70]
-    window time means: the ``rows`` slices of ``pooled``, joined on first
-    use."""
+    window time means: the ``rows`` slices of ``pooled``, joined on each
+    use (one slice is a view), so that a run holds no copy of them."""
 
     sequences: tuple[SequenceData, ...]
     windows: WindowSet
@@ -209,7 +209,7 @@ class WindowedRun:
     pooled: np.ndarray
     rows: tuple[slice, ...]
 
-    @cached_property
+    @property
     def means(self) -> np.ndarray:
         parts = [self.pooled[r] for r in self.rows]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -234,8 +234,7 @@ def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
 
 def _pick(run: WindowedRun, indices) -> WindowedRun:
     """The run of the sequences at ``indices`` of ``run``, in that order,
-    windowed and pooled by ``run``; its time means are copied on first
-    use, so a fold's train means are joined after its frame statistics."""
+    windowed and pooled by ``run``."""
     starts = np.cumsum((0,) + run.windows.counts).tolist()
     rows = tuple(slice(starts[i], starts[i + 1]) for i in indices)
     sequences = tuple(run.sequences[i] for i in indices)
@@ -259,45 +258,82 @@ class TrainedSplit:
     relevance: Callable[[], np.ndarray]
 
 
-def train_split(train, valid, base: ExperimentConfig, schemes, threads: int) -> TrainedSplit:
-    """Train each distinct modality of the schemes once on the train
-    ``WindowedRun`` and predict the validation one. Each model trains in
-    ``fit_lockstep`` on the train run's 70-column time means (pooled
-    kinds, all in one lockstep here) or WindowSet (cnn1d, one per task on
-    ``threads`` workers), with the train frame statistics and a seed
-    derived from its name. Errors are re-raised with the stage prefixed."""
-    train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
-    if train_ids & valid_ids:
-        raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
-    for name, run in (("train", train), ("validation", valid)):
-        if not run.sequences:
-            raise DataError(f"windowing: {name} split produced no windows")
-    pooled = base.classifier.kind in POOLED_KINDS
-    mean, std = frame_statistics(train.windows)
-    train_X, valid_X = (train.means, valid.means) if pooled else (train.windows, valid.windows)
-    relevance = cache(lambda: train.relevance(base.reduction))
+def train_split(splits, schemes, threads: int) -> list:
+    """Train each distinct modality of the schemes once per split and
+    predict the split's validation run. A split is a (train, valid, base)
+    triple: two ``WindowedRun``s and the config whose classifier seed each
+    model's seed is derived from, by modality name. Models train in
+    ``fit_lockstep`` with their train run's 70-column frame statistics,
+    on its time means (pooled kinds: every split's models in one
+    lockstep, so the train runs share a window count) or its WindowSet
+    (cnn1d: one model per task on ``threads`` workers).
 
-    def train_models(keys):
-        names, columns = [name for name, _ in keys], [c for _, c in keys]
-        seed = base.classifier.seed
-        specs = [replace(base.classifier, seed=derive_seed(seed, "clf:" + n)) for n in names]
-        try:
-            models = fit_lockstep(train_X, train.labels, specs, columns, (mean, std))
-        except NumericError as exc:
-            raise NumericError(f"{names[exc.model]}: {exc}") from exc
-        return [(model, model.predict_proba_windows(valid_X)) for model in models]
-
+    Returns per split its TrainedSplit, or for a split whose training
+    diverged the NumericError of its first diverging modality, named and
+    prefixed with the stage; the other splits train on. Other errors raise,
+    with the stage prefixed."""
+    for train, valid, _ in splits:
+        train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
+        if train_ids & valid_ids:
+            raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
+        for name, run in (("train", train), ("validation", valid)):
+            if not run.sequences:
+                raise DataError(f"windowing: {name} split produced no windows")
+    pooled = splits[0][2].classifier.kind in POOLED_KINDS
+    stats = [frame_statistics(train.windows) for train, _, _ in splits]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
-    groups = [keys] if pooled else [[k] for k in keys]
-    outcomes = _stage("training", lambda: map_ordered(train_models, groups, threads))
-    subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
-    return TrainedSplit(
-        models=dict(zip(keys, (outcome for group in outcomes for outcome in group))),
-        n_train_windows=len(train.labels),
-        valid_labels=valid.labels.astype(np.int64),
-        valid_subjects=tuple(subjects.tolist()),
-        relevance=relevance,
-    )
+
+    def inputs(run: WindowedRun):
+        return run.means if pooled else run.windows
+
+    def train_models(group):
+        """Per split of the group, its (model, validation probabilities)
+        pairs, or its training error."""
+        indices, group_keys = group
+        names, columns = [n for n, _ in group_keys], [c for _, c in group_keys]
+        parts = [splits[i] for i in indices]
+        specs = [
+            [replace(b.classifier, seed=derive_seed(b.classifier.seed, "clf:" + n)) for n in names]
+            for _, _, b in parts
+        ]
+        # fit_lockstep reads the sets one at a time, so each train run's
+        # time means are joined only while its models' inputs are built.
+        sets = ((inputs(train), train.labels, stats[i]) for i, (train, _, _) in zip(indices, parts))
+        outcomes = []
+        for (_, valid, _), models in zip(parts, fit_lockstep(sets, specs, [columns] * len(parts))):
+            if isinstance(models, NumericError):
+                outcomes.append(NumericError(f"training: {names[models.model]}: {models}"))
+            else:
+                valid_X = inputs(valid)
+                outcomes.append([(model, model.predict_proba_windows(valid_X)) for model in models])
+        return outcomes
+
+    if pooled:
+        groups = [(range(len(splits)), keys)]
+    else:
+        groups = [([i], [key]) for i in range(len(splits)) for key in keys]
+    results = _stage("training", lambda: map_ordered(train_models, groups, threads))
+    per_split = [[] for _ in splits]
+    for (indices, _), outcomes in zip(groups, results):
+        for i, outcome in zip(indices, outcomes):
+            per_split[i].append(outcome)
+    trained = []
+    for (train, valid, base), outcomes in zip(splits, per_split):
+        errors = [o for o in outcomes if isinstance(o, NumericError)]
+        if errors:
+            trained.append(errors[0])
+            continue
+        subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
+        trained.append(
+            TrainedSplit(
+                models=dict(zip(keys, (pair for outcome in outcomes for pair in outcome))),
+                n_train_windows=len(train.labels),
+                valid_labels=valid.labels.astype(np.int64),
+                valid_subjects=tuple(subjects.tolist()),
+                relevance=cache(partial(train.relevance, base.reduction)),
+            )
+        )
+    return trained
 
 
 def score_arm(split: TrainedSplit, config: ExperimentConfig, scheme) -> ExperimentResult:
@@ -339,7 +375,9 @@ def _run_arms(
         config.validate()
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     train, valid = (window_run(seqs, configs[0]) for seqs in (train_seqs, valid_seqs))
-    split = train_split(train, valid, configs[0], schemes, threads)
+    (split,) = train_split([(train, valid, configs[0])], schemes, threads)
+    if isinstance(split, PainFusionError):
+        raise split
     return [score_arm(split, config, scheme) for config, scheme in zip(configs, schemes)]
 
 
@@ -406,12 +444,17 @@ def loocv(
 ) -> LoocvResult:
     """Leave-one-out cross validation, by subject (default) or by
     individual sequence. The run is windowed once, before any fold
-    (``window_run``); each fold is a ``train_split`` of two runs picked
-    from it (its train and its held-out sequences), which redoes
-    standardization and training from the fold's own train part with a
-    classifier seed derived from (config.seed, fold id), scored by
-    ``score_arm``. Folds run one per task on ``threads`` worker processes;
-    the first failing fold in order raises, named.
+    (``window_run``); each fold picks its train and its held-out run from
+    it and redoes standardization and training from its own train part,
+    with a classifier seed derived from (config.seed, fold id), scored by
+    ``score_arm``.
+
+    Folds run in tasks on ``threads`` worker processes. For the pooled
+    kinds, the folds that share a train window count are cut into at most
+    ``threads`` contiguous chunks, and each chunk is one ``train_split``,
+    so its folds train in one lockstep; a ``cnn1d`` fold, or a fold whose
+    train size no other fold shares, is a task of its own. The first
+    failing fold in fold order raises, named.
     """
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
@@ -432,15 +475,47 @@ def loocv(
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
     run = window_run(sequences, config)
 
-    def fold(key):
+    def split(key):
         train = [i for i in range(len(sequences)) if i not in held_out[key]]
         train, valid = (_pick(run, part) for part in (train, held_out[key]))
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
-        fold_config = replace(config, classifier=fold_spec)
-        split = _stage(f"fold {key}", lambda: train_split(train, valid, fold_config, [scheme], 1))
-        return FoldResult(key, _stage(f"fold {key}", lambda: score_arm(split, fold_config, scheme)))
+        return train, valid, replace(config, classifier=fold_spec)
 
-    folds = map_ordered(fold, keys, threads)
+    def score(key, trained, fold_config):
+        if isinstance(trained, PainFusionError):
+            raise trained
+        return FoldResult(key, score_arm(trained, fold_config, scheme))
+
+    def run_chunk(chunk):
+        """The chunk's folds in order, up to its first failing fold, whose
+        error ends the list."""
+        splits = [split(key) for key in chunk]
+        done, trained_splits = [], train_split(splits, [scheme], 1)
+        for key, (_, _, fold_config), trained in zip(chunk, splits, trained_splits):
+            try:
+                done.append(_stage(f"fold {key}", lambda: score(key, trained, fold_config)))
+            except PainFusionError as exc:
+                return done + [exc]
+        return done
+
+    by_size = {}
+    for key in keys:
+        size = len(run.labels) - sum(run.windows.counts[i] for i in held_out[key])
+        by_size.setdefault(size, []).append(key)
+    chunks, pooled_kind = [], config.classifier.kind in POOLED_KINDS
+    for group in by_size.values():
+        n = max(1, min(threads, len(group))) if pooled_kind else len(group)
+        chunks += [group[len(group) * j // n : len(group) * (j + 1) // n] for j in range(n)]
+    outcomes = {}
+    for chunk, done in zip(chunks, map_ordered(run_chunk, chunks, threads)):
+        outcomes.update(zip(chunk, done))
+    folds = []
+    for key in keys:
+        # A fold after its chunk's failing fold has no outcome, but the
+        # failing fold comes first in fold order.
+        if isinstance(outcomes[key], PainFusionError):
+            raise outcomes[key]
+        folds.append(outcomes[key])
     matrices = [f.result.confusion_matrix for f in folds]
     pooled = sum(matrices[1:], matrices[0])
     return LoocvResult(

@@ -10,7 +10,7 @@ Three architectures over a [window_length x 70] feature window:
 All parameters live in one flat float64 vector per model (layouts are
 documented on the architecture classes), gradients are hand-derived,
 and optimization is plain mini-batch SGD with optional momentum;
-models that share their labels and hyperparameters advance in lockstep
+models that share a train size and hyperparameters advance in lockstep
 (``fit_lockstep``). Every architecture has one interface, over a stack
 of models: ``scores`` and ``grads`` (see ``_losses_and_grads``). One
 model is a stack of one, in prediction and ``grad_check`` alike. Every
@@ -23,6 +23,8 @@ BLAS's thread count.
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -36,22 +38,33 @@ STD_FLOOR = 1e-8
 _OPENBLAS = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's OpenBLAS (wheel or system build) on one thread in the
-    block or decorated call: its threads change some products' last bits,
-    and in ``--threads`` worker processes they would crowd the cores."""
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's OpenBLAS (wheel or
+    system build), or None for another BLAS; looked up once per process."""
     import ctypes
 
     blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     name = next((n for n in _OPENBLAS if hasattr(blas, n.format("set_num_threads"))), None)
     if name is None:
-        yield
-        return
+        return None
     get_threads = getattr(blas, name.format("get_num_threads"))
     set_threads = getattr(blas, name.format("set_num_threads"))
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread in the block or decorated call:
+    its threads change some products' last bits, and in ``--threads``
+    worker processes they would crowd the cores."""
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get_threads, set_threads = functions
     threads = get_threads()
     set_threads(1)
     try:
@@ -374,6 +387,7 @@ def pool_windows(windows, reduction: str = "mean") -> np.ndarray:
     pooled = np.empty((len(windows), windows.shape[2]))
     for start, block in windows.blocks():
         pooled[start : start + len(block)] = getattr(block, reduction)(axis=1)
+        del block  # freed before the next block is built
     return pooled
 
 
@@ -391,6 +405,7 @@ def _frame_sum(windows: WindowSet, center=None) -> np.ndarray:
         rows = block.reshape(-1, windows.shape[2])
         rows[0] += total
         total = np.add.reduce(rows, axis=0)
+        del block, rows  # freed before the next block is built
     return total
 
 
@@ -496,95 +511,146 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
     Positive examples are up-weighted in the loss (see ClassifierSpec).
     Raises NumericError when the loss or the gradient leaves the finite
     range; a single-label training set only sets a flag. This is
-    ``fit_lockstep`` with one model.
+    ``fit_lockstep`` with one set of one model.
     """
-    return fit_lockstep(windows, labels, [spec], [None], frame_stats)[0]
+    (models,) = fit_lockstep([(windows, labels, frame_stats)], [[spec]], [[None]])
+    if isinstance(models, NumericError):
+        raise models
+    return models[0]
+
+
+def _right_aligned(stack: np.ndarray, sizes) -> list[np.ndarray]:
+    """Each row's last ``size`` entries, as views."""
+    return [row[len(row) - size :] for row, size in zip(stack, sizes)]
 
 
 @_one_blas_thread()
-def fit_lockstep(windows, labels, specs, columns, frame_stats=None) -> list[TrainedClassifier]:
-    """Train one model per spec side by side on one set of training
-    windows (anything ``fit`` takes), model i reading and recording the
-    feature columns ``columns[i]`` (every column when None). Model i gets
-    the bits of ``fit`` on those columns of ``windows`` with the matching
-    entries of ``frame_stats``; when ``frame_stats`` is None it is the
-    ``frame_statistics`` of all the columns.
+def fit_lockstep(sets, specs, columns) -> list:
+    """Train models side by side on one or more training sets. ``sets``
+    yields one (windows, labels, frame_stats) triple per entry of
+    ``specs`` and ``columns``, with windows and frame statistics as
+    ``fit`` takes them; set g's model j has spec ``specs[g][j]`` and
+    reads and records the feature columns ``columns[g][j]`` (every column
+    when None). Model j gets the bits of ``fit`` on those columns of its
+    set's windows, with the matching entries of the set's frame
+    statistics (when None, the ``frame_statistics`` of all the columns).
+    ``sets`` is read once, in order, and each set's windows are let go
+    before the next set is read, so a caller may build them on demand.
 
-    The models share the labels, hence n and the positive weight, and
-    every spec field but the seed: kind, epochs, batch size, learning rate,
-    momentum, L2, positive class weight and layer sizes. Each model keeps
-    its own RNG (initialization, then one permutation per epoch), its own
-    unchanging standardized input, from which every kind takes each
-    batch's rows in the epoch's order into a new C-ordered array, and its
-    own matmuls; the loss terms, row sums, sigmoid, L2 term, finiteness
-    checks and momentum update run once per step over all the models
-    (see ``_losses_and_grads``). A diverging step raises
-    NumericError for the first model, in input order, whose loss or
-    gradient left the finite range, with the error's ``model`` its index.
+    All the models share the train window count and every spec field
+    but the seed: kind, epochs, batch size, learning rate, momentum, L2,
+    positive class weight and layer sizes. Each model keeps its own
+    labels (hence its positive weight), its own RNG (initialization, then
+    one permutation per epoch), its own unchanging standardized input,
+    from which every kind takes each batch's rows in the epoch's order
+    into a new C-ordered array, and its own matmuls; the loss terms, row
+    sums, sigmoid, L2 term, finiteness checks and momentum update run
+    once per step over all the models (see ``_losses_and_grads``).
+
+    Returns, per set, its trained models, or for a set that diverged a
+    NumericError for the first of its models, in input order, whose loss
+    or gradient left the finite range at the set's first diverging step,
+    with the error's ``model`` that model's index in the set. That set's
+    models leave the lockstep there, where the set alone would stop, and
+    the other sets train on.
     """
-    if len(columns) != len(specs):
-        raise ConfigError(f"got {len(specs)} specs and {len(columns)} column selections")
-    for spec in specs:
+    for set_specs, set_columns in zip_longest(specs, columns, fillvalue=()):
+        if len(set_specs) != len(set_columns):
+            message = f"got {len(set_specs)} specs and {len(set_columns)} column selections"
+            raise ConfigError(message)
+    flat = [s for set_specs in specs for s in set_specs]
+    for spec in flat:
         spec.validate()
-    if any(replace(spec, seed=0) != replace(specs[0], seed=0) for spec in specs):
+    if any(replace(s, seed=0) != replace(flat[0], seed=0) for s in flat):
         raise ConfigError("models trained in lockstep must share every spec field but the seed")
-    spec, y = specs[0], _training_labels(windows, labels)
-    pos_weight, single_class = resolve_positive_weight(spec, y)
-    mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
-    width = len(mean)
-    picks = [list(range(width)) if c is None else list(c) for c in columns]
-    # Each model standardizes its own copy of its columns, elementwise, so
-    # it gets the bits of a model given only those columns.
-    inputs = [_model_input(spec.kind, windows, mean[c], std[c], width, c) for c in picks]
-    archs = [_architecture(spec, len(c)) for c in picks]
+    spec = flat[0]
+    ys, owner, inputs, archs, models = [], [], [], [], []
+    for (windows, labels, frame_stats), set_specs, set_columns in zip(sets, specs, columns):
+        y = _training_labels(windows, labels)
+        pos_weight, single_class = resolve_positive_weight(spec, y)
+        mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
+        width = len(mean)
+        for s, given in zip(set_specs, set_columns):
+            c = list(range(width)) if given is None else list(given)
+            # Each model standardizes its own copy of its columns,
+            # elementwise, so it gets the bits of a model given only those.
+            inputs.append(_model_input(spec.kind, windows, mean[c], std[c], width, c))
+            archs.append(_architecture(spec, len(c)))
+            models.append(
+                TrainedClassifier(
+                    spec=s,
+                    n_features=width,
+                    feature_mean=mean[c],
+                    feature_std=std[c],
+                    params=None,
+                    positive_weight=pos_weight,
+                    single_class=single_class,
+                    columns=None if given is None else tuple(c),
+                )
+            )
+            owner.append(len(ys))
+        ys.append(y)
+        del windows  # a set built on demand is freed before the next one
+    if len(ys) != len(specs):
+        raise ConfigError(f"got {len(ys)} training sets and {len(specs)} lists of specs")
+    if any(len(y) != len(ys[0]) for y in ys):
+        raise ConfigError("models trained in lockstep must share a train window count")
 
-    rngs = [np.random.default_rng(np.random.SeedSequence(s.seed)) for s in specs]
-    sizes = [a.n_params for a in archs]
-    P = np.zeros((len(specs), max(sizes)))
-    params = [row[len(row) - size :] for row, size in zip(P, sizes)]
-    for p, a, rng in zip(params, archs, rngs):
+    rngs = [np.random.default_rng(np.random.SeedSequence(m.spec.seed)) for m in models]
+    sizes = np.array([a.n_params for a in archs])
+    P = np.zeros((len(models), sizes.max()))
+    for p, a, rng in zip(_right_aligned(P, sizes), archs, rngs):
         p[:] = a.init(rng)
     velocity, G = np.zeros_like(P), np.zeros_like(P)
-    grads = [row[len(row) - size :] for row, size in zip(G, sizes)]
-    n = len(y)
-    log = []
+    params, grads = _right_aligned(P, sizes), _right_aligned(G, sizes)
+    Y, owner = np.array(ys), np.array(owner)
+    weights = np.array([[m.positive_weight] for m in models])
+    n, live, logs, errors = len(ys[0]), np.arange(len(models)), [[] for _ in models], {}
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(spec.epochs):
-            order = np.array([rng.permutation(n) for rng in rngs])
-            y_epoch = y[order]
-            pos_y, neg_y = pos_weight * y_epoch, 1.0 - y_epoch
-            epoch_rows = [index[o] for (_, index), o in zip(inputs, order)]
-            totals = np.zeros(len(specs))
+            if len(live) == 0:
+                break
+            order = np.array([rngs[i].permutation(n) for i in live])
+            y_epoch = Y[owner[live, None], order]
+            pos_y, neg_y = weights[live] * y_epoch, 1.0 - y_epoch
+            epoch_rows = [inputs[i][1][o] for i, o in zip(live, order)]
+            totals = np.zeros(len(live))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                batches = [X.take(r[rows], axis=0) for (X, _), r in zip(inputs, epoch_rows)]
+                batches = [inputs[i][0].take(r[rows], axis=0) for i, r in zip(live, epoch_rows)]
                 losses = _losses_and_grads(
                     archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
                 )
-                if not (np.isfinite(losses).all() and np.isfinite(G).all()):
-                    raise _divergence(epoch, losses, grads)
+                finite = np.isfinite(losses) & np.isfinite(G).all(axis=1)
+                if not finite.all():
+                    # Set the diverged sets aside: drop their rows everywhere.
+                    failed = owner[live[~finite]]
+                    for g in dict.fromkeys(failed.tolist()):
+                        in_set = np.flatnonzero(owner[live] == g)
+                        errors[g] = _divergence(epoch, losses[in_set], [grads[i] for i in in_set])
+                    keep = ~np.isin(owner[live], failed)
+                    live, P, velocity, G = live[keep], P[keep], velocity[keep], G[keep]
+                    losses, totals = losses[keep], totals[keep]
+                    pos_y, neg_y = pos_y[keep], neg_y[keep]
+                    epoch_rows = [r for r, k in zip(epoch_rows, keep) if k]
+                    params, grads = _right_aligned(P, sizes[live]), _right_aligned(G, sizes[live])
+                    if len(live) == 0:
+                        break
                 velocity *= spec.momentum
                 velocity -= spec.learning_rate * G
                 P += velocity
                 totals += losses * len(batches[0])
-            log.append(totals / n)
+            for i, total in zip(live, (totals / n).tolist()):
+                logs[i].append(total)
 
-    return [
-        TrainedClassifier(
-            spec=s,
-            n_features=width,
-            feature_mean=mean[c],
-            feature_std=std[c],
-            params=p.copy(),
-            positive_weight=pos_weight,
-            single_class=single_class,
-            training_log=tuple(history),
-            columns=None if given is None else tuple(c),
-        )
-        for s, given, c, p, history in zip(specs, columns, picks, params, np.array(log).T.tolist())
-    ]
+    final = dict(zip(live.tolist(), params))
+    outcomes = [errors.get(g, []) for g in range(len(ys))]
+    for i, (g, model) in enumerate(zip(owner.tolist(), models)):
+        if i in final:
+            outcomes[g].append(replace(model, params=final[i].copy(), training_log=tuple(logs[i])))
+    return outcomes
 
 
 def _divergence(epoch: int, losses, grads) -> NumericError:

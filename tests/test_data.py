@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +343,20 @@ class TestSynthetic:
             assert sa.subject_id == sb.subject_id
             assert sa.features.tobytes() == sb.features.tobytes()
             assert sa.labels.tobytes() == sb.labels.tobytes()
+
+    def test_peak_memory_within_one_subject_of_the_corpus(self):
+        """Each subject's noise is scaled and shifted in place, so the
+        tracemalloc peak of a generation exceeds the arrays it returns by
+        less than one subject's [n, 70] float64 array."""
+        config = replace(default_synthetic_config(7), n_subjects=4, frames_per_subject=3000)
+        tracemalloc.start()
+        try:
+            seqs = generate_synthetic(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for s in seqs for a in (s.features, s.labels, s.extras))
+        assert peak - returned < 3000 * 70 * 8
 
     def test_labels_form_bouts(self):
         """Positive frames arrive in contiguous runs, not as salt and

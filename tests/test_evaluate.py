@@ -1,6 +1,7 @@
 """Scoring, the experiment pipeline, and cross validation."""
 
 import concurrent.futures
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -280,7 +281,7 @@ class TestRunExperiment:
         real_fit, calls = evaluate_module.fit_lockstep, []
 
         def counting_fit(*args, **kwargs):
-            calls.extend(spec.seed for spec in args[2])
+            calls.extend(spec.seed for specs in args[1] for spec in specs)
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(evaluate_module, "fit_lockstep", counting_fit)
@@ -309,7 +310,7 @@ class TestRunExperiment:
         expected = [run_experiment(seqs[:4], seqs[4:], config) for config in configs]
         scheme = scheme_by_name("quadrifurcated")
         train, valid = (window_run(part, configs[0]) for part in (seqs[:4], seqs[4:]))
-        split = train_split(train, valid, configs[0], [scheme], 1)
+        (split,) = train_split([(train, valid, configs[0])], [scheme], 1)
 
         def no_training(*args, **kwargs):
             raise AssertionError("a model was trained")
@@ -439,11 +440,12 @@ class TestPooledPath:
 
     def test_cnn1d_matrix_trains_on_one_round(self, monkeypatch):
         """cnn1d puts every distinct modality of a matrix, one model per
-        group, on a single ``map_ordered`` round."""
+        group, on a single ``map_ordered`` round. A group is (split
+        indices, modality keys), and its models are every pair of the two."""
         real_map, rounds = evaluate_module.map_ordered, []
 
         def recording_map(fn, items, workers):
-            rounds.append([len(group) for group in items])
+            rounds.append([len(indices) * len(keys) for indices, keys in items])
             return real_map(fn, items, workers)
 
         monkeypatch.setattr(evaluate_module, "map_ordered", recording_map)
@@ -590,31 +592,93 @@ class TestLoocv:
     def test_failing_fold_names_itself(self, monkeypatch):
         """A fold's error carries its fold id, keeps its type, and the
         earliest failing fold in fold order is the one raised, whatever
-        fold fails first on the pool."""
-        seqs = _corpus(n_subjects=4)
-        config = _config()
+        fold fails first: S04's models blow up in epoch 0 and S02's, or
+        S03's, in a later epoch (their frame std shrunk until they do).
+        S03 and S05 hold out shorter subjects, so at one thread S01, S02
+        and S04 train in one lockstep and S03 and S05 in another; at three
+        every fold is a task of its own."""
+        lengths = [300, 300, 250, 300, 250]
+        seqs = [
+            replace(s, features=s.features[:k], labels=s.labels[:k], extras=s.extras[:k])
+            for s, k in zip(_corpus(n_subjects=5), lengths)
+        ]
+        config = _config(epochs=8)
         names = sorted(scheme_by_name(config.scheme_name).names)
-        failing = {
-            derive_seed(derive_seed(config.seed, "fold:" + key), "clf:" + name)
-            for key in ("S02", "S04")
-            for name in names
+        fold_of = {
+            derive_seed(derive_seed(config.seed, "fold:" + key), "clf:" + names[0]): key
+            for key in ("S02", "S03", "S04")
         }
-        real_fit = evaluate_module.fit_lockstep
+        real_fit, failing = evaluate_module.fit_lockstep, {}
 
-        def fit_failing_folds(X, labels, specs, *args):
-            if specs[0].seed in failing:
-                error = NumericError("epoch 0: loss became nan")
-                error.model = 0
-                raise error
-            return real_fit(X, labels, specs, *args)
+        def shrunk(training_set, specs, columns, later):
+            """The set with its frame std shrunk until it diverges alone,
+            in epoch 0 or (``later``) in a later one."""
+            windows, labels, (mean, std) = training_set
+            for exponent in np.arange(150.0, 160.0, 0.125):
+                candidate = (windows, labels, (mean, std * 10.0**-exponent))
+                (outcome,) = real_fit([candidate], [specs], [columns])
+                if isinstance(outcome, NumericError):
+                    if str(outcome).startswith("epoch 0: ") != later:
+                        return candidate
+            raise AssertionError("no std makes the set diverge as asked")
 
-        # Forked fold workers inherit the patch.
+        def fit_failing_folds(sets, specs, columns):
+            sets = list(sets)
+            for i, set_specs in enumerate(specs):
+                key = fold_of.get(set_specs[0].seed)
+                if key in failing:
+                    sets[i] = shrunk(sets[i], set_specs, columns[i], failing[key] == "later")
+            return real_fit(sets, specs, columns)
+
+        # Forked fold workers inherit the patch and the failing folds.
         monkeypatch.setattr(evaluate_module, "fit_lockstep", fit_failing_folds)
-        for threads in (1, 3):
-            with pytest.raises(NumericError) as caught:
-                loocv(seqs, config, threads=threads)
-            assert str(caught.value) == f"fold S02: training: {names[0]}: epoch 0: loss became nan"
-            assert caught.value.exit_code == 4
+        for late in ("S02", "S03"):
+            failing.clear()
+            failing.update({late: "later", "S04": "epoch 0"})
+            messages = []
+            for threads in (1, 3):
+                with pytest.raises(NumericError) as caught:
+                    loocv(seqs, config, threads=threads)
+                assert caught.value.exit_code == 4
+                messages.append(str(caught.value))
+            pattern = rf"^fold {late}: training: ({'|'.join(names)}): epoch [1-7]: "
+            assert re.match(pattern, messages[0]), messages[0]
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_unequal_subjects_match_per_fold_runs(self, kind, monkeypatch):
+        """Subjects of 300, 250 and 200 frames: the five folds that hold out
+        a 300-frame subject share a train window count, the two 250-frame
+        folds another, and S05 trains alone, so one thread trains them in
+        three lockstep chunks of 5, 2 and 1 folds. At one thread and at
+        three every fold equals a ``run_experiment`` on its own split and
+        fold config bit for bit."""
+        lengths = [300, 250, 300, 300, 200, 300, 250, 300]
+        seqs = [
+            replace(s, features=s.features[:k], labels=s.labels[:k], extras=s.extras[:k])
+            for s, k in zip(_corpus(n_subjects=8), lengths)
+        ]
+        config = _config(scheme="quadrifurcated", hidden_units=4)
+        config = replace(config, classifier=replace(config.classifier, kind=kind))
+        real_fit, chunks = evaluate_module.fit_lockstep, []
+
+        def recording_fit(sets, specs, columns):
+            chunks.append(len(specs))
+            return real_fit(sets, specs, columns)
+
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", recording_fit)
+        one = loocv(seqs, config, threads=1)
+        assert chunks == [5, 2, 1]
+        three = loocv(seqs, config, threads=3)
+        assert [f.fold_id for f in three.folds] == [s.subject_id for s in seqs]
+        for fa, fb, held in zip(one.folds, three.folds, seqs, strict=True):
+            train = [s for s in seqs if s is not held]
+            seed = derive_seed(config.seed, "fold:" + held.subject_id)
+            fold_config = replace(config, classifier=replace(config.classifier, seed=seed))
+            alone = run_experiment(train, [held], fold_config)
+            _assert_same_models(fa.result, alone)
+            _assert_same_models(fb.result, alone)
+        assert one.pooled_confusion == three.pooled_confusion
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)

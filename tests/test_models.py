@@ -1,7 +1,9 @@
 """Classifier training, gradients, and prediction."""
 
 import ctypes
+import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +114,7 @@ class TestFit:
         labels = np.arange(len(windows)) % 2
         semg = quadrifurcated_scheme().modalities["semg"]
         spec = ClassifierSpec(kind=kind, seed=2, epochs=2)
-        (model,) = fit_lockstep(windows, labels, [spec], [semg])
+        ((model,),) = fit_lockstep([(windows, labels, None)], [[spec]], [[semg]])
         narrow = WindowSet([frames[:, list(semg)]], 10, 5, 4)
         alone = fit(narrow, labels, spec)
         assert (model.columns, model.n_features) == (semg, 70)
@@ -249,7 +251,7 @@ class TestLockstep:
             )
             for s in rng.integers(0, 2**32, len(columns))
         ]
-        trained = fit_lockstep(X, labels, specs, columns, (mean, std))
+        (trained,) = fit_lockstep([(X, labels, (mean, std))], [specs], [columns])
         assert len(trained) == len(specs)
         for model, spec, c in zip(trained, specs, columns):
             alone = fit(X[:, c], labels, spec, (mean[c], std[c]))
@@ -266,9 +268,88 @@ class TestLockstep:
         mean, std = frame_statistics(windows)
         std[2:4] = 1e-300
         specs = [ClassifierSpec(kind="logistic", seed=s, epochs=3) for s in (1, 2, 3)]
-        with pytest.raises(NumericError, match=r"^epoch 0: ") as caught:
-            fit_lockstep(windows, labels, specs, [[0, 1], [2, 3], [4, 5]], (mean, std))
-        assert caught.value.model == 1
+        columns = [[0, 1], [2, 3], [4, 5]]
+        (error,) = fit_lockstep([(windows, labels, (mean, std))], [specs], [columns])
+        assert isinstance(error, NumericError)
+        assert str(error).startswith("epoch 0: ")
+        assert error.model == 1
+
+    def test_sets_keep_their_own_labels_and_inputs(self):
+        """Three training sets of 37 windows, each with its own windows,
+        labels (hence positive weight) and frame statistics, train in one
+        lockstep; every model gets the bits of ``fit`` on its own set."""
+        rng = np.random.default_rng(5)
+        sets, specs, columns = [], [], []
+        for g in range(3):
+            X = rng.standard_normal((37, 8)) * rng.uniform(0.5, 4, 8)
+            labels = (rng.random(37) < 0.2 + 0.25 * g).astype(np.int8)
+            sets.append((X, labels, (X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR))))
+            spec = ClassifierSpec(kind="mlp", seed=g, epochs=3, batch_size=8)
+            specs.append([spec, replace(spec, seed=g + 10)])
+            columns.append([[0, 2, 4], None])
+        outcomes = fit_lockstep(sets, specs, columns)
+        assert len({m.positive_weight for models in outcomes for m in models}) == 3
+        for (X, labels, (mean, std)), set_specs, set_columns, models in zip(
+            sets, specs, columns, outcomes, strict=True
+        ):
+            for model, spec, c in zip(models, set_specs, set_columns, strict=True):
+                c = slice(None) if c is None else c
+                alone = fit(X[:, c], labels, spec, (mean[c], std[c]))
+                assert model.params.tobytes() == alone.params.tobytes()
+                assert model.training_log == alone.training_log
+                assert model.positive_weight == alone.positive_weight
+
+    def test_diverged_set_leaves_the_others_intact(self):
+        """Set 1's inputs blow up in epoch 0 (a tiny frame std), set 0's in
+        a later epoch (a std shrunk until they do) and set 2's never. Each
+        diverged set gets the error of its own lockstep, message and model
+        index, while set 2 trains on to the bits of its own lockstep."""
+        rng = np.random.default_rng(8)
+        spec = ClassifierSpec(kind="logistic", seed=0, epochs=8, batch_size=8)
+        specs = [[replace(spec, seed=g), replace(spec, seed=g + 10)] for g in range(3)]
+        columns = [[[0, 1, 2], [3, 4, 5]]] * 3
+        sets = []
+        for _ in range(3):
+            X = rng.standard_normal((48, 6))
+            labels = (X[:, 0] + rng.standard_normal(48) > 0).astype(np.int8)
+            sets.append((X, labels, (X.mean(axis=0), X.std(axis=0))))
+
+        def alone(g, training_set):
+            return fit_lockstep([training_set], [specs[g]], [columns[g]])[0]
+
+        def shrunk(training_set, factor):
+            X, labels, (mean, std) = training_set
+            return X, labels, (mean, std * factor)
+
+        sets[1] = shrunk(sets[1], 1e-300)
+        for exponent in np.arange(150.0, 160.0, 0.125):
+            late = shrunk(sets[0], 10.0**-exponent)
+            outcome = alone(0, late)
+            if isinstance(outcome, NumericError) and not str(outcome).startswith("epoch 0: "):
+                sets[0] = late
+                break
+        else:
+            pytest.fail("no std makes set 0 diverge after epoch 0")
+
+        together = fit_lockstep(sets, specs, columns)
+        assert str(together[1]).startswith("epoch 0: ")
+        assert not str(together[0]).startswith("epoch 0: ")
+        for g, outcome in enumerate(together):
+            reference = alone(g, sets[g])
+            if g < 2:
+                assert isinstance(outcome, NumericError)
+                assert (str(outcome), outcome.model) == (str(reference), reference.model)
+                continue
+            for model, single in zip(outcome, reference, strict=True):
+                assert model.params.tobytes() == single.params.tobytes()
+                assert model.training_log == single.training_log
+
+    def test_sets_must_share_a_train_size(self):
+        windows, labels = _random_windows()
+        specs = [[ClassifierSpec(kind="logistic", seed=s)] for s in (1, 2)]
+        sets = [(windows, labels, None), (windows[:-1], labels[:-1], None)]
+        with pytest.raises(ConfigError, match="must share a train window count"):
+            fit_lockstep(sets, specs, [[None], [None]])
 
     def test_specs_must_agree_but_for_the_seed(self):
         windows, labels = _random_windows()
@@ -277,16 +358,16 @@ class TestLockstep:
             ClassifierSpec(kind="logistic", seed=2, learning_rate=0.01),
         ]
         with pytest.raises(ConfigError, match="share every spec field but the seed"):
-            fit_lockstep(windows, labels, specs, [None, None])
+            fit_lockstep([(windows, labels, None)], [specs], [[None, None]])
 
     def test_specs_and_column_selections_must_pair_up(self):
         """One column selection per spec, checked before any training."""
         windows, labels = _random_windows()
         specs = [ClassifierSpec(kind="logistic", seed=s) for s in (1, 2)]
         with pytest.raises(ConfigError, match="^got 1 specs and 2 column selections$"):
-            fit_lockstep(windows, labels, specs[:1], [[0], [1]])
+            fit_lockstep([(windows, labels, None)], [specs[:1]], [[[0], [1]]])
         with pytest.raises(ConfigError, match="^got 2 specs and 1 column selections$"):
-            fit_lockstep(windows, labels, specs, [None])
+            fit_lockstep([(windows, labels, None)], [specs], [[None]])
 
 
 class TestPredict:
@@ -522,6 +603,27 @@ class TestConvRegression:
 
 
 class TestBlasThreads:
+    def test_repeated_fits_leave_no_ctypes_garbage(self):
+        """OpenBLAS and its thread functions are looked up once per
+        process, so fitting and predicting again leave no ctypes object
+        for the garbage collector."""
+        windows, labels = _random_windows()
+        spec = ClassifierSpec(kind="logistic", seed=0, epochs=1)
+        fit(windows, labels, spec).predict_proba_windows(windows)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                fit(windows, labels, spec).predict_proba_windows(windows)
+            gc.collect()
+            leaked = [o for o in gc.garbage if type(o).__module__ in ("ctypes", "_ctypes")]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
+
     def test_training_and_prediction_run_one_openblas_thread(self, monkeypatch):
         """OpenBLAS's threads can change a product's last bits, so ``fit``
         and ``predict_proba_windows`` run it on one thread, and leave the
