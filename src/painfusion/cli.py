@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for loocv folds, cnn1d modalities and corpus files",
+        help="worker processes for training tasks and corpus files",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 

@@ -258,20 +258,30 @@ class TrainedSplit:
     relevance: Callable[[], np.ndarray]
 
 
-def train_split(splits, schemes, threads: int) -> list:
-    """Train each distinct modality of the schemes once per split and
-    predict the split's validation run. A split is a (train, valid, base)
-    triple: two ``WindowedRun``s and the config whose classifier seed each
-    model's seed is derived from, by modality name. Models train in
-    ``fit_lockstep`` with their train run's 70-column frame statistics,
-    on its time means (pooled kinds: every split's models in one
-    lockstep, so the train runs share a window count) or its WindowSet
-    (cnn1d: one model per task on ``threads`` workers).
+LOCKSTEP_SPLITS = 6  # the most splits whose inputs one pooled lockstep holds
+
+
+def train_split(splits, configs, threads: int) -> list:
+    """Train each distinct modality of the configs' schemes once per split
+    and predict the split's validation run. A split is a (train, valid,
+    base) triple: two ``WindowedRun``s and the config whose classifier seed
+    each model's seed is derived from, by modality name.
+
+    The one training planner; its tasks run on ``threads`` workers
+    (``map_ordered``). Pooled kinds train on time means: each group of
+    splits that share a train window count is cut into at most ``threads``
+    contiguous chunks of at most LOCKSTEP_SPLITS, and a chunk is a task and
+    one ``fit_lockstep``. A cnn1d model trains alone on the WindowSet, in
+    a task of its split when the splits fill the pool, else of its own. A
+    split's frame statistics are computed once, by its task before it
+    trains (here when several tasks train it), and its relevance, when a
+    config weighs statistically, by a task that trains all its modalities,
+    else on first use.
 
     Returns per split its TrainedSplit, or for a split whose training
-    diverged the NumericError of its first diverging modality, named and
-    prefixed with the stage; the other splits train on. Other errors raise,
-    with the stage prefixed."""
+    diverged the NumericError of its first diverging modality, named, or
+    the error its task's relevance raised, each prefixed with the stage;
+    the other splits train on. Other errors raise, with the stage prefixed."""
     for train, valid, _ in splits:
         train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
         if train_ids & valid_ids:
@@ -279,68 +289,94 @@ def train_split(splits, schemes, threads: int) -> list:
         for name, run in (("train", train), ("validation", valid)):
             if not run.sequences:
                 raise DataError(f"windowing: {name} split produced no windows")
-    pooled = splits[0][2].classifier.kind in POOLED_KINDS
-    stats = [frame_statistics(train.windows) for train, _, _ in splits]
+    schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
+    weighs = any(c.weighting == STATISTICAL for c in configs)
+    pooled = splits[0][2].classifier.kind in POOLED_KINDS
+    if pooled:
+        by_size = {}
+        for i, (train, _, _) in enumerate(splits):
+            by_size.setdefault(len(train.labels), []).append(i)
+        tasks = []
+        for group in by_size.values():
+            n = max(min(threads, len(group)), -(-len(group) // LOCKSTEP_SPLITS))
+            tasks += [(group[len(group) * j // n : len(group) * (j + 1) // n], keys) for j in range(n)]
+    elif len(splits) >= threads:
+        tasks = [([i], keys) for i in range(len(splits))]
+    else:
+        tasks = [([i], [key]) for i in range(len(splits)) for key in keys]
+    shared = len(tasks) > len(splits)  # each split is several tasks, one per modality
+    stats = [frame_statistics(train.windows) if shared else None for train, _, _ in splits]
 
     def inputs(run: WindowedRun):
         return run.means if pooled else run.windows
 
-    def train_models(group):
-        """Per split of the group, its (model, validation probabilities)
-        pairs, or its training error."""
-        indices, group_keys = group
-        names, columns = [n for n, _ in group_keys], [c for _, c in group_keys]
-        parts = [splits[i] for i in indices]
-        specs = [
-            [replace(b.classifier, seed=derive_seed(b.classifier.seed, "clf:" + n)) for n in names]
-            for _, _, b in parts
-        ]
-        # fit_lockstep reads the sets one at a time, so each train run's
-        # time means are joined only while its models' inputs are built.
-        sets = ((inputs(train), train.labels, stats[i]) for i, (train, _, _) in zip(indices, parts))
-        outcomes = []
-        for (_, valid, _), models in zip(parts, fit_lockstep(sets, specs, [columns] * len(parts))):
-            if isinstance(models, NumericError):
-                outcomes.append(NumericError(f"training: {names[models.model]}: {models}"))
-            else:
-                valid_X = inputs(valid)
-                outcomes.append([(model, model.predict_proba_windows(valid_X)) for model in models])
-        return outcomes
+    def train_task(task):
+        """Per split of the task, its index, its relevance or None, and its
+        (model, validation probabilities) pairs and errors in order."""
+        indices, task_keys = task
+        own = {i: stats[i] or frame_statistics(splits[i][0].windows) for i in indices}
+        done = {i: [] for i in indices}
+        # A cnn1d model holds all of its modality's frames, so it trains alone.
+        for part, part_keys in [task] if pooled else [([i], [k]) for i in indices for k in task_keys]:
+            names, columns = zip(*part_keys)
+            specs = [
+                [replace(b.classifier, seed=derive_seed(b.classifier.seed, "clf:" + n)) for n in names]
+                for _, _, b in (splits[i] for i in part)
+            ]
+            # fit_lockstep reads the sets one at a time, so each train run's
+            # time means are joined only while its models' inputs are built.
+            sets = ((inputs(splits[i][0]), splits[i][0].labels, own[i]) for i in part)
+            for i, models in zip(part, fit_lockstep(sets, specs, [columns] * len(part))):
+                if isinstance(models, NumericError):
+                    done[i].append(NumericError(f"training: {names[models.model]}: {models}"))
+                else:
+                    valid_X = inputs(splits[i][1])
+                    done[i] += [(model, model.predict_proba_windows(valid_X)) for model in models]
 
-    if pooled:
-        groups = [(range(len(splits)), keys)]
-    else:
-        groups = [([i], [key]) for i in range(len(splits)) for key in keys]
-    results = _stage("training", lambda: map_ordered(train_models, groups, threads))
-    per_split = [[] for _ in splits]
-    for (indices, _), outcomes in zip(groups, results):
-        for i, outcome in zip(indices, outcomes):
-            per_split[i].append(outcome)
+        def relevance(i):
+            """The split's relevance, if this task computes it; an error it
+            raises ends the split's outcomes."""
+            if weighs and not shared:
+                train, _, base = splits[i]
+                try:
+                    return _stage("weighting", lambda: train.relevance(base.reduction))
+                except PainFusionError as exc:
+                    done[i].append(exc)
+
+        return [(i, relevance(i), done[i]) for i in indices]
+
+    per_split, relevances = [[] for _ in splits], [None] * len(splits)
+    for results in _stage("training", lambda: map_ordered(train_task, tasks, threads)):
+        for i, relevance, outcomes in results:
+            per_split[i] += outcomes
+            relevances[i] = relevance
     trained = []
-    for (train, valid, base), outcomes in zip(splits, per_split):
-        errors = [o for o in outcomes if isinstance(o, NumericError)]
+    for (train, valid, base), outcomes, relevance in zip(splits, per_split, relevances):
+        errors = [o for o in outcomes if isinstance(o, PainFusionError)]
         if errors:
             trained.append(errors[0])
             continue
         subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
+        lazy = cache(partial(train.relevance, base.reduction))
         trained.append(
             TrainedSplit(
-                models=dict(zip(keys, (pair for outcome in outcomes for pair in outcome))),
+                models=dict(zip(keys, outcomes)),
                 n_train_windows=len(train.labels),
                 valid_labels=valid.labels.astype(np.int64),
                 valid_subjects=tuple(subjects.tolist()),
-                relevance=cache(partial(train.relevance, base.reduction)),
+                relevance=lazy if relevance is None else lambda r=relevance: r,
             )
         )
     return trained
 
 
-def score_arm(split: TrainedSplit, config: ExperimentConfig, scheme) -> ExperimentResult:
+def score_arm(split: TrainedSplit, config: ExperimentConfig) -> ExperimentResult:
     """Score one arm on a trained split without training anything: the
-    scheme's weights under the config's weighting rule, the vote of its
-    modalities' validation probabilities, and the confusion matrix and
-    metrics against the validation labels."""
+    weights of the config's scheme under its weighting rule, the vote of
+    the scheme's modalities' validation probabilities, and the confusion
+    matrix and metrics against the validation labels."""
+    scheme = scheme_by_name(config.scheme_name, config.joint_map)
     weights = _stage("weighting", lambda: fusion_weights(config.weighting, scheme, split.relevance))
     outcomes = {name: split.models[name, scheme.modalities[name]] for name in sorted(scheme.names)}
     probas = {name: p for name, (_, p) in outcomes.items()}
@@ -373,12 +409,11 @@ def _run_arms(
     (``train_split``) and scored per config (``score_arm``)."""
     for config in configs:
         config.validate()
-    schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     train, valid = (window_run(seqs, configs[0]) for seqs in (train_seqs, valid_seqs))
-    (split,) = train_split([(train, valid, configs[0])], schemes, threads)
+    (split,) = train_split([(train, valid, configs[0])], configs, threads)
     if isinstance(split, PainFusionError):
         raise split
-    return [score_arm(split, config, scheme) for config, scheme in zip(configs, schemes)]
+    return [score_arm(split, config) for config in configs]
 
 
 def run_experiment(
@@ -446,15 +481,10 @@ def loocv(
     individual sequence. The run is windowed once, before any fold
     (``window_run``); each fold picks its train and its held-out run from
     it and redoes standardization and training from its own train part,
-    with a classifier seed derived from (config.seed, fold id), scored by
-    ``score_arm``.
-
-    Folds run in tasks on ``threads`` worker processes. For the pooled
-    kinds, the folds that share a train window count are cut into at most
-    ``threads`` contiguous chunks, and each chunk is one ``train_split``,
-    so its folds train in one lockstep; a ``cnn1d`` fold, or a fold whose
-    train size no other fold shares, is a task of its own. The first
-    failing fold in fold order raises, named.
+    with a classifier seed derived from (config.seed, fold id). One
+    ``train_split`` trains every fold on ``threads`` workers, and each
+    fold is scored by ``score_arm`` in this process. The first failing
+    fold in fold order raises, named.
     """
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
@@ -472,50 +502,18 @@ def loocv(
         held_out = {k: [i] for i, k in enumerate(keys)}
     if len(keys) < 2:
         raise DataError(f"cross validation needs at least 2 folds, got {len(keys)}")
-    scheme = scheme_by_name(config.scheme_name, config.joint_map)
     run = window_run(sequences, config)
-
-    def split(key):
+    splits = []
+    for key in keys:
         train = [i for i in range(len(sequences)) if i not in held_out[key]]
-        train, valid = (_pick(run, part) for part in (train, held_out[key]))
         fold_spec = replace(config.classifier, seed=derive_seed(config.seed, "fold:" + key))
-        return train, valid, replace(config, classifier=fold_spec)
-
-    def score(key, trained, fold_config):
-        if isinstance(trained, PainFusionError):
-            raise trained
-        return FoldResult(key, score_arm(trained, fold_config, scheme))
-
-    def run_chunk(chunk):
-        """The chunk's folds in order, up to its first failing fold, whose
-        error ends the list."""
-        splits = [split(key) for key in chunk]
-        done, trained_splits = [], train_split(splits, [scheme], 1)
-        for key, (_, _, fold_config), trained in zip(chunk, splits, trained_splits):
-            try:
-                done.append(_stage(f"fold {key}", lambda: score(key, trained, fold_config)))
-            except PainFusionError as exc:
-                return done + [exc]
-        return done
-
-    by_size = {}
-    for key in keys:
-        size = len(run.labels) - sum(run.windows.counts[i] for i in held_out[key])
-        by_size.setdefault(size, []).append(key)
-    chunks, pooled_kind = [], config.classifier.kind in POOLED_KINDS
-    for group in by_size.values():
-        n = max(1, min(threads, len(group))) if pooled_kind else len(group)
-        chunks += [group[len(group) * j // n : len(group) * (j + 1) // n] for j in range(n)]
-    outcomes = {}
-    for chunk, done in zip(chunks, map_ordered(run_chunk, chunks, threads)):
-        outcomes.update(zip(chunk, done))
+        fold_config = replace(config, classifier=fold_spec)
+        splits.append((_pick(run, train), _pick(run, held_out[key]), fold_config))
     folds = []
-    for key in keys:
-        # A fold after its chunk's failing fold has no outcome, but the
-        # failing fold comes first in fold order.
-        if isinstance(outcomes[key], PainFusionError):
-            raise outcomes[key]
-        folds.append(outcomes[key])
+    for key, split, trained in zip(keys, splits, train_split(splits, [config], threads)):
+        if isinstance(trained, PainFusionError):
+            raise type(trained)(f"fold {key}: {trained}") from trained
+        folds.append(FoldResult(key, _stage(f"fold {key}", lambda: score_arm(trained, split[2]))))
     matrices = [f.result.confusion_matrix for f in folds]
     pooled = sum(matrices[1:], matrices[0])
     return LoocvResult(

@@ -1,6 +1,7 @@
 """Scoring, the experiment pipeline, and cross validation."""
 
 import concurrent.futures
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -308,16 +309,15 @@ class TestRunExperiment:
         weightings = ("statistical", "average")
         configs = [_config(scheme="quadrifurcated", weighting=w) for w in weightings]
         expected = [run_experiment(seqs[:4], seqs[4:], config) for config in configs]
-        scheme = scheme_by_name("quadrifurcated")
         train, valid = (window_run(part, configs[0]) for part in (seqs[:4], seqs[4:]))
-        (split,) = train_split([(train, valid, configs[0])], [scheme], 1)
+        (split,) = train_split([(train, valid, configs[0])], configs, 1)
 
         def no_training(*args, **kwargs):
             raise AssertionError("a model was trained")
 
         monkeypatch.setattr(evaluate_module, "fit_lockstep", no_training)
         for config, reference in zip(configs, expected, strict=True):
-            result = score_arm(split, config, scheme)
+            result = score_arm(split, config)
             _assert_same_models(result, reference)
             assert result.weights == reference.weights
             assert result.confusion_matrix == reference.confusion_matrix
@@ -440,12 +440,14 @@ class TestPooledPath:
 
     def test_cnn1d_matrix_trains_on_one_round(self, monkeypatch):
         """cnn1d puts every distinct modality of a matrix, one model per
-        group, on a single ``map_ordered`` round. A group is (split
-        indices, modality keys), and its models are every pair of the two."""
+        task, on a single ``map_ordered`` round when the one split cannot
+        fill the pool. A task is (split indices, modality keys), and its
+        models are every pair of the two. A loocv whose folds fill the
+        pool makes each fold one task, of all its modalities."""
         real_map, rounds = evaluate_module.map_ordered, []
 
         def recording_map(fn, items, workers):
-            rounds.append([len(indices) * len(keys) for indices, keys in items])
+            rounds.append([(len(indices), len(keys)) for indices, keys in items])
             return real_map(fn, items, workers)
 
         monkeypatch.setattr(evaluate_module, "map_ordered", recording_map)
@@ -453,7 +455,10 @@ class TestPooledPath:
         config = _config(epochs=1)
         config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
         run_matrix(seqs[:3], seqs[3:], config, threads=2)
-        assert rounds == [[1] * 6]
+        assert rounds == [[(1, 1)] * 6]
+        rounds.clear()
+        loocv(seqs, config, threads=3)
+        assert rounds == [[(1, 2)] * 4]
 
 
 class TestLoocv:
@@ -679,6 +684,92 @@ class TestLoocv:
             _assert_same_models(fa.result, alone)
             _assert_same_models(fb.result, alone)
         assert one.pooled_confusion == three.pooled_confusion
+
+    def test_a_lockstep_trains_at_most_six_folds(self, monkeypatch):
+        """At one thread, eight folds of one train size train as two
+        locksteps of four, never more than LOCKSTEP_SPLITS folds in one,
+        and the memory traced while a lockstep runs peaks under six
+        [n_windows, 70] float64 arrays of the run's time means: one
+        lockstep of all eight folds' inputs would add about ten."""
+        seqs = _corpus(n_subjects=8, frames=1500)
+        config = _config(scheme="quadrifurcated", epochs=1)
+        real_fit, sizes, peaks = evaluate_module.fit_lockstep, [], []
+
+        def measuring_fit(sets, specs, columns):
+            sizes.append(len(specs))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            outcomes = real_fit(sets, specs, columns)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return outcomes
+
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", measuring_fit)
+        tracemalloc.start()
+        try:
+            loocv(seqs, config, threads=1)
+        finally:
+            tracemalloc.stop()
+        n_windows = sum(len(make_windows(s, 20, 10)[1]) for s in seqs)
+        assert evaluate_module.LOCKSTEP_SPLITS == 6
+        assert sizes == [4, 4]
+        assert max(peaks) < 6 * n_windows * 70 * 8
+
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    def test_each_split_has_its_statistics_and_relevance_once(self, kind, tmp_path, monkeypatch):
+        """Every fold's frame statistics and relevance are computed once,
+        by the task that trains the fold, so a loocv at three threads
+        computes none of them in the calling process. A loocv whose only
+        arm weighs by average computes no relevance. A cnn1d matrix at two
+        threads trains its split in six tasks, so it computes the split's
+        statistics and its relevance in the calling process, once each."""
+        log = tmp_path / "calls"
+        for name in ("frame_statistics", "feature_relevance"):
+
+            def recording(*args, _real=getattr(evaluate_module, name), _name=name):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{_name} {os.getpid()}\n")
+                return _real(*args)
+
+            monkeypatch.setattr(evaluate_module, name, recording)
+
+        def calls(run):
+            """The (function name, called in this process) pairs of run()."""
+            log.write_text("", encoding="utf-8")
+            run()
+            lines = log.read_text(encoding="utf-8").split()
+            return sorted((n, int(pid) == os.getpid()) for n, pid in zip(lines[::2], lines[1::2]))
+
+        seqs = _corpus(n_subjects=4)
+        config = _config(scheme="quadrifurcated", epochs=1)
+        config = replace(config, classifier=replace(config.classifier, kind=kind))
+        each = [("feature_relevance", True)] * 4 + [("frame_statistics", True)] * 4
+        assert calls(lambda: loocv(seqs, config, threads=1)) == each
+        in_workers = [(name, False) for name, _ in each]
+        assert calls(lambda: loocv(seqs, config, threads=3)) == in_workers
+        average = replace(config, weighting="average")
+        for threads in (1, 3):
+            names = [name for name, _ in calls(lambda: loocv(seqs, average, threads=threads))]
+            assert names == ["frame_statistics"] * 4
+        matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
+        assert matrix == [("feature_relevance", True), ("frame_statistics", True)]
+
+    def test_relevance_error_names_its_fold(self):
+        """A fold whose training task computes its relevance and fails
+        there (two train windows are too few to rank) reports it as its
+        weighting stage, as scoring would, at one thread and at three."""
+        seqs = [
+            replace(s, features=s.features[:20], labels=s.labels[:20], extras=s.extras[:20])
+            for s in _corpus(n_subjects=3)
+        ]
+        for kind in ("logistic", "cnn1d"):
+            config = _config(epochs=1)
+            config = replace(config, classifier=replace(config.classifier, kind=kind))
+            for threads in (1, 3):
+                with pytest.raises(DataError) as caught:
+                    loocv(seqs, config, threads=threads)
+                assert str(caught.value) == "fold S01: weighting: need at least 3 samples, got 2"
+                with pytest.raises(DataError, match="^weighting: need at least 3 samples, got 2$"):
+                    run_matrix(seqs[:2], seqs[2:], config, threads=threads)
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)
