@@ -87,30 +87,36 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
         raise DataError(f"no data rows for subject {subject_id!r}")
 
     sep = "," if "," in lines[0] else None  # None -> any whitespace
-    rows = []
-    for i, line in enumerate(lines):
-        tokens = [t for t in line.split(sep) if t != ""]
-        if len(tokens) < _MIN_COLUMNS:
-            raise DataError(
-                f"row {i + 1}: {len(tokens)} columns, need {_MIN_COLUMNS}"
-            )
-        rows.append(tokens[:_MIN_COLUMNS])
-
-    try:
-        matrix = np.array(rows, dtype=np.float64)
-    except ValueError:
-        i, j, token = _locate_bad_token(rows)
-        raise DataError(
-            f"row {i + 1}, column {j + 1}: cannot parse {token!r}"
-        ) from None
-    if not np.isfinite(matrix).all():
-        i, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise DataError(
-            f"row {i + 1}, column {j + 1}: non-finite value {rows[i][j]!r}"
+    try:  # one bulk parse; text that it refuses or reads otherwise goes row by row
+        matrix = np.loadtxt(
+            io.StringIO(data), delimiter=sep, usecols=range(_MIN_COLUMNS), comments=None, ndmin=2
         )
+    except ValueError:
+        matrix = None
+    if matrix is None or len(matrix) != len(lines) or not np.isfinite(matrix).all():
+        rows = []
+        for i, line in enumerate(lines):
+            tokens = [t for t in line.split(sep) if t != ""]
+            if len(tokens) < _MIN_COLUMNS:
+                raise DataError(
+                    f"row {i + 1}: {len(tokens)} columns, need {_MIN_COLUMNS}"
+                )
+            rows.append(tokens[:_MIN_COLUMNS])
+        try:
+            matrix = np.array(rows, dtype=np.float64)
+        except ValueError:
+            i, j, token = _locate_bad_token(rows)
+            raise DataError(
+                f"row {i + 1}, column {j + 1}: cannot parse {token!r}"
+            ) from None
+        if not np.isfinite(matrix).all():
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise DataError(
+                f"row {i + 1}, column {j + 1}: non-finite value {rows[i][j]!r}"
+            )
 
     raw_labels = matrix[:, 72]
-    labels = np.empty(len(rows), dtype=np.int8)
+    labels = np.empty(len(matrix), dtype=np.int8)
     near_zero = np.abs(raw_labels) <= _LABEL_TOL
     near_one = np.abs(raw_labels - 1.0) <= _LABEL_TOL
     bad = ~(near_zero | near_one)

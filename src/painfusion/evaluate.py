@@ -24,8 +24,9 @@ from .stats import (
     REDUCTIONS,
     STATISTICAL,
     FusionWeights,
-    feature_relevance,
     fusion_weights,
+    ranked_relevance,
+    sort_columns,
 )
 
 WEIGHTINGS = (STATISTICAL, AVERAGE)
@@ -201,13 +202,16 @@ class WindowedRun:
     windows as one WindowSet over the 70 feature columns (each model reads
     its own), the int8 window labels and ``means``, the [n_windows, 70]
     window time means: the ``rows`` slices of ``pooled``, joined on each
-    use (one slice is a view), so that a run holds no copy of them."""
+    use (one slice is a view), so that a run holds no copy of them.
+    ``sort(reduction)``, cached per process, is ``sort_columns`` of the
+    reduced matrix of the ``window_run`` run that ``pooled`` pools."""
 
     sequences: tuple[SequenceData, ...]
     windows: WindowSet
     labels: np.ndarray
     pooled: np.ndarray
     rows: tuple[slice, ...]
+    sort: Callable[[str], tuple[np.ndarray, np.ndarray]]
 
     @property
     def means(self) -> np.ndarray:
@@ -215,10 +219,9 @@ class WindowedRun:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def relevance(self, reduction: str) -> np.ndarray:
-        """``feature_relevance`` of the run under the reduction: of its time
-        means under ``mean``, else of its windows."""
-        reduced = self.means if reduction == "mean" else self.windows
-        return feature_relevance(reduced, self.labels, reduction)
+        """``feature_relevance`` of the run under the reduction, bit for bit,
+        ranked from its rows of the sorted reduced matrix."""
+        return ranked_relevance(*self.sort(reduction), self.labels, self.rows)
 
 
 def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
@@ -229,19 +232,21 @@ def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
     labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
     windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
     labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
-    return WindowedRun(tuple(sequences), windows, labels, pool_windows(windows), (slice(None),))
+    pooled = pool_windows(windows)
+    sort = cache(lambda r: sort_columns(pooled if r == "mean" else pool_windows(windows, r)))
+    return WindowedRun(tuple(sequences), windows, labels, pooled, (slice(None),), sort)
 
 
 def _pick(run: WindowedRun, indices) -> WindowedRun:
-    """The run of the sequences at ``indices`` of ``run``, in that order,
-    windowed and pooled by ``run``."""
+    """The run of the sequences at ``indices`` of a run that ``window_run``
+    made, in that order, windowed, pooled and sorted by ``run``."""
     starts = np.cumsum((0,) + run.windows.counts).tolist()
     rows = tuple(slice(starts[i], starts[i + 1]) for i in indices)
     sequences = tuple(run.sequences[i] for i in indices)
     rule = (run.windows.shape[1], run.windows.stride, N_FEATURES)
     windows = WindowSet([s.features for s in sequences], *rule)
     labels = np.concatenate([run.labels[r] for r in rows])
-    return WindowedRun(sequences, windows, labels, run.means, rows)
+    return WindowedRun(sequences, windows, labels, run.pooled, rows, run.sort)
 
 
 @dataclass(frozen=True)

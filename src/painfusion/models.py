@@ -325,9 +325,8 @@ class WindowSet:
     window length and stride. ``shape`` is the joined stack's, ``len``
     its window count and ``counts`` each sequence's.
 
-    ``blocks`` copies at most BLOCK_WINDOWS windows of one sequence at a
-    time, for pooling and the frame statistics; the convolution reads the
-    frames (see ``_model_input``).
+    Pooling and the frame statistics reduce strided views of the frames
+    (``_spans``), and the convolution reads the frames (``_model_input``).
     """
 
     def __init__(self, frames, length: int, stride: int, width: int):
@@ -338,17 +337,22 @@ class WindowSet:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def blocks(self):
-        """(first window index, block) pairs in window order; each block
-        is a new C-ordered float64 array of at most BLOCK_WINDOWS windows
-        and never spans two sequences."""
-        offset = 0
-        for frames, count in zip(self.frames, self.counts):
-            for start in range(0, count, BLOCK_WINDOWS):
-                block = np.lib.stride_tricks.sliding_window_view(frames, self.shape[1], axis=0)
-                block = block[:: self.stride][start : start + BLOCK_WINDOWS]
-                yield offset + start, np.array(block.transpose(0, 2, 1), np.float64, order="C")
-            offset += count
+
+def _spans(windows: WindowSet):
+    """(first window index, frames) pairs in window order: a view of the
+    frames of at most BLOCK_WINDOWS windows of one sequence."""
+    offset, (_, length, _), stride = 0, windows.shape, windows.stride
+    for frames, count in zip(windows.frames, windows.counts):
+        for start in range(0, count, BLOCK_WINDOWS):
+            stop = min(count, start + BLOCK_WINDOWS)
+            yield offset + start, frames[start * stride : (stop - 1) * stride + length]
+        offset += count
+
+
+def _windows_of(span: np.ndarray, windows: WindowSet) -> np.ndarray:
+    """The [n, length, width] windows of a C-ordered span (F order sums differently)."""
+    view = np.lib.stride_tricks.sliding_window_view(span, windows.shape[1], axis=0)
+    return view[:: windows.stride].transpose(0, 2, 1)
 
 
 def _column_index(columns):
@@ -382,30 +386,30 @@ def _as_windows(windows, width=None) -> WindowSet:
 
 def pool_windows(windows, reduction: str = "mean") -> np.ndarray:
     """The [n, columns] reduction of every window over its frames
-    (``mean``, ``max`` or ``std``), one block at a time."""
+    (``mean``, ``max`` or ``std``), read in place, a span at a time."""
     windows = _as_windows(windows)
     pooled = np.empty((len(windows), windows.shape[2]))
-    for start, block in windows.blocks():
-        pooled[start : start + len(block)] = getattr(block, reduction)(axis=1)
-        del block  # freed before the next block is built
+    for start, span in _spans(windows):
+        view = _windows_of(np.ascontiguousarray(span, dtype=np.float64), windows)
+        pooled[start : start + len(view)] = getattr(view, reduction)(axis=1)
     return pooled
 
 
 def _frame_sum(windows: WindowSet, center=None) -> np.ndarray:
     """Sum over every (window, frame) row of the values, or with
-    ``center`` of their squared deviations from it. Each block adds the
-    running total into its first row and is then summed row by row: the
-    order in which NumPy sums a C-ordered [n, length, width] tensor over
-    axes (0, 1) when width >= 2 (one column is summed pairwise)."""
+    ``center`` of their squared deviations from it. Each span is copied
+    once (centred and squared), adds the running total into its first row
+    and its windows' view is summed row by row: the order in which NumPy
+    sums a C-ordered [n, length, width] tensor over axes (0, 1), width > 1."""
     total = np.zeros(windows.shape[2])
-    for _, block in windows.blocks():
-        if center is not None:
-            block -= center
-            block *= block
-        rows = block.reshape(-1, windows.shape[2])
-        rows[0] += total
-        total = np.add.reduce(rows, axis=0)
-        del block, rows  # freed before the next block is built
+    for _, span in _spans(windows):
+        if center is None:
+            span = np.array(span, np.float64, order="C")
+        else:
+            span = np.subtract(span, center, order="C")
+            span *= span
+        span[0] += total
+        total = np.add.reduce(_windows_of(span, windows), axis=(0, 1))
     return total
 
 

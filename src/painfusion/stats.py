@@ -107,14 +107,17 @@ def rank_with_ties(values) -> np.ndarray:
     """Fractional (average) ranks, 1-based; ties share the mean of the
     rank positions they span. The rank sum is exactly n(n+1)/2."""
     x = _as_finite_vector(values, min_n=1)
-    n = x.size
     order = np.argsort(x, kind="stable")
-    xs = x[order]
+    return _sorted_ranks(x[order], order)
+
+
+def _sorted_ranks(xs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``rank_with_ties`` of x from xs == x[order], sorted; ties share a rank."""
     boundaries = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
     starts, ends = boundaries[:-1], boundaries[1:]
     # average of 1-based positions start+1 .. end
     group_rank = (starts + ends - 1) * 0.5 + 1.0
-    ranks = np.empty(n, dtype=np.float64)
+    ranks = np.empty(len(xs), dtype=np.float64)
     ranks[order] = np.repeat(group_rank, ends - starts)
     return ranks
 
@@ -316,26 +319,48 @@ def feature_relevance(windows, labels, reduction: str = "mean") -> np.ndarray:
 
     ``windows`` is a [n_windows, window_length, n_features] array or a
     ``WindowSet``, each feature reduced over time within its window (mean
-    by default, block by block), or a 2-D array of reduced windows. Each
-    column's |rho| equals ``spearman_rho``'s bit for bit, with the labels
-    ranked once per call; a degenerate column scores 0.
+    by default), or a 2-D array of reduced windows. Each column's |rho|
+    equals ``spearman_rho``'s bit for bit, with the labels ranked once per
+    call; a degenerate column scores 0. See ``ranked_relevance``.
     """
-    if len(windows) == 0:
-        raise DataError("no windows")
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if y.size != len(windows):
-        raise DataError(f"{len(windows)} windows vs {y.size} labels")
     if reduction not in REDUCTIONS:
         raise ConfigError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     reduced_already = isinstance(windows, np.ndarray) and windows.ndim == 2
     reduced = windows if reduced_already else pool_windows(windows, reduction)
+    return ranked_relevance(*sort_columns(reduced), labels)
+
+
+def sort_columns(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A 2-D matrix and the stable argsort of each of its columns, as an
+    int32 [columns, rows] array, sorted one column at a time."""
+    order = np.empty(reduced.shape[::-1], dtype=np.int32)
+    for j, column in enumerate(order):
+        column[:] = np.argsort(reduced[:, j], kind="stable")
+    return reduced, order
+
+
+def ranked_relevance(reduced, order, labels, rows=(slice(None),)) -> np.ndarray:
+    """``feature_relevance`` of the joined ``rows`` slices of ``reduced``, bit
+    for bit, ranked from the ``sort_columns`` order of all of it, which sorts
+    those rows too (ties share a rank); finiteness is checked on them alone."""
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    picked = np.concatenate([np.arange(len(reduced))[r] for r in rows])
+    if len(picked) == 0:
+        raise DataError("no windows")
+    if y.size != len(picked):
+        raise DataError(f"{len(picked)} windows vs {y.size} labels")
     _validate_pair(y, y)
+    if not all(np.isfinite(reduced[r]).all() for r in rows):
+        raise DataError("input contains NaN or Inf")
     label = _centered(rank_with_ties(y)) if y.max() != y.min() else None
+    position = np.full(len(reduced), -1, dtype=np.int32)  # in the joined rows
+    position[picked] = np.arange(len(picked))
     abs_rho = np.zeros(reduced.shape[1])
-    for j in range(reduced.shape[1]):
-        x, _ = _validate_pair(reduced[:, j], y)
-        if label is not None and x.max() != x.min():
-            rho, degenerate = _centered_r(*_centered(rank_with_ties(x)), *label)
+    for j, run_order in enumerate(order):
+        kept = run_order[position[run_order] >= 0]  # the joined rows, by value
+        xs = reduced[kept, j]
+        if label is not None and xs[0] != xs[-1]:
+            rho, degenerate = _centered_r(*_centered(_sorted_ranks(xs, position[kept])), *label)
             abs_rho[j] = 0.0 if degenerate else abs(rho)
     return abs_rho
 

@@ -202,3 +202,56 @@ def joined_windows_oracle(views, columns=None):
     if columns is not None:
         joined = joined[:, :, list(columns)]
     return np.ascontiguousarray(joined, dtype=np.float64)
+
+
+def stacked_windows_oracle(frames, length, stride):
+    """The C-ordered float64 [n, length, width] tensor of every window of
+    each sequence's [n_frames, width] frames, sliced one window at a time
+    and joined in sequence order."""
+    width = np.shape(frames[0])[1]
+    windows = [
+        np.asarray(f[s : s + length], dtype=np.float64)
+        for f in frames
+        for s in range(0, len(f) - length + 1, stride)
+    ]
+    return np.array(windows, dtype=np.float64).reshape(-1, length, width)
+
+
+def window_blocks_oracle(frames, length, stride, block_windows):
+    """(first window index, block) pairs in window order, each block a new
+    C-ordered float64 copy of at most ``block_windows`` windows of one
+    sequence: the block-copy reading of a stack of windows that pooling
+    and the frame statistics once made."""
+    offset = 0
+    for f in frames:
+        count = max(0, (len(f) - length) // stride + 1)
+        for start in range(0, count, block_windows):
+            block = np.lib.stride_tricks.sliding_window_view(f, length, axis=0)
+            block = block[::stride][start : start + block_windows]
+            yield offset + start, np.array(block.transpose(0, 2, 1), np.float64, order="C")
+        offset += count
+
+
+def pool_windows_oracle(frames, length, stride, block_windows, reduction):
+    """Each window's reduction over time, taken block copy by block copy."""
+    width = np.shape(frames[0])[1]
+    parts = [np.zeros((0, width))]
+    for _, block in window_blocks_oracle(frames, length, stride, block_windows):
+        parts.append(getattr(block, reduction)(axis=1))
+    return np.concatenate(parts)
+
+
+def frame_sum_oracle(frames, length, stride, block_windows, center=None):
+    """Sum over every (window, frame) row of the values, or with ``center``
+    of their squared deviations, block copy by block copy: each block is
+    centred and squared in place, takes the running total into its first
+    row and is summed row by row."""
+    total = np.zeros(np.shape(frames[0])[1])
+    for _, block in window_blocks_oracle(frames, length, stride, block_windows):
+        if center is not None:
+            block -= center
+            block *= block
+        rows = block.reshape(-1, len(total))
+        rows[0] += total
+        total = np.add.reduce(rows, axis=0)
+    return total

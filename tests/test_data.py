@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from oracles import joined_windows_oracle, serialize_oracle
+from oracles import joined_windows_oracle, serialize_oracle, stacked_windows_oracle
 
 from painfusion import (
     ClassifierSpec,
@@ -33,6 +33,7 @@ from painfusion.data import (
     write_manifest,
     write_sequence_file,
 )
+from painfusion import data as data_module
 from painfusion.evaluate import window_run
 from painfusion.models import _model_input
 from painfusion.modality import quadrifurcated_scheme
@@ -125,6 +126,63 @@ class TestParser:
     def test_bad_group(self):
         with pytest.raises(DataError, match="unknown group 'patients'"):
             parse_emopain_file(_row(range(70)), "P1", "patients")
+
+    _GOOD = _row([i * 0.37 - 5.0 for i in range(70)], extras=(1.5, -2.0), label=1.0)
+    _BULK_CASES = {
+        # case: (text, parsed in bulk, expected error or None)
+        "blank lines": (f"\n{_GOOD}\n\n{_GOOD}\n\n", True, None),
+        "whitespace line": (f"{_GOOD}\n   \n{_GOOD}\n", False, None),
+        "hash": ("#5" + _GOOD[_GOOD.index(","):], False, "row 1, column 1: cannot parse '#5'"),
+        "underscore": ("1_0" + _GOOD[_GOOD.index(","):], False, None),
+        "quoted": ('"5"' + _GOOD[_GOOD.index(","):], False, "cannot parse '\"5\"'"),
+        "nan": (f"{_GOOD}\nnan" + _GOOD[_GOOD.index(","):], False, "row 2, column 1: non-finite"),
+        "74 columns": (f"{_GOOD},7.5\n{_GOOD},x\n", True, None),
+        "70 columns": (",".join(["0.5"] * 70) + "\n", False, "row 1: 70 columns, need 73"),
+        "crlf": (f"{_GOOD}\r\n{_GOOD}\r\n", True, None),
+        "whitespace": (_GOOD.replace(",", " ") + "\n" + _GOOD.replace(",", "\t"), True, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BULK_CASES))
+    def test_bulk_parse_matches_row_parse(self, case, monkeypatch):
+        """Clean text is parsed by one ``np.loadtxt``; text that it refuses,
+        splits into another row count or reads as non-finite is parsed row
+        by row. Either way the values, or the error message, are those of
+        the row by row parse alone."""
+        text, in_bulk, error = self._BULK_CASES[case]
+        real_loadtxt, bulk = np.loadtxt, []
+
+        def spying(*args, **kwargs):
+            try:
+                bulk.append(real_loadtxt(*args, **kwargs))
+            except ValueError:
+                bulk.append(None)
+                raise
+            return bulk[-1]
+
+        def refusing(*args, **kwargs):
+            raise ValueError("refused")
+
+        def outcome():
+            try:
+                seq = parse_emopain_file(text, "P1", "healthy")
+            except DataError as exc:
+                return str(exc)
+            return seq.features.tobytes(), seq.labels.tobytes(), seq.extras.tobytes()
+
+        monkeypatch.setattr(data_module.np, "loadtxt", spying)
+        got = outcome()
+        (matrix,) = bulk
+        n_rows = len([line for line in text.splitlines() if line.strip()])
+        accepted = matrix is not None and len(matrix) == n_rows and np.isfinite(matrix).all()
+        assert accepted == in_bulk
+        monkeypatch.setattr(data_module.np, "loadtxt", refusing)
+        assert got == outcome()
+        if error is None:
+            assert isinstance(got, tuple)
+        else:
+            assert error in got
+        if case == "underscore":
+            assert np.frombuffer(got[0])[0] == 10.0
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300),
@@ -256,10 +314,10 @@ class TestWindows:
     )
     @settings(max_examples=100, deadline=None)
     def test_window_tensor(self, n_frames, length, stride, threshold, columns, seed):
-        """The collected windows, read block by block and as a model's
-        input reads their columns, against the joined views of
-        ``make_windows``, and that joined tensor against a per-window
-        reference: contents, threshold labels, dropped partial window,
+        """The collected windows, stacked one by one from the run's
+        WindowSet and as a model's input reads their columns, against the
+        joined views of ``make_windows``, and that joined tensor against a
+        per-window reference: contents, threshold labels, dropped partial window,
         count and memory layout, for contiguous and scattered column sets."""
         length = min(length, n_frames)
         rng = np.random.default_rng(seed)
@@ -286,7 +344,7 @@ class TestWindows:
         windows, labels = run.windows, run.labels
         views = [make_windows(seq, length, stride, threshold)[0]]
         tensor = joined_windows_oracle(views, idx)
-        blocks = np.concatenate([b for _, b in windows.blocks()])
+        blocks = stacked_windows_oracle(windows.frames, length, stride)
         assert np.array_equal(blocks, joined_windows_oracle(views))
         X, rows = _model_input("cnn1d", windows, 0.0, 1.0, 70, idx)
         assert np.array_equal(X.take(rows, axis=0), tensor)

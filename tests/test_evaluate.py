@@ -32,6 +32,7 @@ from painfusion.data import SyntheticConfig, generate_synthetic, split_train_val
 from painfusion.errors import ConfigError, DataError, NumericError
 from painfusion.evaluate import (
     MATRIX_ARMS,
+    _pick,
     METRIC_COLUMNS,
     confusion_csv,
     derive_seed,
@@ -42,7 +43,7 @@ from painfusion.evaluate import (
     window_run,
 )
 from painfusion.modality import SEGMENTS
-from painfusion.stats import modality_weights
+from painfusion.stats import feature_relevance, modality_weights, spearman_rho
 from painfusion.presets import synthetic_split
 
 from oracles import joined_windows_oracle, metric_oracle
@@ -723,7 +724,7 @@ class TestLoocv:
         threads trains its split in six tasks, so it computes the split's
         statistics and its relevance in the calling process, once each."""
         log = tmp_path / "calls"
-        for name in ("frame_statistics", "feature_relevance"):
+        for name in ("frame_statistics", "ranked_relevance"):
 
             def recording(*args, _real=getattr(evaluate_module, name), _name=name):
                 with open(log, "a", encoding="utf-8") as fh:
@@ -742,7 +743,7 @@ class TestLoocv:
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", epochs=1)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
-        each = [("feature_relevance", True)] * 4 + [("frame_statistics", True)] * 4
+        each = [("frame_statistics", True)] * 4 + [("ranked_relevance", True)] * 4
         assert calls(lambda: loocv(seqs, config, threads=1)) == each
         in_workers = [(name, False) for name, _ in each]
         assert calls(lambda: loocv(seqs, config, threads=3)) == in_workers
@@ -751,7 +752,7 @@ class TestLoocv:
             names = [name for name, _ in calls(lambda: loocv(seqs, average, threads=threads))]
             assert names == ["frame_statistics"] * 4
         matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
-        assert matrix == [("feature_relevance", True), ("frame_statistics", True)]
+        assert matrix == [("frame_statistics", True), ("ranked_relevance", True)]
 
     def test_relevance_error_names_its_fold(self):
         """A fold whose training task computes its relevance and fails
@@ -782,6 +783,90 @@ class TestLoocv:
                 fa.result.fused_probabilities.tobytes()
                 == fb.result.fused_probabilities.tobytes()
             )
+
+
+def _tied_corpus():
+    """Five quantized sequences, so that time means tie, with a constant
+    column: S01 holds the first and the third, and only S02 has positive
+    windows, so the S02 subject fold trains on one class."""
+    sequences = []
+    for i, subject in enumerate(["S01", "S02", "S01", "S03", "S04"]):
+        seq = _corpus(n_subjects=1, seed=i, frames=200)[0]
+        features = np.round(seq.features * 2.0) / 2.0
+        features[:, 5] = 3.0
+        labels = seq.labels if subject == "S02" else np.zeros_like(seq.labels)
+        sequences.append(replace(seq, subject_id=subject, features=features, labels=labels))
+    return sequences
+
+
+class TestFoldRelevance:
+    @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
+    def test_folds_rank_from_the_run_sort(self, reduction):
+        """Every run that ``_pick`` builds ranks its relevance from the sort
+        of the run it is picked from, and gets, bit for bit, the
+        ``feature_relevance`` of its own joined reduced matrix, which is
+        ``spearman_rho``'s |rho| column by column: subject folds (S01's two
+        sequences are not adjacent), sequence folds, their held-out runs,
+        and a pick out of run order; with tied time means, a constant
+        column and a fold with one train class."""
+        sequences = _tied_corpus()
+        run = window_run(sequences, _config())
+        subjects = [s.subject_id for s in sequences]
+        held_out = [[i for i, s in enumerate(subjects) if s == k] for k in sorted(set(subjects))]
+        held_out += [[i] for i in range(len(sequences))]
+        picks = [[i for i in range(len(sequences)) if i not in out] for out in held_out]
+        picks += held_out + [[3, 0, 2]]
+        single_class = 0
+        for indices in picks:
+            fold = _pick(run, indices)
+            assert fold.sort is run.sort
+            reduced = models_module.pool_windows(fold.windows, reduction)
+            expected = feature_relevance(reduced, fold.labels)
+            assert fold.relevance(reduction).tobytes() == expected.tobytes()
+            rhos = [spearman_rho(column, fold.labels) for column in reduced.T]
+            alone = [0.0 if r.degenerate else abs(r.coefficient) for r in rhos]
+            assert expected.tobytes() == np.array(alone).tobytes()
+            single_class += len(set(fold.labels.tolist())) == 1
+        assert single_class > 0
+        means = run.means
+        assert len(np.unique(means[:, 0])) < len(means)
+        assert np.all(means[:, 5] == 3.0)
+
+    def test_a_bad_row_fails_only_the_runs_that_hold_it(self):
+        """Finiteness is checked on a run's own rows: a non-finite frame in
+        one sequence fails every run that holds its window, with the message
+        of ``feature_relevance``, and no other."""
+        sequences = _tied_corpus()
+        features = sequences[3].features.copy()
+        features[7, 2] = np.nan
+        sequences[3] = replace(sequences[3], features=features)
+        run = window_run(sequences, _config())
+        for reduction in ("mean", "max", "std"):
+            for indices in ([0, 1, 2, 4], [3], [0, 3]):
+                fold = _pick(run, indices)
+                if 3 in indices:
+                    with pytest.raises(DataError, match=r"^input contains NaN or Inf$"):
+                        fold.relevance(reduction)
+                else:
+                    expected = feature_relevance(fold.windows, fold.labels, reduction)
+                    assert fold.relevance(reduction).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
+    def test_one_run_sort_per_loocv(self, reduction, monkeypatch):
+        """A loocv at one thread sorts its run once for the reduction it
+        weighs by, however many folds it has."""
+        sorts = []
+
+        def counting(reduced):
+            sorts.append(len(reduced))
+            return sort_columns(reduced)
+
+        sort_columns = evaluate_module.sort_columns
+        monkeypatch.setattr(evaluate_module, "sort_columns", counting)
+        seqs = _corpus(n_subjects=4)
+        result = loocv(seqs, replace(_config(), reduction=reduction), threads=1)
+        assert len(result.folds) == 4
+        assert sorts == [sum(len(make_windows(s, 20, 10)[1]) for s in seqs)]
 
 
 class TestReportRendering:

@@ -27,8 +27,11 @@ from oracles import (
     bce_dz_oracle,
     conv_taps_oracle,
     conv_weight_grad_oracle,
+    frame_sum_oracle,
     joined_windows_oracle,
+    pool_windows_oracle,
     sgd_oracle,
+    stacked_windows_oracle,
 )
 
 
@@ -122,7 +125,7 @@ class TestFit:
         assert model.params.tobytes() == alone.params.tobytes()
         probas = model.predict_proba_windows(windows)
         assert probas.tobytes() == alone.predict_proba_windows(narrow).tobytes()
-        joined = np.concatenate([block for _, block in narrow.blocks()])
+        joined = stacked_windows_oracle(narrow.frames, 10, 5)
         for bad in (narrow, joined, pool_windows(narrow)):
             with pytest.raises(DataError, match=r"expected \[n, (length, )?70\]") as caught:
                 model.predict_proba_windows(bad)
@@ -476,8 +479,11 @@ class TestWindowBlocks:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "BLOCK_WINDOWS", size)
-            assert [len(b) for _, b in windows.blocks()] == [
-                min(size, len(p) - start) for p in parts for start in range(0, len(p), size)
+            offsets = np.cumsum([0] + [len(p) for p in parts])
+            assert [(start, len(span)) for start, span in models._spans(windows)] == [
+                (offset + start, (min(size, len(p) - start) - 1) * stride + length)
+                for offset, p in zip(offsets, parts)
+                for start in range(0, len(p), size)
             ]
             for reduction in ("mean", "max", "std"):
                 pooled = pool_windows(windows, reduction)
@@ -485,13 +491,52 @@ class TestWindowBlocks:
             mean, std = frame_statistics(windows)
         assert np.array_equal(mean[pick], joined.mean(axis=(0, 1)))
         assert np.array_equal(std[pick], np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
-        blocks = np.concatenate([b for _, b in windows.blocks()])
+        blocks = stacked_windows_oracle(frames, length, stride)
         assert np.array_equal(blocks, joined_windows_oracle(parts))
         assert np.array_equal(blocks[:, :, pick], joined)
         X, rows = models._model_input("logistic", windows, 0.0, 1.0, 70, selected)
         assert np.array_equal(X, joined.mean(axis=1))
         X, rows = models._model_input("cnn1d", windows, 0.0, 1.0, 70, selected)
         assert np.array_equal(X.take(rows, axis=0), joined)
+
+
+class TestInPlaceReductions:
+    @pytest.mark.parametrize("width", [1, 2, 4, 70])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_equal_block_copies(self, width, layout, block):
+        """Pooling (mean, max, std) and the frame statistics, read in place
+        from strided views of the frames, equal bit for bit the block-copy
+        reading that copied every window: for one to 70 columns, C- and
+        Fortran-ordered frames, BLOCK_WINDOWS of 1, 7 and 256, a sequence
+        with no window, and a stride shorter than, equal to and longer than
+        the window."""
+        rng = np.random.default_rng(width * 100 + block)
+        for length, stride in ((30, 15), (6, 6), (4, 9)):
+            frames = [
+                np.asarray(
+                    rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-3, 3, width) + 5.0,
+                    order=layout,
+                )
+                for n in (length + 290, length - 1, length, 3 * length + 7)
+            ]
+            windows = WindowSet(frames, length, stride, width)
+            empty = WindowSet(frames[1:2], length, stride, width)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(models, "BLOCK_WINDOWS", block)
+                for reduction in ("mean", "max", "std"):
+                    pooled = pool_windows(windows, reduction)
+                    expected = pool_windows_oracle(frames, length, stride, block, reduction)
+                    assert pooled.tobytes() == expected.tobytes()
+                    assert pool_windows(empty, reduction).shape == (0, width)
+                total = frame_sum_oracle(frames, length, stride, block)
+                assert models._frame_sum(windows).tobytes() == total.tobytes()
+                count = len(windows) * length
+                squares = frame_sum_oracle(frames, length, stride, block, total / count)
+                mean, std = frame_statistics(windows)
+            assert mean.tobytes() == (total / count).tobytes()
+            floored = np.maximum(np.sqrt(squares / count), STD_FLOOR)
+            assert std.tobytes() == floored.tobytes()
 
 
 class TestGradients:
