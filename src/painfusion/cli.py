@@ -143,7 +143,7 @@ def cmd_weights(run: RunConfig, args) -> int:
     config = run.experiment
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
     weights = fusion_weights(
-        config.weighting, scheme, lambda: window_run(train, config).relevance(config.reduction)
+        config.weighting, scheme, lambda: window_run(train, config).relevance()
     )
     _write(run, "weights.csv", weights_csv(weights))
     _write(run, "weights.txt", weights.to_text())

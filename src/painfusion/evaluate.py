@@ -9,7 +9,7 @@ raised, so heavily imbalanced splits still produce a full report.
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -203,37 +203,39 @@ class WindowedRun:
     its own), the int8 window labels and ``means``, the [n_windows, 70]
     window time means: the ``rows`` slices of ``pooled``, joined on each
     use (one slice is a view), so that a run holds no copy of them.
-    ``sort(reduction)``, cached per process, is ``sort_columns`` of the
-    reduced matrix of the ``window_run`` run that ``pooled`` pools."""
+    ``sort()``, cached per process, is ``sort_columns`` of the reduced
+    matrix of the ``window_run`` run that ``pooled`` pools."""
 
     sequences: tuple[SequenceData, ...]
     windows: WindowSet
     labels: np.ndarray
     pooled: np.ndarray
     rows: tuple[slice, ...]
-    sort: Callable[[str], tuple[np.ndarray, np.ndarray]]
+    sort: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     @property
     def means(self) -> np.ndarray:
         parts = [self.pooled[r] for r in self.rows]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def relevance(self, reduction: str) -> np.ndarray:
-        """``feature_relevance`` of the run under the reduction, bit for bit,
-        ranked from its rows of the sorted reduced matrix."""
-        return ranked_relevance(*self.sort(reduction), self.labels, self.rows)
+    def relevance(self) -> np.ndarray:
+        """``feature_relevance`` of the run under its reduction, bit for
+        bit, ranked from its rows of the sorted reduced matrix."""
+        return ranked_relevance(*self.sort(), self.labels, self.rows)
 
 
 def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
     """Window and pool sequences once under the config's window rule. The
-    WindowSet copies nothing: it holds each sequence's read-only frames. A
-    sequence shorter than a window raises, with the stage prefixed."""
+    WindowSet copies nothing: it holds each sequence's read-only frames. The
+    run reduces by the config's reduction. A sequence shorter than a window
+    raises, with the stage prefixed."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
     labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
     windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
     labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
     pooled = pool_windows(windows)
-    sort = cache(lambda r: sort_columns(pooled if r == "mean" else pool_windows(windows, r)))
+    r = config.reduction
+    sort = cache(lambda: sort_columns(pooled if r == "mean" else pool_windows(windows, r)))
     return WindowedRun(tuple(sequences), windows, labels, pooled, (slice(None),), sort)
 
 
@@ -283,10 +285,14 @@ def train_split(splits, configs, threads: int) -> list:
     config weighs statistically, by a task that trains all its modalities,
     else on first use.
 
-    Returns per split its TrainedSplit, or for a split whose training
-    diverged the NumericError of its first diverging modality, named, or
-    the error its task's relevance raised, each prefixed with the stage;
-    the other splits train on. Other errors raise, with the stage prefixed."""
+    The splits' classifiers must agree but for the seed. Returns per split
+    its TrainedSplit, or for a split whose training diverged the
+    NumericError of its first diverging modality, named, or the error its
+    task's relevance raised, each prefixed with the stage; the other splits
+    train on. Other errors raise, with the stage prefixed."""
+    spec = splits[0][2].classifier
+    if any(replace(base.classifier, seed=spec.seed) != spec for _, _, base in splits):
+        raise ConfigError("models trained in lockstep must share every spec field but the seed")
     for train, valid, _ in splits:
         train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
         if train_ids & valid_ids:
@@ -297,7 +303,7 @@ def train_split(splits, configs, threads: int) -> list:
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     weighs = any(c.weighting == STATISTICAL for c in configs)
-    pooled = splits[0][2].classifier.kind in POOLED_KINDS
+    pooled = spec.kind in POOLED_KINDS
     if pooled:
         by_size = {}
         for i, (train, _, _) in enumerate(splits):
@@ -322,19 +328,20 @@ def train_split(splits, configs, threads: int) -> list:
         indices, task_keys = task
         own = {i: stats[i] or frame_statistics(splits[i][0].windows) for i in indices}
         done = {i: [] for i in indices}
+
+        def training_set(i, part_keys):
+            train, _, base = splits[i]
+            models = [(derive_seed(base.classifier.seed, "clf:" + n), c) for n, c in part_keys]
+            return inputs(train), train.labels, own[i], models
+
         # A cnn1d model holds all of its modality's frames, so it trains alone.
         for part, part_keys in [task] if pooled else [([i], [k]) for i in indices for k in task_keys]:
-            names, columns = zip(*part_keys)
-            specs = [
-                [replace(b.classifier, seed=derive_seed(b.classifier.seed, "clf:" + n)) for n in names]
-                for _, _, b in (splits[i] for i in part)
-            ]
             # fit_lockstep reads the sets one at a time, so each train run's
             # time means are joined only while its models' inputs are built.
-            sets = ((inputs(splits[i][0]), splits[i][0].labels, own[i]) for i in part)
-            for i, models in zip(part, fit_lockstep(sets, specs, [columns] * len(part))):
+            sets = (training_set(i, part_keys) for i in part)
+            for i, models in zip(part, fit_lockstep(spec, sets)):
                 if isinstance(models, NumericError):
-                    done[i].append(NumericError(f"training: {names[models.model]}: {models}"))
+                    done[i].append(NumericError(f"training: {part_keys[models.model][0]}: {models}"))
                 else:
                     valid_X = inputs(splits[i][1])
                     done[i] += [(model, model.predict_proba_windows(valid_X)) for model in models]
@@ -343,9 +350,8 @@ def train_split(splits, configs, threads: int) -> list:
             """The split's relevance, if this task computes it; an error it
             raises ends the split's outcomes."""
             if weighs and not shared:
-                train, _, base = splits[i]
                 try:
-                    return _stage("weighting", lambda: train.relevance(base.reduction))
+                    return _stage("weighting", splits[i][0].relevance)
                 except PainFusionError as exc:
                     done[i].append(exc)
 
@@ -363,7 +369,7 @@ def train_split(splits, configs, threads: int) -> list:
             trained.append(errors[0])
             continue
         subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
-        lazy = cache(partial(train.relevance, base.reduction))
+        lazy = cache(train.relevance)
         trained.append(
             TrainedSplit(
                 models=dict(zip(keys, outcomes)),

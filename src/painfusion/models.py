@@ -24,7 +24,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -517,7 +516,7 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
     range; a single-label training set only sets a flag. This is
     ``fit_lockstep`` with one set of one model.
     """
-    (models,) = fit_lockstep([(windows, labels, frame_stats)], [[spec]], [[None]])
+    (models,) = fit_lockstep(spec, [(windows, labels, frame_stats, [(spec.seed, None)])])
     if isinstance(models, NumericError):
         raise models
     return models[0]
@@ -529,52 +528,45 @@ def _right_aligned(stack: np.ndarray, sizes) -> list[np.ndarray]:
 
 
 @_one_blas_thread()
-def fit_lockstep(sets, specs, columns) -> list:
-    """Train models side by side on one or more training sets. ``sets``
-    yields one (windows, labels, frame_stats) triple per entry of
-    ``specs`` and ``columns``, with windows and frame statistics as
-    ``fit`` takes them; set g's model j has spec ``specs[g][j]`` and
-    reads and records the feature columns ``columns[g][j]`` (every column
-    when None). Model j gets the bits of ``fit`` on those columns of its
-    set's windows, with the matching entries of the set's frame
-    statistics (when None, the ``frame_statistics`` of all the columns).
-    ``sets`` is read once, in order, and each set's windows are let go
-    before the next set is read, so a caller may build them on demand.
+def fit_lockstep(spec: ClassifierSpec, sets) -> list:
+    """Train models side by side, all with ``spec`` but for their seeds, on
+    one or more training sets. ``sets`` yields (windows, labels,
+    frame_stats, models) tuples, with windows and frame statistics as
+    ``fit`` takes them and ``models`` a list of (seed, columns) pairs: that
+    model reads and records the feature columns ``columns`` (every column
+    when None). Each model gets the bits of ``fit`` with its seed on those
+    columns of its set's windows, with the matching entries of the set's
+    frame statistics (when None, the ``frame_statistics`` of all the
+    columns). ``sets`` is read once, in order, and each set's windows are
+    let go before the next set is read, so a caller may build them on
+    demand.
 
-    All the models share the train window count and every spec field
-    but the seed: kind, epochs, batch size, learning rate, momentum, L2,
-    positive class weight and layer sizes. Each model keeps its own
-    labels (hence its positive weight), its own RNG (initialization, then
-    one permutation per epoch), its own unchanging standardized input,
-    from which every kind takes each batch's rows in the epoch's order
-    into a new C-ordered array, and its own matmuls; the loss terms, row
-    sums, sigmoid, L2 term, finiteness checks and momentum update run
-    once per step over all the models (see ``_losses_and_grads``).
+    All the models share the train window count. Each keeps its own labels
+    (hence its positive weight), its own RNG (initialization, then one
+    permutation per epoch), its own unchanging standardized input, from
+    which every kind takes each batch's rows in the epoch's order into a
+    new C-ordered array, and its own matmuls; the loss terms, row sums,
+    sigmoid, L2 term, finiteness checks and momentum update run once per
+    step over all the models (see ``_losses_and_grads``).
 
     Returns, per set, its trained models, or for a set that diverged a
     NumericError for the first of its models, in input order, whose loss
     or gradient left the finite range at the set's first diverging step,
-    with the error's ``model`` that model's index in the set. That set's
-    models leave the lockstep there, where the set alone would stop, and
-    the other sets train on.
+    with the error's ``model`` that model's index in the set. From that
+    step on the set's models are masked: their rows stay in the stacks and
+    are computed until the lockstep ends or no set is live, but nothing
+    reads them, and every step is elementwise, per row or per model, so
+    the other sets train on to their own bits. A diverged set fails its
+    command, so that cost falls on the failure path only.
     """
-    for set_specs, set_columns in zip_longest(specs, columns, fillvalue=()):
-        if len(set_specs) != len(set_columns):
-            message = f"got {len(set_specs)} specs and {len(set_columns)} column selections"
-            raise ConfigError(message)
-    flat = [s for set_specs in specs for s in set_specs]
-    for spec in flat:
-        spec.validate()
-    if any(replace(s, seed=0) != replace(flat[0], seed=0) for s in flat):
-        raise ConfigError("models trained in lockstep must share every spec field but the seed")
-    spec = flat[0]
+    spec.validate()
     ys, owner, inputs, archs, models = [], [], [], [], []
-    for (windows, labels, frame_stats), set_specs, set_columns in zip(sets, specs, columns):
+    for windows, labels, frame_stats, set_models in sets:
         y = _training_labels(windows, labels)
         pos_weight, single_class = resolve_positive_weight(spec, y)
         mean, std = frame_statistics(windows) if frame_stats is None else frame_stats
         width = len(mean)
-        for s, given in zip(set_specs, set_columns):
+        for seed, given in set_models:
             c = list(range(width)) if given is None else list(given)
             # Each model standardizes its own copy of its columns,
             # elementwise, so it gets the bits of a model given only those.
@@ -582,7 +574,7 @@ def fit_lockstep(sets, specs, columns) -> list:
             archs.append(_architecture(spec, len(c)))
             models.append(
                 TrainedClassifier(
-                    spec=s,
+                    spec=replace(spec, seed=seed),
                     n_features=width,
                     feature_mean=mean[c],
                     feature_std=std[c],
@@ -595,80 +587,62 @@ def fit_lockstep(sets, specs, columns) -> list:
             owner.append(len(ys))
         ys.append(y)
         del windows  # a set built on demand is freed before the next one
-    if len(ys) != len(specs):
-        raise ConfigError(f"got {len(ys)} training sets and {len(specs)} lists of specs")
     if any(len(y) != len(ys[0]) for y in ys):
         raise ConfigError("models trained in lockstep must share a train window count")
 
     rngs = [np.random.default_rng(np.random.SeedSequence(m.spec.seed)) for m in models]
-    sizes = np.array([a.n_params for a in archs])
-    P = np.zeros((len(models), sizes.max()))
+    sizes = [a.n_params for a in archs]
+    P = np.zeros((len(models), max(sizes)))
     for p, a, rng in zip(_right_aligned(P, sizes), archs, rngs):
         p[:] = a.init(rng)
     velocity, G = np.zeros_like(P), np.zeros_like(P)
     params, grads = _right_aligned(P, sizes), _right_aligned(G, sizes)
     Y, owner = np.array(ys), np.array(owner)
     weights = np.array([[m.positive_weight] for m in models])
-    n, live, logs, errors = len(ys[0]), np.arange(len(models)), [[] for _ in models], {}
+    n, live, logs, errors = len(ys[0]), np.ones(len(models), bool), [[] for _ in models], {}
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(spec.epochs):
-            if len(live) == 0:
-                break
-            order = np.array([rngs[i].permutation(n) for i in live])
-            y_epoch = Y[owner[live, None], order]
-            pos_y, neg_y = weights[live] * y_epoch, 1.0 - y_epoch
-            epoch_rows = [inputs[i][1][o] for i, o in zip(live, order)]
-            totals = np.zeros(len(live))
+            order = np.array([rng.permutation(n) for rng in rngs])
+            y_epoch = Y[owner[:, None], order]
+            pos_y, neg_y = weights * y_epoch, 1.0 - y_epoch
+            epoch_rows = [rows[o] for (_, rows), o in zip(inputs, order)]
+            totals = np.zeros(len(models))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                batches = [inputs[i][0].take(r[rows], axis=0) for i, r in zip(live, epoch_rows)]
+                batches = [X.take(r[rows], axis=0) for (X, _), r in zip(inputs, epoch_rows)]
                 losses = _losses_and_grads(
                     archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
                 )
                 finite = np.isfinite(losses) & np.isfinite(G).all(axis=1)
                 if not finite.all():
-                    # Set the diverged sets aside: drop their rows everywhere.
-                    failed = owner[live[~finite]]
-                    for g in dict.fromkeys(failed.tolist()):
-                        in_set = np.flatnonzero(owner[live] == g)
-                        errors[g] = _divergence(epoch, losses[in_set], [grads[i] for i in in_set])
-                    keep = ~np.isin(owner[live], failed)
-                    live, P, velocity, G = live[keep], P[keep], velocity[keep], G[keep]
-                    losses, totals = losses[keep], totals[keep]
-                    pos_y, neg_y = pos_y[keep], neg_y[keep]
-                    epoch_rows = [r for r, k in zip(epoch_rows, keep) if k]
-                    params, grads = _right_aligned(P, sizes[live]), _right_aligned(G, sizes[live])
-                    if len(live) == 0:
+                    # Mask every set that diverges at this step, naming its
+                    # first diverging model.
+                    for i in np.flatnonzero(live & ~finite).tolist():
+                        g, loss = int(owner[i]), float(losses[i])
+                        if g not in errors:
+                            reason = "gradient left the finite range"
+                            if not math.isfinite(loss):
+                                reason = f"loss became {loss!r}"
+                            errors[g] = NumericError(f"epoch {epoch}: {reason}")
+                            errors[g].model = int((owner[:i] == g).sum())
+                    live &= ~np.isin(owner, list(errors))
+                    if not live.any():
                         break
                 velocity *= spec.momentum
                 velocity -= spec.learning_rate * G
                 P += velocity
                 totals += losses * len(batches[0])
-            for i, total in zip(live, (totals / n).tolist()):
-                logs[i].append(total)
+            if not live.any():
+                break
+            for log, total in zip(logs, (totals / n).tolist()):
+                log.append(total)
 
-    final = dict(zip(live.tolist(), params))
-    outcomes = [errors.get(g, []) for g in range(len(ys))]
-    for i, (g, model) in enumerate(zip(owner.tolist(), models)):
-        if i in final:
-            outcomes[g].append(replace(model, params=final[i].copy(), training_log=tuple(logs[i])))
-    return outcomes
-
-
-def _divergence(epoch: int, losses, grads) -> NumericError:
-    """The error for the first model whose loss or gradient is not finite,
-    with ``model`` set to its index."""
-    for i, (loss, grad) in enumerate(zip(losses.tolist(), grads)):
-        if not math.isfinite(loss):
-            error = NumericError(f"epoch {epoch}: loss became {loss!r}")
-        elif not np.isfinite(grad).all():
-            error = NumericError(f"epoch {epoch}: gradient left the finite range")
-        else:
-            continue
-        error.model = i
-        return error
+    outcomes = [[] for _ in ys]
+    for g, model, p, log in zip(owner.tolist(), models, params, logs):
+        outcomes[g].append(replace(model, params=p.copy(), training_log=tuple(log)))
+    return [errors.get(g, trained) for g, trained in enumerate(outcomes)]
 
 
 _POOL_MARGIN = 1e-3

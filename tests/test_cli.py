@@ -345,31 +345,38 @@ class TestFailureModes:
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy
         warning, also when cnn1d diverges in a worker process and when a
-        loocv fold fails on the fold pool, named. Runs in a child process,
-        since pytest captures warnings."""
+        loocv fold fails on the fold pool, named; the line is the same at
+        one thread and at three. Runs in a child process, since pytest
+        captures warnings."""
         diverging = SMALL_INI.replace("n_subjects = 6", "n_subjects = 4").replace(
             "learning_rate = 0.1", "learning_rate = 1e200"
         )
         src = os.path.dirname(os.path.dirname(painfusion.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = (
-            ("evaluate", "logistic", 1, ""),
-            ("evaluate", "cnn1d", 2, ""),
-            ("loocv", "logistic", 2, "fold S01: "),
+            ("evaluate", "logistic", ""),
+            ("evaluate", "cnn1d", ""),
+            ("loocv", "logistic", "fold S01: "),
+            ("matrix", "mlp", ""),
+            ("loocv", "cnn1d", "fold S01: "),
         )
-        for command, kind, threads, prefix in runs:
+        for command, kind, prefix in runs:
             bad = tmp_path / f"{kind}.ini"
             bad.write_text(diverging.replace("kind = logistic", f"kind = {kind}"))
-            proc = subprocess.run(
-                [sys.executable, "-m", "painfusion.cli", command, "--config", str(bad),
-                 "--threads", str(threads), "--out", str(tmp_path / command / kind)],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 4
-            err_lines = proc.stderr.splitlines()
-            assert len(err_lines) == 1
-            pattern = rf"error\[numeric\]: {prefix}training: (coords|semg): epoch \d+: "
-            assert re.match(pattern, err_lines[0])
+            lines = []
+            for threads in (1, 3):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "painfusion.cli", command, "--config", str(bad),
+                     "--threads", str(threads), "--out", str(tmp_path / command / kind)],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 4
+                err_lines = proc.stderr.splitlines()
+                assert len(err_lines) == 1
+                pattern = rf"error\[numeric\]: {prefix}training: (all|coords|semg): epoch \d+: "
+                assert re.match(pattern, err_lines[0])
+                lines += err_lines
+            assert lines[0] == lines[1], (command, kind)
 
 
 class TestEvaluate:

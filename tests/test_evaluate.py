@@ -282,9 +282,13 @@ class TestRunExperiment:
         seqs = _corpus()
         real_fit, calls = evaluate_module.fit_lockstep, []
 
-        def counting_fit(*args, **kwargs):
-            calls.extend(spec.seed for specs in args[1] for spec in specs)
-            return real_fit(*args, **kwargs)
+        def counting_fit(spec, sets):
+            def counted():
+                for training_set in sets:
+                    calls.extend(seed for seed, _ in training_set[3])
+                    yield training_set
+
+            return real_fit(spec, counted())
 
         monkeypatch.setattr(evaluate_module, "fit_lockstep", counting_fit)
         rows = run_matrix(seqs[:4], seqs[4:], _config(), threads=2)
@@ -616,25 +620,27 @@ class TestLoocv:
         }
         real_fit, failing = evaluate_module.fit_lockstep, {}
 
-        def shrunk(training_set, specs, columns, later):
+        def shrunk(spec, training_set, later):
             """The set with its frame std shrunk until it diverges alone,
             in epoch 0 or (``later``) in a later one."""
-            windows, labels, (mean, std) = training_set
+            windows, labels, (mean, std), pairs = training_set
             for exponent in np.arange(150.0, 160.0, 0.125):
-                candidate = (windows, labels, (mean, std * 10.0**-exponent))
-                (outcome,) = real_fit([candidate], [specs], [columns])
+                candidate = (windows, labels, (mean, std * 10.0**-exponent), pairs)
+                (outcome,) = real_fit(spec, [candidate])
                 if isinstance(outcome, NumericError):
                     if str(outcome).startswith("epoch 0: ") != later:
                         return candidate
             raise AssertionError("no std makes the set diverge as asked")
 
-        def fit_failing_folds(sets, specs, columns):
-            sets = list(sets)
-            for i, set_specs in enumerate(specs):
-                key = fold_of.get(set_specs[0].seed)
-                if key in failing:
-                    sets[i] = shrunk(sets[i], set_specs, columns[i], failing[key] == "later")
-            return real_fit(sets, specs, columns)
+        def fit_failing_folds(spec, sets):
+            def patched():
+                for training_set in sets:
+                    key = fold_of.get(training_set[3][0][0])
+                    if key in failing:
+                        training_set = shrunk(spec, training_set, failing[key] == "later")
+                    yield training_set
+
+            return real_fit(spec, patched())
 
         # Forked fold workers inherit the patch and the failing folds.
         monkeypatch.setattr(evaluate_module, "fit_lockstep", fit_failing_folds)
@@ -668,9 +674,10 @@ class TestLoocv:
         config = replace(config, classifier=replace(config.classifier, kind=kind))
         real_fit, chunks = evaluate_module.fit_lockstep, []
 
-        def recording_fit(sets, specs, columns):
-            chunks.append(len(specs))
-            return real_fit(sets, specs, columns)
+        def recording_fit(spec, sets):
+            outcomes = real_fit(spec, sets)
+            chunks.append(len(outcomes))
+            return outcomes
 
         monkeypatch.setattr(evaluate_module, "fit_lockstep", recording_fit)
         one = loocv(seqs, config, threads=1)
@@ -696,12 +703,12 @@ class TestLoocv:
         config = _config(scheme="quadrifurcated", epochs=1)
         real_fit, sizes, peaks = evaluate_module.fit_lockstep, [], []
 
-        def measuring_fit(sets, specs, columns):
-            sizes.append(len(specs))
+        def measuring_fit(spec, sets):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            outcomes = real_fit(sets, specs, columns)
+            outcomes = real_fit(spec, sets)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            sizes.append(len(outcomes))
             return outcomes
 
         monkeypatch.setattr(evaluate_module, "fit_lockstep", measuring_fit)
@@ -810,7 +817,7 @@ class TestFoldRelevance:
         and a pick out of run order; with tied time means, a constant
         column and a fold with one train class."""
         sequences = _tied_corpus()
-        run = window_run(sequences, _config())
+        run = window_run(sequences, replace(_config(), reduction=reduction))
         subjects = [s.subject_id for s in sequences]
         held_out = [[i for i, s in enumerate(subjects) if s == k] for k in sorted(set(subjects))]
         held_out += [[i] for i in range(len(sequences))]
@@ -822,7 +829,7 @@ class TestFoldRelevance:
             assert fold.sort is run.sort
             reduced = models_module.pool_windows(fold.windows, reduction)
             expected = feature_relevance(reduced, fold.labels)
-            assert fold.relevance(reduction).tobytes() == expected.tobytes()
+            assert fold.relevance().tobytes() == expected.tobytes()
             rhos = [spearman_rho(column, fold.labels) for column in reduced.T]
             alone = [0.0 if r.degenerate else abs(r.coefficient) for r in rhos]
             assert expected.tobytes() == np.array(alone).tobytes()
@@ -840,16 +847,16 @@ class TestFoldRelevance:
         features = sequences[3].features.copy()
         features[7, 2] = np.nan
         sequences[3] = replace(sequences[3], features=features)
-        run = window_run(sequences, _config())
         for reduction in ("mean", "max", "std"):
+            run = window_run(sequences, replace(_config(), reduction=reduction))
             for indices in ([0, 1, 2, 4], [3], [0, 3]):
                 fold = _pick(run, indices)
                 if 3 in indices:
                     with pytest.raises(DataError, match=r"^input contains NaN or Inf$"):
-                        fold.relevance(reduction)
+                        fold.relevance()
                 else:
                     expected = feature_relevance(fold.windows, fold.labels, reduction)
-                    assert fold.relevance(reduction).tobytes() == expected.tobytes()
+                    assert fold.relevance().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
     def test_one_run_sort_per_loocv(self, reduction, monkeypatch):

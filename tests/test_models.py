@@ -3,6 +3,7 @@
 import ctypes
 import gc
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from painfusion import (
 from painfusion import models
 from painfusion.data import SequenceData, SyntheticConfig, generate_synthetic
 from painfusion.errors import ConfigError, DataError, NumericError
-from painfusion.evaluate import confusion, metrics
+from painfusion.evaluate import ExperimentConfig, confusion, metrics, train_split, window_run
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.models import STD_FLOOR, WindowSet, fit_lockstep, frame_statistics, pool_windows
 
@@ -117,7 +118,7 @@ class TestFit:
         labels = np.arange(len(windows)) % 2
         semg = quadrifurcated_scheme().modalities["semg"]
         spec = ClassifierSpec(kind=kind, seed=2, epochs=2)
-        ((model,),) = fit_lockstep([(windows, labels, None)], [[spec]], [[semg]])
+        ((model,),) = fit_lockstep(spec, [(windows, labels, None, [(spec.seed, semg)])])
         narrow = WindowSet([frames[:, list(semg)]], 10, 5, 4)
         alone = fit(narrow, labels, spec)
         assert (model.columns, model.n_features) == (semg, 70)
@@ -243,21 +244,20 @@ class TestLockstep:
             X = np.asfortranarray(X)
         labels = rng.integers(0, 2, n).astype(np.int8)
         mean, std = X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR)
-        specs = [
-            ClassifierSpec(
-                kind=kind,
-                seed=int(s),
-                hidden_units=3,
-                epochs=3,
-                batch_size=batch_size,
-                positive_class_weight=positive_class_weight,
-            )
-            for s in rng.integers(0, 2**32, len(columns))
-        ]
-        (trained,) = fit_lockstep([(X, labels, (mean, std))], [specs], [columns])
-        assert len(trained) == len(specs)
-        for model, spec, c in zip(trained, specs, columns):
-            alone = fit(X[:, c], labels, spec, (mean[c], std[c]))
+        spec = ClassifierSpec(
+            kind=kind,
+            seed=0,
+            hidden_units=3,
+            epochs=3,
+            batch_size=batch_size,
+            positive_class_weight=positive_class_weight,
+        )
+        seeds = rng.integers(0, 2**32, len(columns)).tolist()
+        (trained,) = fit_lockstep(spec, [(X, labels, (mean, std), list(zip(seeds, columns)))])
+        assert len(trained) == len(seeds)
+        for model, seed, c in zip(trained, seeds, columns):
+            alone = fit(X[:, c], labels, replace(spec, seed=seed), (mean[c], std[c]))
+            assert model.spec == alone.spec
             assert model.params.tobytes() == alone.params.tobytes()
             assert model.training_log == alone.training_log
             assert model.positive_weight == alone.positive_weight
@@ -270,9 +270,9 @@ class TestLockstep:
         windows, labels = _separable(n=40, d=6)
         mean, std = frame_statistics(windows)
         std[2:4] = 1e-300
-        specs = [ClassifierSpec(kind="logistic", seed=s, epochs=3) for s in (1, 2, 3)]
-        columns = [[0, 1], [2, 3], [4, 5]]
-        (error,) = fit_lockstep([(windows, labels, (mean, std))], [specs], [columns])
+        spec = ClassifierSpec(kind="logistic", seed=0, epochs=3)
+        pairs = [(1, [0, 1]), (2, [2, 3]), (3, [4, 5])]
+        (error,) = fit_lockstep(spec, [(windows, labels, (mean, std), pairs)])
         assert isinstance(error, NumericError)
         assert str(error).startswith("epoch 0: ")
         assert error.model == 1
@@ -282,63 +282,66 @@ class TestLockstep:
         labels (hence positive weight) and frame statistics, train in one
         lockstep; every model gets the bits of ``fit`` on its own set."""
         rng = np.random.default_rng(5)
-        sets, specs, columns = [], [], []
+        spec = ClassifierSpec(kind="mlp", seed=0, epochs=3, batch_size=8)
+        sets = []
         for g in range(3):
             X = rng.standard_normal((37, 8)) * rng.uniform(0.5, 4, 8)
             labels = (rng.random(37) < 0.2 + 0.25 * g).astype(np.int8)
-            sets.append((X, labels, (X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR))))
-            spec = ClassifierSpec(kind="mlp", seed=g, epochs=3, batch_size=8)
-            specs.append([spec, replace(spec, seed=g + 10)])
-            columns.append([[0, 2, 4], None])
-        outcomes = fit_lockstep(sets, specs, columns)
+            stats = (X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR))
+            sets.append((X, labels, stats, [(g, [0, 2, 4]), (g + 10, None)]))
+        outcomes = fit_lockstep(spec, sets)
         assert len({m.positive_weight for models in outcomes for m in models}) == 3
-        for (X, labels, (mean, std)), set_specs, set_columns, models in zip(
-            sets, specs, columns, outcomes, strict=True
-        ):
-            for model, spec, c in zip(models, set_specs, set_columns, strict=True):
+        for (X, labels, (mean, std), set_models), models in zip(sets, outcomes, strict=True):
+            for model, (seed, c) in zip(models, set_models, strict=True):
                 c = slice(None) if c is None else c
-                alone = fit(X[:, c], labels, spec, (mean[c], std[c]))
+                alone = fit(X[:, c], labels, replace(spec, seed=seed), (mean[c], std[c]))
                 assert model.params.tobytes() == alone.params.tobytes()
                 assert model.training_log == alone.training_log
                 assert model.positive_weight == alone.positive_weight
 
-    def test_diverged_set_leaves_the_others_intact(self):
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
+    def test_diverged_set_leaves_the_others_intact(self, kind):
         """Set 1's inputs blow up in epoch 0 (a tiny frame std), set 0's in
         a later epoch (a std shrunk until they do) and set 2's never. Each
         diverged set gets the error of its own lockstep, message and model
-        index, while set 2 trains on to the bits of its own lockstep."""
+        index, while set 2 trains on to the bits of its own lockstep: the
+        masked rows of the diverged sets never reach it, through the mlp's
+        hidden ReLU or the cnn1d max pool's argmax either."""
         rng = np.random.default_rng(8)
-        spec = ClassifierSpec(kind="logistic", seed=0, epochs=8, batch_size=8)
-        specs = [[replace(spec, seed=g), replace(spec, seed=g + 10)] for g in range(3)]
-        columns = [[[0, 1, 2], [3, 4, 5]]] * 3
+        spec = ClassifierSpec(kind=kind, seed=0, epochs=8, batch_size=8, kernel_width=3)
         sets = []
-        for _ in range(3):
-            X = rng.standard_normal((48, 6))
-            labels = (X[:, 0] + rng.standard_normal(48) > 0).astype(np.int8)
-            sets.append((X, labels, (X.mean(axis=0), X.std(axis=0))))
+        for g in range(3):
+            X = rng.standard_normal((48, 4, 6) if kind == "cnn1d" else (48, 6))
+            signal = X[..., 0].reshape(48, -1).mean(axis=1)
+            labels = (signal + rng.standard_normal(48) > 0).astype(np.int8)
+            axes = tuple(range(X.ndim - 1))
+            pairs = [(g, [0, 1, 2]), (g + 10, [3, 4, 5])]
+            sets.append((X, labels, (X.mean(axis=axes), X.std(axis=axes)), pairs))
 
-        def alone(g, training_set):
-            return fit_lockstep([training_set], [specs[g]], [columns[g]])[0]
+        def alone(training_set):
+            return fit_lockstep(spec, [training_set])[0]
 
         def shrunk(training_set, factor):
-            X, labels, (mean, std) = training_set
-            return X, labels, (mean, std * factor)
+            X, labels, (mean, std), pairs = training_set
+            return X, labels, (mean, std * factor), pairs
 
+        # A hidden layer or a convolution diverges at a far milder scale.
+        low = 150.0 if kind == "logistic" else 1.0
         sets[1] = shrunk(sets[1], 1e-300)
-        for exponent in np.arange(150.0, 160.0, 0.125):
+        for exponent in np.arange(low, low + 10.0, 0.125):
             late = shrunk(sets[0], 10.0**-exponent)
-            outcome = alone(0, late)
+            outcome = alone(late)
             if isinstance(outcome, NumericError) and not str(outcome).startswith("epoch 0: "):
                 sets[0] = late
                 break
         else:
             pytest.fail("no std makes set 0 diverge after epoch 0")
 
-        together = fit_lockstep(sets, specs, columns)
+        together = fit_lockstep(spec, sets)
         assert str(together[1]).startswith("epoch 0: ")
         assert not str(together[0]).startswith("epoch 0: ")
         for g, outcome in enumerate(together):
-            reference = alone(g, sets[g])
+            reference = alone(sets[g])
             if g < 2:
                 assert isinstance(outcome, NumericError)
                 assert (str(outcome), outcome.model) == (str(reference), reference.model)
@@ -347,30 +350,51 @@ class TestLockstep:
                 assert model.params.tobytes() == single.params.tobytes()
                 assert model.training_log == single.training_log
 
+    def test_all_sets_diverged_ends_the_lockstep(self, monkeypatch):
+        """When every set diverges at its first step, the lockstep returns
+        only errors, each for its set's first model, after that one step."""
+        real_step, steps = models._losses_and_grads, []
+
+        def counting_step(*args):
+            steps.append(len(args[2]))
+            return real_step(*args)
+
+        monkeypatch.setattr(models, "_losses_and_grads", counting_step)
+        windows, labels = _separable(n=40, d=6)
+        mean, std = frame_statistics(windows)
+        spec = ClassifierSpec(kind="logistic", seed=0, epochs=5, batch_size=8)
+        # Every standardized input overflows to infinity.
+        stats = (mean, std * 1e-310)
+        sets = [(windows, labels, stats, [(g, [0, 1]), (g + 5, [2, 3])]) for g in range(3)]
+        with np.errstate(over="ignore"):
+            outcomes = fit_lockstep(spec, sets)
+        assert steps == [6]
+        for error in outcomes:
+            assert isinstance(error, NumericError)
+            assert re.match(r"^epoch 0: loss became (inf|nan)$", str(error)), str(error)
+            assert error.model == 0
+
     def test_sets_must_share_a_train_size(self):
         windows, labels = _random_windows()
-        specs = [[ClassifierSpec(kind="logistic", seed=s)] for s in (1, 2)]
-        sets = [(windows, labels, None), (windows[:-1], labels[:-1], None)]
+        spec = ClassifierSpec(kind="logistic", seed=0)
+        sets = [
+            (windows, labels, None, [(1, None)]),
+            (windows[:-1], labels[:-1], None, [(2, None)]),
+        ]
         with pytest.raises(ConfigError, match="must share a train window count"):
-            fit_lockstep(sets, specs, [[None], [None]])
+            fit_lockstep(spec, sets)
 
     def test_specs_must_agree_but_for_the_seed(self):
-        windows, labels = _random_windows()
-        specs = [
-            ClassifierSpec(kind="logistic", seed=1),
-            ClassifierSpec(kind="logistic", seed=2, learning_rate=0.01),
-        ]
+        """``train_split`` trains every split's models with one spec, so the
+        splits' classifiers may differ only in their seeds."""
+        corpus = SyntheticConfig(3, 100, 0.2, {"coords": 1.0}, seed=0, mean_positive_bout=20)
+        seqs = generate_synthetic(corpus)
+        spec = ClassifierSpec(kind="logistic", seed=1)
+        config = ExperimentConfig("singular", "average", spec, 0, 20, 10)
+        train, valid = window_run(seqs[:2], config), window_run(seqs[2:], config)
+        other = replace(config, classifier=replace(spec, seed=2, learning_rate=0.01))
         with pytest.raises(ConfigError, match="share every spec field but the seed"):
-            fit_lockstep([(windows, labels, None)], [specs], [[None, None]])
-
-    def test_specs_and_column_selections_must_pair_up(self):
-        """One column selection per spec, checked before any training."""
-        windows, labels = _random_windows()
-        specs = [ClassifierSpec(kind="logistic", seed=s) for s in (1, 2)]
-        with pytest.raises(ConfigError, match="^got 1 specs and 2 column selections$"):
-            fit_lockstep([(windows, labels, None)], [specs[:1]], [[[0], [1]]])
-        with pytest.raises(ConfigError, match="^got 2 specs and 1 column selections$"):
-            fit_lockstep([(windows, labels, None)], [specs], [[None]])
+            train_split([(train, valid, config), (train, valid, other)], [config], 1)
 
 
 class TestPredict:
