@@ -8,22 +8,26 @@ Three architectures over a [window_length x 70] feature window:
   over time, linear output.
 
 All parameters live in one flat float64 vector per model (layouts are
-documented on the architecture classes), gradients are hand-derived,
-and optimization is plain mini-batch SGD with optional momentum;
-models that share a train size and hyperparameters advance in lockstep
-(``fit_lockstep``). Every architecture has one interface, over a stack
-of models: ``scores`` and ``grads`` (see ``_losses_and_grads``). One
-model is a stack of one, in prediction and ``grad_check`` alike. Every
-random draw goes through ``numpy.random.SeedSequence``, and OpenBLAS,
-where numpy links it, runs training and prediction on one thread, so
-that training is a pure function of (windows, labels, spec), whatever
-BLAS's thread count.
+documented on the architecture classes; each ends with the output
+bias), gradients are hand-derived, and optimization is plain mini-batch
+SGD with optional momentum; models that share a train size and
+hyperparameters advance in lockstep (``fit_lockstep``). Every
+architecture has one interface, over a stack of models of its layout
+(a ``_Group``): ``parts``, ``scores`` and ``grads``, which for the
+pooled kinds make one stacked matmul per product, whatever the number
+of models (see ``_losses_and_grads``). One model is a group of one, in
+prediction and ``grad_check`` alike.
+Every random draw goes through ``numpy.random.SeedSequence``, and
+OpenBLAS, where numpy links it, runs training and prediction on one
+thread, so that training is a pure function of (windows, labels, spec),
+whatever BLAS's thread count.
 """
 
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -135,17 +139,17 @@ class _Logistic:
         params[: self.d] = _he_uniform(rng, self.d, self.d)
         return params
 
-    def scores(self, P, params, Xs):
-        Z = np.empty((len(Xs), len(Xs[0])))
-        for z, p, X in zip(Z, params, Xs):
-            np.matmul(X, p[:-1], out=z)
-        Z += P[:, -1:]
-        return Z, None
+    def parts(self, S):
+        """w of a [M, n_params] stack, as [M, d, 1]."""
+        return (S[:, :-1, None],)
 
-    def grads(self, P, params, Xs, cache, DZ, G, grads):
-        for g, dz, X in zip(grads, DZ, Xs):
-            np.matmul(X.T, dz, out=g[:-1])
-        G[:, -1] = np.add.reduce(DZ, axis=1)
+    def scores(self, parts, X, Z):
+        (w,) = parts
+        np.matmul(X, w, out=Z[:, :, None])
+
+    def grads(self, parts, X, cache, DZ, grad_parts):
+        (gw,) = grad_parts
+        np.matmul(X.transpose(0, 2, 1), DZ[:, :, None], out=gw)
 
 
 class _Mlp:
@@ -162,39 +166,38 @@ class _Mlp:
         params[d * h + h : d * h + 2 * h] = _he_uniform(rng, h, h)
         return params
 
-    def scores(self, P, params, Xs):
-        h = self.h
-        pre = np.empty((len(Xs), len(Xs[0]), h))
-        for layer, p, X in zip(pre, params, Xs):
-            np.matmul(X, p[: -2 * h - 1].reshape(-1, h), out=layer)
-        pre += P[:, None, -2 * h - 1 : -h - 1]
-        hidden = np.maximum(pre, 0.0)
-        Z = np.empty(pre.shape[:2])
-        for z, p, layer in zip(Z, params, hidden):
-            np.matmul(layer, p[-h - 1 : -1], out=z)
-        Z += P[:, -1:]
-        return Z, (pre, hidden)
+    def parts(self, S):
+        """W1, b1 and w2 of a [M, n_params] stack, as [M, d, h], [M, 1, h]
+        and [M, h, 1]."""
+        d, h = self.d, self.h
+        W1 = S[:, : d * h].reshape(-1, d, h)
+        return W1, S[:, None, -2 * h - 1 : -h - 1], S[:, -h - 1 : -1, None]
 
-    def grads(self, P, params, Xs, cache, DZ, G, grads):
-        pre, hidden = cache
-        h = self.h
-        dpre = DZ[:, :, None] * P[:, None, -h - 1 : -1]
+    def scores(self, parts, X, Z):
+        W1, b1, w2 = parts
+        pre = np.matmul(X, W1)
+        pre += b1
+        hidden = np.maximum(pre, 0.0)
+        np.matmul(hidden, w2, out=Z[:, :, None])
+        return pre, hidden
+
+    def grads(self, parts, X, cache, DZ, grad_parts):
+        (_, _, w2), (gW1, gb1, gw2), (pre, hidden) = parts, grad_parts, cache
+        dpre = DZ[:, :, None] * w2.transpose(0, 2, 1)
         dpre *= pre > 0.0
-        for g, d, X in zip(grads, dpre, Xs):
-            np.matmul(X.T, d, out=g[: -2 * h - 1].reshape(-1, h))
-        G[:, -2 * h - 1 : -h - 1] = np.add.reduce(dpre, axis=1)
-        for g, dz, layer in zip(grads, DZ, hidden):
-            np.matmul(layer.T, dz, out=g[-h - 1 : -1])
-        G[:, -1] = np.add.reduce(DZ, axis=1)
+        np.matmul(X.transpose(0, 2, 1), dpre, out=gW1)
+        gb1[:] = np.add.reduce(dpre, axis=1, keepdims=True)
+        np.matmul(hidden.transpose(0, 2, 1), DZ[:, :, None], out=gw2)
 
 
 class _Cnn1d:
     """Flat layout: [W: C*K*d, (channel, tap, feature) order][b_conv: C]
     [w: C][b: 1]. The convolution slides over time with stride 1, so a
     window of T frames yields T - K + 1 activations per channel before
-    the global max pool. ``scores`` and ``grads`` run ``_forward`` and
-    ``_backward`` model by model; a model's cache is (act, relu, peak,
-    pooled), and ``_backward`` writes its gradient row."""
+    the global max pool. Its ``parts`` are the rows of a stack, and
+    ``scores`` and ``grads`` run ``_forward`` and ``_backward`` model by
+    model; a model's cache is (act, relu, peak, pooled), and
+    ``_backward`` writes its gradient row but the output bias."""
 
     def __init__(self, spec: ClassifierSpec, n_features: int):
         self.d = n_features
@@ -217,7 +220,7 @@ class _Cnn1d:
         return params
 
     def _forward(self, params, X):
-        W, b_conv, w, b = self._unpack(params)
+        W, b_conv, w, _ = self._unpack(params)
         (B, T, d), C, K = X.shape, self.C, self.K
         if T < K:
             raise DataError(f"window length {T} shorter than kernel width {K}")
@@ -232,7 +235,7 @@ class _Cnn1d:
         relu = np.maximum(act, 0.0)
         peak = (np.arange(B)[:, None], relu.argmax(axis=1), np.arange(C))
         pooled = relu[peak]
-        return pooled @ w + b, (act, relu, peak, pooled)
+        return pooled @ w, (act, relu, peak, pooled)
 
     def _backward(self, params, X, cache, dz, grad):
         act, relu, peak, pooled = cache
@@ -251,14 +254,19 @@ class _Cnn1d:
         grad[: C * K * d] = (shifted.reshape(-1, C * K).T @ X.reshape(-1, d)).reshape(-1)
         grad[C * K * d : C * K * d + C] = dact.sum(axis=(0, 1))
         grad[C * K * d + C : C * K * d + 2 * C] = pooled.T @ dz
-        grad[-1] = dz.sum()
 
-    def scores(self, P, params, Xs):
-        out = [self._forward(p, X) for p, X in zip(params, Xs)]
-        return np.array([z for z, _ in out]), [cache for _, cache in out]
+    def parts(self, S):
+        return S
 
-    def grads(self, P, params, Xs, caches, DZ, G, grads):
-        for args in zip(params, Xs, caches, DZ, grads):
+    def scores(self, parts, X, Z):
+        caches = []
+        for p, x, z in zip(parts, X, Z):
+            z[:], cache = self._forward(p, x)
+            caches.append(cache)
+        return caches
+
+    def grads(self, parts, X, caches, DZ, grad_parts):
+        for args in zip(parts, X, caches, DZ, grad_parts):
             self._backward(*args)
 
     def pool_margin(self, cache) -> float:
@@ -280,39 +288,125 @@ def _architecture(spec: ClassifierSpec, n_features: int):
     return _Cnn1d(spec, n_features)
 
 
-def _losses_and_grads(arch, P, params, Xs, pos_y, neg_y, l2, G, grads):
+class _Group:
+    """Models of one parameter layout at rows ``rows`` of a lockstep's
+    [M, width] stacks, which hold each model's flat vector right-aligned.
+    Its views are built once: ``P`` and ``G`` of those rows' parameters
+    and gradients, and their ``arch.parts``, the layout's parts as
+    stacked-matmul operands. ``inputs`` are the models' (source, index)
+    pairs from ``_model_input``, which ``batch`` gathers from.
+
+    An architecture's ``scores(parts, X, Z)`` writes each model's scores
+    but the output bias into the [models, m] Z and returns a cache, and
+    ``grads(parts, X, cache, DZ, grad_parts)`` the gradient of every part
+    but the output bias, given DZ, that of the scores. Every layout ends
+    with that bias, which ``_scores`` and ``_grads`` handle over all rows."""
+
+    def __init__(self, arch, rows: slice, P, G, inputs=()):
+        self.arch, self.rows, self.inputs, self._buffers = arch, rows, inputs, {}
+        self.P, self.G = (S[rows, S.shape[1] - arch.n_params :] for S in (P, G))
+        self.parts, self.grad_parts = arch.parts(self.P), arch.parts(self.G)
+        self.norm_operands = self.P[:, None, :], self.P[:, :, None]
+
+    def batch(self, order, rows: slice) -> np.ndarray:
+        """The group's [models, m, ...] batch: each model's windows at
+        ``rows`` of its row of the epoch's window order ``order``, a
+        C-ordered [m, ...] slice per model, as a lone model's batch is."""
+        picks = order[self.rows, rows]
+        if isinstance(self.arch, _Cnn1d):
+            ((source, index),) = self.inputs
+            return _windows_at(source, index[picks[0]])[None]
+        m = picks.shape[1]
+        if m not in self._buffers:
+            buffer = np.empty((len(picks), m, self.arch.d))
+            self._buffers[m] = buffer, list(buffer)
+        buffer, slots = self._buffers[m]
+        # A pooled input's index counts its rows, so the picks are rows. No
+        # pick is out of range; "clip" lets take write into out, where
+        # "raise" would gather into a buffer and copy it over.
+        for (source, _), pick, out in zip(self.inputs, picks, slots):
+            source.take(pick, axis=0, out=out, mode="clip")
+        return buffer
+
+
+def _alone(arch, params) -> _Group:
+    """A group of one model, with flat parameters ``params`` and a
+    gradient row of its own."""
+    P = params[None]
+    return _Group(arch, slice(0, 1), P, np.empty_like(P))
+
+
+def _scores(groups, batches, P):
+    """The [M, m] scores of the models of ``groups``, whose parameters P
+    holds, on the groups' [models, m, ...] batches, and each group's cache."""
+    Z = np.empty((len(P), len(batches[0][0])))
+    caches = [g.arch.scores(g.parts, X, Z[g.rows]) for g, X in zip(groups, batches)]
+    Z += P[:, -1:]
+    return Z, caches
+
+
+def _grads(groups, batches, caches, DZ, G):
+    """Write into G the gradients, given DZ, of a loss of ``_scores``."""
+    for g, X, cache in zip(groups, batches, caches):
+        g.arch.grads(g.parts, X, cache, DZ[g.rows], g.grad_parts)
+    G[:, -1] = np.add.reduce(DZ, axis=1)
+
+
+def _cross_entropy(Z, y, weight):
+    """Per row of the [M, m] scores Z, the mean class-weighted cross
+    entropy against the boolean labels y, positive examples weighted by
+    the row's ``weight`` ([M, 1]); and each example's weight, [M, m].
+
+    Each example pays the one softplus its label reads, via logaddexp:
+    softplus(-z) = -log(sigmoid(z)) where y = 1, softplus(z) where y = 0.
+    For finite scores that is the two-term form weight * y * softplus(-z)
+    + (1 - y) * softplus(z) bit for bit: softplus is finite and >= 0
+    there, 0 * finite is +0.0, and x + 0.0 == x for every x >= 0. Any
+    non-finite score takes the two-term form, whose NaN or inf the
+    lockstep reports."""
+    scale = np.where(y, weight, 1.0)
+    if np.isfinite(Z).all():
+        per_example = np.logaddexp(0.0, np.where(y, -Z, Z))
+        per_example *= scale
+    else:
+        per_example = weight * y * np.logaddexp(0.0, -Z) + (1.0 - y) * np.logaddexp(0.0, Z)
+    return np.add.reduce(per_example, axis=1) / Z.shape[1], scale
+
+
+def _losses_and_grads(groups, batches, y, weight, l2, P, G):
     """Each of M models' mean class-weighted cross entropy plus its L2
     penalty, with the gradients written into G. Row i of the [M, width]
     stacks P and G holds model i's flat parameters and gradient
     right-aligned, so that the tail of every layout (biases, output
-    weights) lines up in columns; ``params`` and ``grads`` are the
-    per-model views of those rows, and ``Xs`` the models' [m, ...] input
-    batches. ``pos_y`` is positive_weight * y and ``neg_y`` is 1 - y, one
-    [M, m] row per model.
+    weights) lines up in columns. ``batches`` holds each ``_Group``'s
+    [models, m, ...] batch; ``y`` is the [M, m] boolean labels and
+    ``weight`` the [M, 1] positive weights.
 
-    Every matmul runs per model at the shape a lone model uses, and every
-    other step is elementwise or a per-row reduction over the stacks, so
-    model i gets the bits it would get alone."""
-    Z, cache = arch.scores(P, params, Xs)
-    m = Z.shape[1]
-    # softplus(-z) = -log(sigmoid(z)); both branches via logaddexp stay
-    # finite for any z.
-    per_example = pos_y * np.logaddexp(0.0, -Z) + neg_y * np.logaddexp(0.0, Z)
-    losses = np.add.reduce(per_example, axis=1) / m
-    losses += l2 * np.array([p.dot(p) for p in params])
-    s = _sigmoid(Z)
-    arch.grads(P, params, Xs, cache, (pos_y * (s - 1.0) + neg_y * s) / m, G, grads)
+    A group makes one stacked matmul per product (the architecture's,
+    and the L2 term's [1, n] @ [n, 1] per row). NumPy's matmul loops over
+    the stack, making for each model the gemv, gemm or ddot call that a
+    lone model makes at the same shape and strides; every other step is
+    elementwise or a per-row reduction over the stacks, so model i gets
+    the bits it would get alone."""
+    Z, caches = _scores(groups, batches, P)
+    losses, scale = _cross_entropy(Z, y, weight)
+    norms = np.empty((len(P), 1, 1))
+    for g in groups:
+        np.matmul(*g.norm_operands, out=norms[g.rows])
+    losses += l2 * norms[:, 0, 0]
+    # (s - y) * scale is weight * y * (s - 1) + (1 - y) * s bit for bit,
+    # as 0 * (s - 1) and 0 * s add nothing to a sigmoid s in [0, 1].
+    _grads(groups, batches, caches, (_sigmoid(Z) - y) * scale / Z.shape[1], G)
     G += 2.0 * l2 * P
     return losses
 
 
-def _loss_and_grad(arch, params, X, pos_y, neg_y, l2):
-    """One model's loss and gradient through ``_losses_and_grads``."""
-    G = np.empty((1, len(params)))
-    losses = _losses_and_grads(
-        arch, params[None], [params], [X], pos_y[None], neg_y[None], l2, G, G
-    )
-    return float(losses[0]), G[0]
+def _loss_and_grad(arch, params, X, y, pos_weight, l2):
+    """One model's loss and gradient through ``_losses_and_grads``, on
+    the windows X with the 0/1 labels y."""
+    group, weight = _alone(arch, params), np.array([[pos_weight]])
+    losses = _losses_and_grads([group], [X[None]], y[None] == 1.0, weight, l2, group.P, group.G)
+    return float(losses[0]), group.G[0]
 
 
 BLOCK_WINDOWS = 256
@@ -417,20 +511,30 @@ def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
     shared by overlapping windows counts once per window), with the std
     floored at STD_FLOOR to keep constant features harmless. For two or
     more columns both equal ``mean``/``std(axis=(0, 1))`` of the joined
-    tensor bit for bit."""
+    tensor bit for bit. A column whose sums overflow, from values too
+    large to square, raises DataError."""
     windows = _as_windows(windows)
     count = len(windows) * windows.shape[1]
-    mean = _frame_sum(windows) / count
-    std = np.sqrt(_frame_sum(windows, mean) / count)
+    with np.errstate(over="ignore"):
+        mean = _frame_sum(windows) / count
+        std = np.sqrt(_frame_sum(windows, mean) / count)
+    overflowed = np.flatnonzero(~np.isfinite(std))
+    if len(overflowed):
+        raise DataError(
+            f"feature column {overflowed[0]}: frame std overflows (values too large in magnitude)"
+        )
     return mean, np.maximum(std, STD_FLOOR)
 
 
 def _model_input(kind: str, windows, mean, std, width: int, columns=None):
-    """A model's standardized input X and rows such that ``X.take(rows[i],
-    axis=0)`` is window i, from ``columns`` (all when None) of width-column
-    windows: the pooled kinds' time means (a 2-D ``windows`` as it is, in
-    any layout, else the pooled windows) in C order (a Fortran-ordered one
-    takes another BLAS path), else the joined frames."""
+    """A model's standardized input, a source and an index such that
+    ``_windows_at(source, index[i])`` is window i, from ``columns`` (all
+    when None) of width-column windows. For the pooled kinds the source
+    is the time means (a 2-D ``windows`` as it is, in any layout, else the
+    pooled windows) in C order (a Fortran-ordered one takes another BLAS
+    path) and the index counts its rows; else it is the [starts, length,
+    columns] strided window view of the joined frames, indexed by each
+    window's first frame."""
     index = _column_index(columns)
     if kind in POOLED_KINDS:
         if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
@@ -448,7 +552,17 @@ def _model_input(kind: str, windows, mean, std, width: int, columns=None):
         starts.append(np.arange(offset, offset + len(frames) - length + 1, windows.stride))
         offset += len(frames)
     X /= std
-    return X, np.concatenate(starts)[:, None] + np.arange(length)
+    starts = np.concatenate(starts)
+    if len(X) < length:  # no window, and too few frames for a view
+        return np.empty((0, length, X.shape[1])), starts
+    return np.lib.stride_tricks.sliding_window_view(X, length, axis=0).transpose(0, 2, 1), starts
+
+
+def _windows_at(source, index) -> np.ndarray:
+    """The windows of a model input (``_model_input``) at ``index``, a new
+    C-ordered array: ``take`` from the pooled kinds' rows, a fancy index
+    into cnn1d's window view, which ``take`` would first copy whole."""
+    return source.take(index, axis=0) if source.ndim == 2 else source[index]
 
 
 def _training_labels(windows, labels) -> np.ndarray:
@@ -494,12 +608,13 @@ class TrainedClassifier:
         [n, length, n_features] array or WindowSet, or for the pooled
         kinds of the [n, n_features] array of the windows' time means."""
         mean, std, width = self.feature_mean, self.feature_std, self.n_features
-        X, rows = _model_input(self.spec.kind, windows, mean, std, width, self.columns)
-        arch, P = _architecture(self.spec, len(mean)), self.params[None]
+        source, index = _model_input(self.spec.kind, windows, mean, std, width, self.columns)
+        group = _alone(_architecture(self.spec, len(mean)), self.params)
         # BLOCK_WINDOWS at a time, the last block taking the remainder: BLAS
         # gives small products other kernels and can change a row's bits.
-        blocks = np.split(rows, range(BLOCK_WINDOWS, len(rows) - BLOCK_WINDOWS + 1, BLOCK_WINDOWS))
-        z = [arch.scores(P, [self.params], [X.take(b, axis=0)])[0][0] for b in blocks]
+        ends = range(BLOCK_WINDOWS, len(index) - BLOCK_WINDOWS + 1, BLOCK_WINDOWS)
+        blocks = np.split(index, ends)
+        z = [_scores([group], [_windows_at(source, b)[None]], group.P)[0][0] for b in blocks]
         return _sigmoid(np.concatenate(z))
 
 
@@ -522,11 +637,6 @@ def fit(windows, labels, spec: ClassifierSpec, frame_stats=None) -> TrainedClass
     return models[0]
 
 
-def _right_aligned(stack: np.ndarray, sizes) -> list[np.ndarray]:
-    """Each row's last ``size`` entries, as views."""
-    return [row[len(row) - size :] for row, size in zip(stack, sizes)]
-
-
 @_one_blas_thread()
 def fit_lockstep(spec: ClassifierSpec, sets) -> list:
     """Train models side by side, all with ``spec`` but for their seeds, on
@@ -543,11 +653,14 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
 
     All the models share the train window count. Each keeps its own labels
     (hence its positive weight), its own RNG (initialization, then one
-    permutation per epoch), its own unchanging standardized input, from
-    which every kind takes each batch's rows in the epoch's order into a
-    new C-ordered array, and its own matmuls; the loss terms, row sums,
-    sigmoid, L2 term, finiteness checks and momentum update run once per
-    step over all the models (see ``_losses_and_grads``).
+    permutation per epoch) and its own unchanging standardized input, from
+    which it gathers each batch's windows in the epoch's order. Models of
+    one parameter layout form a group (``_Group``; a cnn1d model is a
+    group of one) at consecutive rows of the stacks, and a step gathers
+    each group's batch once and makes one stacked matmul per product; the
+    output bias, loss terms, row sums, sigmoid, L2 term, finiteness checks
+    and momentum update run once per step over all the models (see
+    ``_losses_and_grads``). Results and errors keep the input order.
 
     Returns, per set, its trained models, or for a set that diverged a
     NumericError for the first of its models, in input order, whose loss
@@ -590,14 +703,25 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
     if any(len(y) != len(ys[0]) for y in ys):
         raise ConfigError("models trained in lockstep must share a train window count")
 
-    rngs = [np.random.default_rng(np.random.SeedSequence(m.spec.seed)) for m in models]
-    sizes = [a.n_params for a in archs]
-    P = np.zeros((len(models), max(sizes)))
-    for p, a, rng in zip(_right_aligned(P, sizes), archs, rngs):
-        p[:] = a.init(rng)
+    # Models of one parameter layout form a group at consecutive rows, in
+    # input order (a cnn1d model is a group of one): slot s trains model
+    # slots[s], and model i sits at slot at[i].
+    keys = [a.n_params if spec.kind in POOLED_KINDS else i for i, a in enumerate(archs)]
+    slots = sorted(range(len(models)), key=lambda i: keys.index(keys[i]))
+    at = np.argsort(slots).tolist()
+    models, archs, inputs = ([items[i] for i in slots] for items in (models, archs, inputs))
+    P = np.zeros((len(models), max(a.n_params for a in archs)))
     velocity, G = np.zeros_like(P), np.zeros_like(P)
-    params, grads = _right_aligned(P, sizes), _right_aligned(G, sizes)
-    Y, owner = np.array(ys), np.array(owner)
+    groups = []
+    for _, run in groupby(range(len(slots)), key=lambda s: keys[slots[s]]):
+        run = list(run)
+        rows = slice(run[0], run[-1] + 1)
+        groups.append(_Group(archs[run[0]], rows, P, G, inputs[rows]))
+    params = [p for group in groups for p in group.P]
+    rngs = [np.random.default_rng(np.random.SeedSequence(m.spec.seed)) for m in models]
+    for p, a, rng in zip(params, archs, rngs):
+        p[:] = a.init(rng)
+    Y, owners = np.array(ys) == 1.0, np.array(owner)[slots]
     weights = np.array([[m.positive_weight] for m in models])
     n, live, logs, errors = len(ys[0]), np.ones(len(models), bool), [[] for _ in models], {}
     # Overflow surfaces as a non-finite loss or gradient, which the checks
@@ -605,43 +729,40 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(spec.epochs):
             order = np.array([rng.permutation(n) for rng in rngs])
-            y_epoch = Y[owner[:, None], order]
-            pos_y, neg_y = weights * y_epoch, 1.0 - y_epoch
-            epoch_rows = [rows[o] for (_, rows), o in zip(inputs, order)]
+            y_epoch = Y[owners[:, None], order]
             totals = np.zeros(len(models))
             for start in range(0, n, spec.batch_size):
                 rows = slice(start, start + spec.batch_size)
-                batches = [X.take(r[rows], axis=0) for (X, _), r in zip(inputs, epoch_rows)]
-                losses = _losses_and_grads(
-                    archs[0], P, params, batches, pos_y[:, rows], neg_y[:, rows], spec.l2, G, grads
-                )
-                finite = np.isfinite(losses) & np.isfinite(G).all(axis=1)
-                if not finite.all():
+                batches = [group.batch(order, rows) for group in groups]
+                y = y_epoch[:, rows]
+                losses = _losses_and_grads(groups, batches, y, weights, spec.l2, P, G)
+                if not (np.isfinite(losses).all() and np.isfinite(G).all()):
+                    finite = np.isfinite(losses) & np.isfinite(G).all(axis=1)
                     # Mask every set that diverges at this step, naming its
-                    # first diverging model.
-                    for i in np.flatnonzero(live & ~finite).tolist():
-                        g, loss = int(owner[i]), float(losses[i])
+                    # first diverging model in input order.
+                    for i in sorted(slots[s] for s in np.flatnonzero(live & ~finite)):
+                        g, loss = owner[i], float(losses[at[i]])
                         if g not in errors:
                             reason = "gradient left the finite range"
                             if not math.isfinite(loss):
                                 reason = f"loss became {loss!r}"
                             errors[g] = NumericError(f"epoch {epoch}: {reason}")
-                            errors[g].model = int((owner[:i] == g).sum())
-                    live &= ~np.isin(owner, list(errors))
+                            errors[g].model = owner[:i].count(g)
+                    live &= ~np.isin(owners, list(errors))
                     if not live.any():
                         break
                 velocity *= spec.momentum
                 velocity -= spec.learning_rate * G
                 P += velocity
-                totals += losses * len(batches[0])
+                totals += losses * y.shape[1]
             if not live.any():
                 break
             for log, total in zip(logs, (totals / n).tolist()):
                 log.append(total)
 
     outcomes = [[] for _ in ys]
-    for g, model, p, log in zip(owner.tolist(), models, params, logs):
-        outcomes[g].append(replace(model, params=p.copy(), training_log=tuple(log)))
+    for g, s in zip(owner, at):
+        outcomes[g].append(replace(models[s], params=params[s].copy(), training_log=tuple(logs[s])))
     return [errors.get(g, trained) for g, trained in enumerate(outcomes)]
 
 
@@ -662,27 +783,27 @@ def grad_check(spec: ClassifierSpec, windows, labels, epsilon: float = 1e-5) -> 
     y = _training_labels(windows, labels)
     mean, std = frame_statistics(windows)
     arch = _architecture(spec, len(mean))
-    X = np.take(*_model_input(spec.kind, windows, mean, std, len(mean)), axis=0)
+    X = _windows_at(*_model_input(spec.kind, windows, mean, std, len(mean)))
     pos_weight, _ = resolve_positive_weight(spec, y)
-    pos_y, neg_y = pos_weight * y, 1.0 - y
 
     for child in np.random.SeedSequence(spec.seed).spawn(_MAX_REDRAWS):
         params = arch.init(np.random.default_rng(child))
         if not hasattr(arch, "pool_margin"):
             break
-        if arch.pool_margin(arch.scores(params[None], [params], [X])[1][0]) > _POOL_MARGIN:
+        group = _alone(arch, params)
+        if arch.pool_margin(_scores([group], [X[None]], group.P)[1][0][0]) > _POOL_MARGIN:
             break
     else:
         raise NumericError("could not find a max-pool-stable initialization")
 
-    _, analytic = _loss_and_grad(arch, params, X, pos_y, neg_y, spec.l2)
+    _, analytic = _loss_and_grad(arch, params, X, y, pos_weight, spec.l2)
     worst = 0.0
     for i in range(arch.n_params):
         bumped = params.copy()
         bumped[i] = params[i] + epsilon
-        hi, _ = _loss_and_grad(arch, bumped, X, pos_y, neg_y, spec.l2)
+        hi, _ = _loss_and_grad(arch, bumped, X, y, pos_weight, spec.l2)
         bumped[i] = params[i] - epsilon
-        lo, _ = _loss_and_grad(arch, bumped, X, pos_y, neg_y, spec.l2)
+        lo, _ = _loss_and_grad(arch, bumped, X, y, pos_weight, spec.l2)
         numeric = (hi - lo) / (2.0 * epsilon)
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-8)
         worst = max(worst, rel)

@@ -155,8 +155,10 @@ def bce_dz_oracle(z, y, pos_weight):
 def sgd_oracle(arch, X, y, pos_weight, spec, rng):
     """Mini-batch SGD with momentum, one fancy-indexed gather per batch
     and out-of-place updates. ``arch`` supplies init and the stacked
-    scores and grads, called for one model; returns the final parameters
-    and the per-epoch mean loss."""
+    scores and grads of every part but the output bias, last in every
+    layout, called for one model; the oracle adds that bias and its
+    gradient itself. Returns the final parameters and the per-epoch mean
+    loss."""
     params = arch.init(rng)
     velocity = np.zeros_like(params)
     log = []
@@ -166,13 +168,15 @@ def sgd_oracle(arch, X, y, pos_weight, spec, rng):
         for start in range(0, len(X), spec.batch_size):
             batch = order[start : start + spec.batch_size]
             Xb, yb = X[batch], y[batch]
-            Z, cache = arch.scores(params[None], [params], [Xb])
-            z = Z[0]
+            P, G = params[None], np.empty((1, len(params)))
+            Z = np.empty((1, len(batch)))
+            cache = arch.scores(arch.parts(P), Xb[None], Z)
+            z = Z[0] + params[-1]
             loss = weighted_bce_oracle(z, yb, pos_weight) + spec.l2 * float(params @ params)
-            G = np.empty((1, len(params)))
             dz = bce_dz_oracle(z, yb, pos_weight)
-            arch.grads(params[None], [params], [Xb], cache, dz[None], G, G)
+            arch.grads(arch.parts(P), Xb[None], cache, dz[None], arch.parts(G))
             grad = G[0]
+            grad[-1] = dz.sum()
             grad += 2.0 * spec.l2 * params
             velocity = spec.momentum * velocity - spec.learning_rate * grad
             params = params + velocity

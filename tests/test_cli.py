@@ -342,6 +342,36 @@ class TestFailureModes:
                 f"error[data]: data file {corpus / 'S02.csv'}: row 2, column 4: cannot parse 'x3'"
             )
 
+    def test_huge_feature_value_names_its_column(self, ini, tmp_path):
+        """A finite feature value too large to square (1e300 in column 3 of
+        one train frame) exits 3 with one stderr line naming the column,
+        and no NumPy overflow warning, at one thread and at two. Runs in a
+        child process, since pytest captures warnings."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        assert ",train,S01.csv\n" in (corpus / "manifest.csv").read_text()
+        path = corpus / "S01.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[3] = "1e300"
+        lines[5] = ",".join(fields)
+        path.write_text("".join(lines))
+        src = os.path.dirname(os.path.dirname(painfusion.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for threads in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", ini,
+                 "--threads", str(threads), "--manifest", str(corpus / "manifest.csv"),
+                 "--out", str(tmp_path / f"o{threads}")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 3
+            assert "RuntimeWarning" not in proc.stderr
+            err_lines = proc.stderr.splitlines()
+            assert len(err_lines) == 1
+            assert err_lines[0].startswith("error[data]: ")
+            assert "feature column 3: frame std overflows" in err_lines[0]
+
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy
         warning, also when cnn1d diverges in a worker process and when a

@@ -33,6 +33,7 @@ from oracles import (
     pool_windows_oracle,
     sgd_oracle,
     stacked_windows_oracle,
+    weighted_bce_oracle,
 )
 
 
@@ -374,6 +375,42 @@ class TestLockstep:
             assert re.match(r"^epoch 0: loss became (inf|nan)$", str(error)), str(error)
             assert error.model == 0
 
+    def test_interleaved_widths_keep_input_order(self):
+        """Models of widths 3, 2, 3, 1, 2 train in three width groups, yet
+        every set's results come back in input order, each with the bits
+        of its own ``fit``."""
+        windows, labels = _separable(n=37, d=6)
+        mean, std = frame_statistics(windows)
+        spec = ClassifierSpec(kind="mlp", seed=0, hidden_units=3, epochs=2, batch_size=8)
+        columns = [[0, 1, 2], [3, 4], [2, 3, 5], [1], [0, 5]]
+        sets = [
+            (windows, labels, (mean, std), [(g * 10 + i, c) for i, c in enumerate(columns)])
+            for g in range(2)
+        ]
+        outcomes = fit_lockstep(spec, sets)
+        for (_, _, _, pairs), trained in zip(sets, outcomes, strict=True):
+            assert [m.columns for m in trained] == [tuple(c) for c in columns]
+            for model, (seed, c) in zip(trained, pairs, strict=True):
+                alone = fit(windows[:, :, c], labels, replace(spec, seed=seed), (mean[c], std[c]))
+                assert model.spec.seed == seed
+                assert model.params.tobytes() == alone.params.tobytes()
+                assert model.training_log == alone.training_log
+
+    def test_divergence_names_the_first_model_in_input_order(self):
+        """Models 1 (width 2) and 2 (width 3) both read a column whose tiny
+        std blows up their inputs, and model 2's width group comes first in
+        the stacks; the error still names model 1, with its own message."""
+        windows, labels = _separable(n=40, d=6)
+        mean, std = frame_statistics(windows)
+        std[4] = 1e-300
+        spec = ClassifierSpec(kind="logistic", seed=0, epochs=3)
+        pairs = [(1, [0, 1, 2]), (2, [3, 4]), (3, [4, 5, 0])]
+        (error,) = fit_lockstep(spec, [(windows, labels, (mean, std), pairs)])
+        assert isinstance(error, NumericError)
+        assert error.model == 1
+        (alone,) = fit_lockstep(spec, [(windows, labels, (mean, std), [pairs[1]])])
+        assert str(error) == str(alone)
+
     def test_sets_must_share_a_train_size(self):
         windows, labels = _random_windows()
         spec = ClassifierSpec(kind="logistic", seed=0)
@@ -395,6 +432,117 @@ class TestLockstep:
         other = replace(config, classifier=replace(spec, seed=2, learning_rate=0.01))
         with pytest.raises(ConfigError, match="share every spec field but the seed"):
             train_split([(train, valid, config), (train, valid, other)], [config], 1)
+
+
+class TestStackedSteps:
+    @given(
+        kind=st.sampled_from(["logistic", "mlp"]),
+        models_in_group=st.integers(1, 6),
+        d=st.integers(1, 9),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 16),
+        h=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="logistic", models_in_group=3, d=1, n=11, batch_size=4, h=2, seed=0)
+    @example(kind="mlp", models_in_group=6, d=1, n=23, batch_size=5, h=3, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_match_per_model_products(self, kind, models_in_group, d, n, batch_size, h, seed):
+        """A group of equal-width models, right-aligned in wider stacks,
+        gathers each batch (the last one short when the batch size does
+        not divide n) and gets, bit for bit, each model's own 2-D products
+        at its lone shape: its scores, loss (the two-term cross entropy
+        plus l2 * p.p) and gradient."""
+        rng = np.random.default_rng(seed)
+        spec = ClassifierSpec(kind=kind, seed=0, hidden_units=h)
+        arch = models._architecture(spec, d)
+        M, l2, pad = models_in_group, 1e-3, 3
+        P = np.zeros((M, arch.n_params + pad))
+        P[:, pad:] = rng.standard_normal((M, arch.n_params))
+        G = np.zeros_like(P)
+        inputs = [(rng.standard_normal((n, d)), np.arange(n)) for _ in range(M)]
+        group = models._Group(arch, slice(0, M), P, G, inputs)
+        order = np.array([rng.permutation(n) for _ in range(M)])
+        y = rng.random((M, n)) < 0.4
+        weight = rng.uniform(0.5, 4.0, (M, 1))
+        for start in range(0, n, batch_size):
+            rows = slice(start, start + batch_size)
+            batch = group.batch(order, rows)
+            losses = models._losses_and_grads([group], [batch], y[:, rows], weight, l2, P, G)
+            Z, _ = models._scores([group], [batch], P)
+            for i, ((X, _), p) in enumerate(zip(inputs, P[:, pad:].copy())):
+                Xb, yb = X[order[i, rows]], y[i, rows].astype(np.float64)
+                assert batch[i].tobytes() == Xb.tobytes()
+                if kind == "logistic":
+                    z = Xb @ p[:-1]
+                else:
+                    pre = Xb @ p[: d * h].reshape(d, h)
+                    pre += p[-2 * h - 1 : -h - 1]
+                    hidden, w2 = np.maximum(pre, 0.0), p[-h - 1 : -1]
+                    z = hidden @ w2
+                z += p[-1]
+                assert Z[i].tobytes() == z.tobytes()
+                loss = weighted_bce_oracle(z, yb, weight[i, 0]) + l2 * p.dot(p)
+                assert losses[i] == loss
+                dz = bce_dz_oracle(z, yb, weight[i, 0])
+                if kind == "logistic":
+                    grad = np.concatenate([Xb.T @ dz, [dz.sum()]])
+                else:
+                    dpre = dz[:, None] * w2
+                    dpre *= pre > 0.0
+                    parts = [(Xb.T @ dpre).reshape(-1), np.add.reduce(dpre, axis=0), hidden.T @ dz]
+                    grad = np.concatenate(parts + [[dz.sum()]])
+                grad += 2.0 * l2 * p
+                assert G[i, pad:].tobytes() == grad.tobytes()
+                assert not G[i, :pad].any()
+
+    _finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 710.0, -710.0]),
+    )
+
+    @given(
+        z=st.lists(_finite, min_size=1, max_size=20),
+        labels=st.lists(st.booleans(), min_size=20, max_size=20),
+        weight=st.floats(1e-6, 1e6),
+        broken=st.lists(st.tuples(st.integers(0, 19), st.sampled_from([np.inf, -np.inf, np.nan]))),
+    )
+    @example(z=[0.0, -0.0], labels=[True, False] * 10, weight=1.0, broken=[])
+    @example(z=[-1e308, 1e308], labels=[True, True] + [False] * 18, weight=3.0, broken=[])
+    @example(z=[1.0, 2.0], labels=[True, False] * 10, weight=2.0, broken=[(0, np.inf)])
+    @settings(max_examples=300, deadline=None)
+    def test_one_softplus_matches_two_term_loss(self, z, labels, weight, broken):
+        """The one-softplus loss equals ``weighted_bce_oracle``'s two-term
+        form bit for bit on finite scores, down to +-0 and |z| near 1e308;
+        with a non-finite score it is the same NaN or inf."""
+        z = np.array(z)
+        for i, value in broken:
+            if i < len(z):
+                z[i] = value
+        y = np.array(labels[: len(z)])
+        with np.errstate(all="ignore"):
+            (loss,), _ = models._cross_entropy(z[None], y[None], np.array([[weight]]))
+            expected = weighted_bce_oracle(z, y.astype(np.float64), weight)
+        if math.isnan(expected):
+            assert math.isnan(loss)
+        else:
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+
+    def test_cnn1d_batch_reads_the_window_view(self):
+        """A cnn1d batch is a fancy index of the strided window view of the
+        standardized frames, by window start: the windows' values in a new
+        C-ordered array, the rows ``take`` once gathered."""
+        rng = np.random.default_rng(2)
+        frames = [rng.standard_normal((n, 5)) for n in (40, 33)]
+        windows = WindowSet(frames, 6, 4, 5)
+        mean, std = frame_statistics(windows)
+        source, starts = models._model_input("cnn1d", windows, mean, std, 5)
+        assert len(starts) == len(windows)
+        picks = rng.permutation(len(windows))[:7]
+        batch = models._windows_at(source, starts[picks])
+        assert batch.flags.c_contiguous
+        expected = (stacked_windows_oracle(frames, 6, 4)[picks] - mean) / std
+        assert batch.tobytes() == expected.tobytes()
 
 
 class TestPredict:
@@ -454,7 +602,8 @@ class TestPredict:
         joined -= model.feature_mean
         joined /= model.feature_std
         arch = models._architecture(spec, 70)
-        z = arch.scores(model.params[None], [model.params], [joined])[0][0]
+        group = models._alone(arch, model.params)
+        z = models._scores([group], [joined[None]], group.P)[0][0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "BLOCK_WINDOWS", 32)
             probas = model.predict_proba_windows(windows)
@@ -616,7 +765,7 @@ class TestConvKernel:
         W, b_conv, w, b = arch._unpack(params)
 
         expected_act = conv_taps_oracle(X, W, b_conv)
-        act = arch.scores(params[None], [params], [X])[1][0][0]
+        act = arch.scores(arch.parts(params[None]), X[None], np.empty((1, batch)))[0][0]
         _assert_close(act, expected_act)
 
         # Backward through max pooling and ReLU from the reference
@@ -640,7 +789,7 @@ class TestConvKernel:
             ]
         )
         expected_grad += 2.0 * l2 * params
-        _, grad = models._loss_and_grad(arch, params, X, pos_weight * y, 1.0 - y, l2)
+        _, grad = models._loss_and_grad(arch, params, X, y, pos_weight, l2)
         n_filter = channels * kernel * d
         _assert_close(grad[:n_filter], expected_grad[:n_filter])
         _assert_close(grad[n_filter:], expected_grad[n_filter:])
