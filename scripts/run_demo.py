@@ -26,7 +26,7 @@ def main() -> int:
 
     t0 = time.time()
     synthetic = default_synthetic_config(args.seed)
-    sequences = generate_synthetic(synthetic)
+    sequences = generate_synthetic(synthetic, args.threads)
     train_ids, valid_ids = synthetic_split(synthetic.n_subjects)
     train, valid = split_train_valid(sequences, train_ids, valid_ids)
     n_frames = sum(s.n_frames for s in sequences)

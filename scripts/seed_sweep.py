@@ -33,7 +33,7 @@ def main() -> int:
     fusion_beats_single = 0
     statistical_beats_average = 0
     for seed in range(args.seeds):
-        sequences = generate_synthetic(default_synthetic_config(seed))
+        sequences = generate_synthetic(default_synthetic_config(seed), args.threads)
         train_ids, valid_ids = synthetic_split(len(sequences))
         train, valid = split_train_valid(sequences, train_ids, valid_ids)
         rows = dict(run_matrix(train, valid, default_experiment_config(seed), threads=args.threads))

@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for training tasks and corpus files",
+        help="worker processes for training tasks and corpus files, and threads "
+        "building synthetic subjects",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -86,7 +87,7 @@ def _load_dataset(run: RunConfig):
         pairs = load_sequences(run.manifest, run.threads)
         train, valid = split_by_manifest(pairs)
         return train, valid, [seq for _, seq in pairs]
-    sequences = generate_synthetic(run.synthetic)
+    sequences = generate_synthetic(run.synthetic, run.threads)
     train_ids, valid_ids = synthetic_split(run.synthetic.n_subjects)
     train, valid = split_train_valid(sequences, train_ids, valid_ids)
     return train, valid, sequences
@@ -122,6 +123,8 @@ def cmd_analyze(run: RunConfig, args) -> int:
         except ZeroVariance:
             rows.append(f"{j},{frames.shape[0]},,,,,,,1")
             continue
+        except DataError as exc:
+            raise DataError(f"feature column {j}: {exc}") from None
         rows.append(
             f"{j},{r.n},{r.mean!r},{r.std!r},{r.skewness!r},{r.excess_kurtosis!r},"
             f"{r.jarque_bera_stat!r},{r.jarque_bera_p!r},0"
@@ -152,7 +155,7 @@ def cmd_weights(run: RunConfig, args) -> int:
 
 
 def cmd_synth(run: RunConfig, args) -> int:
-    sequences = generate_synthetic(run.synthetic)
+    sequences = generate_synthetic(run.synthetic, run.threads)
     train_ids = set(synthetic_split(run.synthetic.n_subjects)[0])
     os.makedirs(run.out_dir, exist_ok=True)
     entries, jobs = [], []

@@ -11,6 +11,7 @@ import hashlib
 import io
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,8 +302,18 @@ def _draw_bouts(rng, n_frames: int, positive_rate: float, mean_positive: float):
     return labels, bouts
 
 
-def generate_synthetic(config: SyntheticConfig) -> list[SequenceData]:
-    """Deterministic synthetic dataset; a pure function of the config."""
+def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[SequenceData]:
+    """Deterministic synthetic dataset; a pure function of the config.
+
+    Subjects are built on up to ``min(workers, n_subjects)`` threads,
+    subject i on thread i % workers: NumPy's random fills and large ufuncs
+    release the interpreter lock, so the threads overlap, and a forked
+    worker would cost more to send its subjects back than to build them.
+    Subject i draws from the i-th child of the seed's SeedSequence on any
+    thread and writes only its own arrays, so the result is the same bytes
+    at any count. Every thread has ended when this returns, so a caller
+    may fork afterwards. The first subject, in subject order, whose build
+    raises raises here."""
     config.validate()
     index_map = _snr_index_map()
     patterns = {
@@ -317,9 +328,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[SequenceData]:
     sides = [s for s in sides if s]
 
     children = np.random.SeedSequence(config.seed).spawn(config.n_subjects)
-    sequences = []
     c = config.noise_correlation
-    for i in range(config.n_subjects):
+
+    def subject(i: int) -> SequenceData:
         rng = np.random.default_rng(children[i])
         n = config.frames_per_subject
         labels, bouts = _draw_bouts(
@@ -344,15 +355,41 @@ def generate_synthetic(config: SyntheticConfig) -> list[SequenceData]:
                 sign = polarity if complementary and min(idx) < SEMG_INDICES[0] else 1.0
                 features[start:end, idx] += sign * config.modality_snr[name] * patterns[name]
 
-        sequences.append(
-            SequenceData(
-                subject_id=f"S{i + 1:02d}",
-                group=CHRONIC if i % 2 == 0 else HEALTHY,
-                features=features,
-                labels=labels,
-                extras=np.zeros((n, 2)),
-            )
+        return SequenceData(
+            subject_id=f"S{i + 1:02d}",
+            group=CHRONIC if i % 2 == 0 else HEALTHY,
+            features=features,
+            labels=labels,
+            extras=np.zeros((n, 2)),
         )
+
+    count = min(workers, config.n_subjects)
+    if count <= 1:
+        return [subject(i) for i in range(config.n_subjects)]
+    sequences: list = [None] * config.n_subjects
+
+    def build(first: int) -> None:
+        for i in range(first, config.n_subjects, count):
+            try:
+                sequences[i] = subject(i)
+            except Exception as exc:  # raised by the caller, in subject order
+                sequences[i] = exc
+                return
+
+    threads = []
+    try:
+        for k in range(count):
+            thread = threading.Thread(target=build, args=(k,))
+            thread.start()
+            threads.append(thread)
+    finally:  # joined even when a thread cannot start
+        for thread in threads:
+            thread.join()
+    # A thread stops at its first failure, so a subject left unbuilt comes
+    # after a failure in subject order.
+    for result in sequences:
+        if isinstance(result, Exception):
+            raise result
     return sequences
 
 

@@ -286,10 +286,12 @@ def train_split(splits, configs, threads: int) -> list:
     else on first use.
 
     The splits' classifiers must agree but for the seed. Returns per split
-    its TrainedSplit, or for a split whose training diverged the
-    NumericError of its first diverging modality, named, or the error its
-    task's relevance raised, each prefixed with the stage; the other splits
-    train on. Other errors raise, with the stage prefixed."""
+    its TrainedSplit, or its first error, prefixed with the stage: a
+    DataError for a validation run with a window time mean too large to
+    square (that split is not trained) or a train run whose frame
+    statistics overflow, the NumericError of its first diverging modality,
+    named, or the error its task's relevance raised; the other splits train
+    on. Other errors raise, with the stage prefixed."""
     spec = splits[0][2].classifier
     if any(replace(base.classifier, seed=spec.seed) != spec for _, _, base in splits):
         raise ConfigError("models trained in lockstep must share every spec field but the seed")
@@ -303,21 +305,43 @@ def train_split(splits, configs, threads: int) -> list:
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     weighs = any(c.weighting == STATISTICAL for c in configs)
+    # A validation window mean too large to square would saturate every
+    # probability of its windows; that split is not trained.
+    per_split, relevances = [[] for _ in splits], [None] * len(splits)
+    for i, (_, valid, _) in enumerate(splits):
+        with np.errstate(over="ignore"):
+            peak = np.abs(valid.means).max(axis=0)
+            overflowed = np.flatnonzero(~np.isfinite(peak * peak))
+        if len(overflowed):
+            per_split[i].append(DataError(
+                f"validation: feature column {overflowed[0]}: window time mean overflows "
+                "when squared (values too large in magnitude)"
+            ))
+    live = [i for i, outcomes in enumerate(per_split) if not outcomes]
     pooled = spec.kind in POOLED_KINDS
     if pooled:
         by_size = {}
-        for i, (train, _, _) in enumerate(splits):
-            by_size.setdefault(len(train.labels), []).append(i)
+        for i in live:
+            by_size.setdefault(len(splits[i][0].labels), []).append(i)
         tasks = []
         for group in by_size.values():
             n = max(min(threads, len(group)), -(-len(group) // LOCKSTEP_SPLITS))
             tasks += [(group[len(group) * j // n : len(group) * (j + 1) // n], keys) for j in range(n)]
-    elif len(splits) >= threads:
-        tasks = [([i], keys) for i in range(len(splits))]
+    elif len(live) >= threads:
+        tasks = [([i], keys) for i in live]
     else:
-        tasks = [([i], [key]) for i in range(len(splits)) for key in keys]
-    shared = len(tasks) > len(splits)  # each split is several tasks, one per modality
-    stats = [frame_statistics(train.windows) if shared else None for train, _, _ in splits]
+        tasks = [([i], [key]) for i in live for key in keys]
+    shared = len(tasks) > len(live)  # each split is several tasks, one per modality
+
+    def split_statistics(i):
+        """Split i's train frame statistics, or the DataError they raise, with
+        the stage prefixed."""
+        try:
+            return frame_statistics(splits[i][0].windows)
+        except DataError as exc:
+            return DataError(f"training: {exc}")
+
+    stats = {i: split_statistics(i) for i in live} if shared else {}
 
     def inputs(run: WindowedRun):
         return run.means if pooled else run.windows
@@ -326,8 +350,9 @@ def train_split(splits, configs, threads: int) -> list:
         """Per split of the task, its index, its relevance or None, and its
         (model, validation probabilities) pairs and errors in order."""
         indices, task_keys = task
-        own = {i: stats[i] or frame_statistics(splits[i][0].windows) for i in indices}
-        done = {i: [] for i in indices}
+        own = {i: stats.get(i) or split_statistics(i) for i in indices}
+        done = {i: [own[i]] if isinstance(own[i], DataError) else [] for i in indices}
+        ready = [i for i in indices if not done[i]]
 
         def training_set(i, part_keys):
             train, _, base = splits[i]
@@ -335,7 +360,11 @@ def train_split(splits, configs, threads: int) -> list:
             return inputs(train), train.labels, own[i], models
 
         # A cnn1d model holds all of its modality's frames, so it trains alone.
-        for part, part_keys in [task] if pooled else [([i], [k]) for i in indices for k in task_keys]:
+        if pooled:
+            parts = [(ready, task_keys)] if ready else []
+        else:
+            parts = [([i], [k]) for i in ready for k in task_keys]
+        for part, part_keys in parts:
             # fit_lockstep reads the sets one at a time, so each train run's
             # time means are joined only while its models' inputs are built.
             sets = (training_set(i, part_keys) for i in part)
@@ -349,7 +378,7 @@ def train_split(splits, configs, threads: int) -> list:
         def relevance(i):
             """The split's relevance, if this task computes it; an error it
             raises ends the split's outcomes."""
-            if weighs and not shared:
+            if weighs and not shared and i in ready:
                 try:
                     return _stage("weighting", splits[i][0].relevance)
                 except PainFusionError as exc:
@@ -357,7 +386,6 @@ def train_split(splits, configs, threads: int) -> list:
 
         return [(i, relevance(i), done[i]) for i in indices]
 
-    per_split, relevances = [[] for _ in splits], [None] * len(splits)
     for results in _stage("training", lambda: map_ordered(train_task, tasks, threads)):
         for i, relevance, outcomes in results:
             per_split[i] += outcomes

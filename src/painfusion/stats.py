@@ -252,13 +252,17 @@ def normality_report(values, qq_points: int | None = None) -> NormalityReport:
     n = x.size
     if x.max() == x.min():
         raise ZeroVariance("constant input has no normality diagnostics")
-    mean = float(x.mean())
-    centered = x - mean
-    m2 = float(np.mean(centered**2))
-    if m2 <= 0.0:
-        raise ZeroVariance("zero variance input")
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(x.mean())
+        centered = x - mean
+        m2 = float(np.mean(centered**2))
+        if m2 <= 0.0:
+            raise ZeroVariance("zero variance input")
+        m3 = float(np.mean(centered**3))
+        m4 = float(np.mean(centered**4))
+    # m4 >= m2 * m2, so finite moments keep m2 ** 1.5 and m2 * m2 finite.
+    if not all(map(math.isfinite, (mean, m2, m3, m4))):
+        raise DataError("normality moments overflow (values too large in magnitude)")
     std = math.sqrt(m2)
     g1 = m3 / m2**1.5
     g2 = m4 / (m2 * m2) - 3.0

@@ -342,35 +342,87 @@ class TestFailureModes:
                 f"error[data]: data file {corpus / 'S02.csv'}: row 2, column 4: cannot parse 'x3'"
             )
 
-    def test_huge_feature_value_names_its_column(self, ini, tmp_path):
-        """A finite feature value too large to square (1e300 in column 3 of
-        one train frame) exits 3 with one stderr line naming the column,
-        and no NumPy overflow warning, at one thread and at two. Runs in a
-        child process, since pytest captures warnings."""
+    @staticmethod
+    def _huge_value_corpus(ini, tmp_path, subject):
+        """A synthetic corpus with 1e300 in column 3 of one frame of
+        ``subject``'s file; returns its manifest path."""
         corpus = tmp_path / "corpus"
         assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
-        assert ",train,S01.csv\n" in (corpus / "manifest.csv").read_text()
-        path = corpus / "S01.csv"
+        path = corpus / f"{subject}.csv"
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[5].split(",")
         fields[3] = "1e300"
         lines[5] = ",".join(fields)
         path.write_text("".join(lines))
+        return corpus / "manifest.csv"
+
+    @staticmethod
+    def _child_error(argv, out):
+        """Run the CLI in a child process, since pytest captures warnings;
+        check that it exits 3 with no NumPy warning and return its one
+        stderr line."""
         src = os.path.dirname(os.path.dirname(painfusion.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "painfusion.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        err_lines = proc.stderr.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error[data]: ")
+        return err_lines[0]
+
+    def test_huge_feature_value_names_its_column(self, ini, tmp_path):
+        """A finite feature value too large to square (1e300 in column 3 of
+        one train frame) exits 3 with one stderr line naming the column,
+        and no NumPy overflow warning, at one thread and at two."""
+        manifest = self._huge_value_corpus(ini, tmp_path, "S01")
+        assert ",train,S01.csv\n" in manifest.read_text()
         for threads in (1, 2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "painfusion.cli", "evaluate", "--config", ini,
-                 "--threads", str(threads), "--manifest", str(corpus / "manifest.csv"),
-                 "--out", str(tmp_path / f"o{threads}")],
-                capture_output=True, text=True, env=env, timeout=120,
+            argv = ["evaluate", "--config", ini, "--threads", str(threads),
+                    "--manifest", str(manifest)]
+            line = self._child_error(argv, tmp_path / f"o{threads}")
+            assert "feature column 3: frame std overflows" in line
+
+    def test_analyze_names_a_huge_column(self, ini, tmp_path):
+        """The same train frame makes analyze's normality moments overflow:
+        exit 3, one line naming the column, no warning, no recommendation."""
+        manifest = self._huge_value_corpus(ini, tmp_path, "S01")
+        for threads in (1, 2):
+            out = tmp_path / f"o{threads}"
+            argv = ["analyze", "--config", ini, "--threads", str(threads),
+                    "--manifest", str(manifest)]
+            assert self._child_error(argv, out) == (
+                "error[data]: feature column 3: normality moments overflow "
+                "(values too large in magnitude)"
             )
-            assert proc.returncode == 3
-            assert "RuntimeWarning" not in proc.stderr
-            err_lines = proc.stderr.splitlines()
-            assert len(err_lines) == 1
-            assert err_lines[0].startswith("error[data]: ")
-            assert "feature column 3: frame std overflows" in err_lines[0]
+            assert not (out / "recommendation.txt").exists()
+
+    def test_huge_validation_value_names_its_column(self, ini, tmp_path):
+        """1e300 in a frame of the validation subject S05 would saturate
+        the probabilities of its windows: evaluate and matrix exit 3 naming
+        the column. In loocv every other fold trains on S05, so the first
+        fold in fold order, S01, is the one named."""
+        manifest = self._huge_value_corpus(ini, tmp_path, "S05")
+        assert ",valid,S05.csv\n" in manifest.read_text()
+        validation = (
+            "validation: feature column 3: window time mean overflows when squared "
+            "(values too large in magnitude)"
+        )
+        expected = {
+            "evaluate": validation,
+            "matrix": validation,
+            "loocv": "fold S01: training: feature column 3: frame std overflows "
+            "(values too large in magnitude)",
+        }
+        for command, message in expected.items():
+            for threads in (1, 2):
+                argv = [command, "--config", ini, "--threads", str(threads),
+                        "--manifest", str(manifest)]
+                line = self._child_error(argv, tmp_path / f"{command}{threads}")
+                assert line == "error[data]: " + message
 
     def test_numeric_failure_prints_one_line(self, tmp_path):
         """A diverging fit exits 4 with one stderr line and no NumPy

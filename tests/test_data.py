@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -401,6 +403,63 @@ class TestSynthetic:
             assert sa.subject_id == sb.subject_id
             assert sa.features.tobytes() == sb.features.tobytes()
             assert sa.labels.tobytes() == sb.labels.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        workers=st.integers(1, 5),
+        n_subjects=st.integers(1, 7),
+        expression=st.sampled_from(["joint", "complementary"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_threads_build_the_serial_corpus(self, workers, n_subjects, expression, seed):
+        """Built on threads, with the interpreter switching threads often,
+        the corpus equals the serial one field for field and bit for bit,
+        with read-only arrays, and every thread has ended when the call
+        returns."""
+        config = replace(
+            default_synthetic_config(seed),
+            n_subjects=n_subjects,
+            frames_per_subject=240,
+            mean_positive_bout=20,
+            expression=expression,
+        )
+        serial = generate_synthetic(config)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = generate_synthetic(config, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(threaded) == len(serial) == n_subjects
+        for a, b in zip(serial, threaded):
+            assert (a.subject_id, a.group) == (b.subject_id, b.group)
+            for name in ("features", "labels", "extras"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
+                assert not y.flags.writeable
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_subject_raises(self, workers, monkeypatch):
+        """Subjects S02 and S03 fail, S02 later than S03 on threads; the
+        error of S02, first in subject order, is the one raised, after
+        every thread has ended."""
+        built = data_module.SequenceData
+
+        def failing(subject_id, *args, **kwargs):
+            if subject_id == "S02":
+                time.sleep(0.2)
+            if subject_id in ("S02", "S03"):
+                raise DataError(f"subject {subject_id}")
+            return built(subject_id, *args, **kwargs)
+
+        monkeypatch.setattr(data_module, "SequenceData", failing)
+        config = replace(default_synthetic_config(3), n_subjects=5, frames_per_subject=200)
+        before = threading.active_count()
+        with pytest.raises(DataError, match="^subject S02$"):
+            generate_synthetic(config, workers)
+        assert threading.active_count() == before
 
     def test_peak_memory_within_one_subject_of_the_corpus(self):
         """Each subject's noise is scaled and shifted in place, so the

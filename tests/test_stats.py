@@ -1,6 +1,7 @@
 """Correlation, normality, and fusion-weight statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,17 @@ class TestNormalityReport:
     def test_constant_input(self):
         with pytest.raises(ZeroVariance):
             normality_report(np.full(100, 3.25))
+
+    @pytest.mark.parametrize("huge", [1e300, -1e300, 1e160, 1.7e308])
+    def test_overflowing_moments_raise(self, huge):
+        """A finite value whose square or fourth power overflows raises a
+        DataError, not a NumPy warning and a NaN p-value."""
+        x = np.random.default_rng(2).standard_normal(100)
+        x[7] = huge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^normality moments overflow"):
+                normality_report(x)
 
     def test_qq_subset(self):
         rng = np.random.default_rng(1)
