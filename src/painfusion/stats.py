@@ -263,6 +263,9 @@ def normality_report(values, qq_points: int | None = None) -> NormalityReport:
     # m4 >= m2 * m2, so finite moments keep m2 ** 1.5 and m2 * m2 finite.
     if not all(map(math.isfinite, (mean, m2, m3, m4))):
         raise DataError("normality moments overflow (values too large in magnitude)")
+    # A tiny spread underflows m2 * m2 (m2 below about 1e-154) or m2 ** 1.5 to 0.
+    if m2**1.5 == 0.0 or m2 * m2 == 0.0:
+        raise ZeroVariance("variance too small for skewness and kurtosis")
     std = math.sqrt(m2)
     g1 = m3 / m2**1.5
     g2 = m4 / (m2 * m2) - 3.0

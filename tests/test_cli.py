@@ -357,16 +357,20 @@ class TestFailureModes:
         return corpus / "manifest.csv"
 
     @staticmethod
-    def _child_error(argv, out):
-        """Run the CLI in a child process, since pytest captures warnings;
-        check that it exits 3 with no NumPy warning and return its one
-        stderr line."""
+    def _child(argv, out):
+        """Run the CLI in a child process, since pytest captures warnings."""
         src = os.path.dirname(os.path.dirname(painfusion.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "painfusion.cli", *argv, "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    @classmethod
+    def _child_error(cls, argv, out):
+        """Check that the CLI exits 3 with no NumPy warning and return its
+        one stderr line."""
+        proc = cls._child(argv, out)
         assert proc.returncode == 3
         assert "RuntimeWarning" not in proc.stderr
         err_lines = proc.stderr.splitlines()
@@ -399,6 +403,27 @@ class TestFailureModes:
                 "(values too large in magnitude)"
             )
             assert not (out / "recommendation.txt").exists()
+
+    def test_analyze_marks_a_tiny_column_constant(self, ini, tmp_path):
+        """Column 3 scaled by 1e-155 in every train file has a subnormal
+        variance, too small for skewness and kurtosis: analyze exits 0 with
+        no warning and marks the column constant."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        for entry in read_manifest(corpus / "manifest.csv"):
+            if entry.split == "train":
+                path = corpus / entry.path
+                rows = [line.split(",") for line in path.read_text().splitlines()]
+                for fields in rows:
+                    fields[3] = repr(float(fields[3]) * 1e-155)
+                path.write_text("".join(",".join(fields) + "\n" for fields in rows))
+        out = tmp_path / "o"
+        argv = ["analyze", "--config", ini, "--manifest", str(corpus / "manifest.csv")]
+        proc = self._child(argv, out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = (out / "normality_per_feature.csv").read_text().splitlines()
+        assert rows[4].startswith("3,") and rows[4].endswith(",1")
+        assert [row[-2:] for row in rows[1:]].count(",1") == 1
 
     def test_huge_validation_value_names_its_column(self, ini, tmp_path):
         """1e300 in a frame of the validation subject S05 would saturate

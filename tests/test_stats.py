@@ -230,6 +230,15 @@ class TestNormalityReport:
         with pytest.raises(ZeroVariance):
             normality_report(np.full(100, 3.25))
 
+    def test_tiny_spread_is_zero_variance(self):
+        """A spread whose variance is subnormal underflows m2 ** 1.5 and
+        m2 * m2 to 0: ZeroVariance, not ZeroDivisionError or a warning."""
+        x = np.random.default_rng(2).standard_normal(100) * 1e-155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVariance):
+                normality_report(x)
+
     @pytest.mark.parametrize("huge", [1e300, -1e300, 1e160, 1.7e308])
     def test_overflowing_moments_raise(self, huge):
         """A finite value whose square or fourth power overflows raises a
