@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet
-from .models import fit_lockstep, frame_statistics, pool_windows
+from .models import fit_lockstep, merge_moments, pool_windows, sequence_moments
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -204,7 +204,9 @@ class WindowedRun:
     window time means: the ``rows`` slices of ``pooled``, joined on each
     use (one slice is a view), so that a run holds no copy of them.
     ``sort()``, cached per process, is ``sort_columns`` of the reduced
-    matrix of the ``window_run`` run that ``pooled`` pools."""
+    matrix of the ``window_run`` run that ``pooled`` pools, and
+    ``moments()`` the ``sequence_moments`` entries of the run's sequences,
+    in order, taken from that run's cached ones."""
 
     sequences: tuple[SequenceData, ...]
     windows: WindowSet
@@ -212,6 +214,7 @@ class WindowedRun:
     pooled: np.ndarray
     rows: tuple[slice, ...]
     sort: Callable[[], tuple[np.ndarray, np.ndarray]]
+    moments: Callable[[], list]
 
     @property
     def means(self) -> np.ndarray:
@@ -228,7 +231,8 @@ def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
     """Window and pool sequences once under the config's window rule. The
     WindowSet copies nothing: it holds each sequence's read-only frames. The
     run reduces by the config's reduction. A sequence shorter than a window
-    raises, with the stage prefixed."""
+    raises, with the stage prefixed, so every sequence has its entry of
+    ``moments()``, which sums its frames on first use only."""
     rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
     labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
     windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
@@ -236,19 +240,21 @@ def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
     pooled = pool_windows(windows)
     r = config.reduction
     sort = cache(lambda: sort_columns(pooled if r == "mean" else pool_windows(windows, r)))
-    return WindowedRun(tuple(sequences), windows, labels, pooled, (slice(None),), sort)
+    moments = cache(lambda: sequence_moments(windows))
+    return WindowedRun(tuple(sequences), windows, labels, pooled, (slice(None),), sort, moments)
 
 
 def _pick(run: WindowedRun, indices) -> WindowedRun:
     """The run of the sequences at ``indices`` of a run that ``window_run``
-    made, in that order, windowed, pooled and sorted by ``run``."""
+    made, in that order, windowed, pooled, sorted and summed by ``run``."""
     starts = np.cumsum((0,) + run.windows.counts).tolist()
     rows = tuple(slice(starts[i], starts[i + 1]) for i in indices)
     sequences = tuple(run.sequences[i] for i in indices)
     rule = (run.windows.shape[1], run.windows.stride, N_FEATURES)
     windows = WindowSet([s.features for s in sequences], *rule)
     labels = np.concatenate([run.labels[r] for r in rows])
-    return WindowedRun(sequences, windows, labels, run.pooled, rows, run.sort)
+    picked = lambda: [run.moments()[i] for i in indices]
+    return WindowedRun(sequences, windows, labels, run.pooled, rows, run.sort, picked)
 
 
 @dataclass(frozen=True)
@@ -266,6 +272,10 @@ class TrainedSplit:
 
 
 LOCKSTEP_SPLITS = 6  # the most splits whose inputs one pooled lockstep holds
+# The largest |standardized window time mean| of a validation run: beyond
+# it the values dwarf every train value and would saturate the
+# probabilities of their windows.
+Z_BOUND = 1e6
 
 
 def train_split(splits, configs, threads: int) -> list:
@@ -274,24 +284,26 @@ def train_split(splits, configs, threads: int) -> list:
     base) triple: two ``WindowedRun``s and the config whose classifier seed
     each model's seed is derived from, by modality name.
 
-    The one training planner; its tasks run on ``threads`` workers
-    (``map_ordered``). Pooled kinds train on time means: each group of
-    splits that share a train window count is cut into at most ``threads``
-    contiguous chunks of at most LOCKSTEP_SPLITS, and a chunk is a task and
-    one ``fit_lockstep``. A cnn1d model trains alone on the WindowSet, in
-    a task of its split when the splits fill the pool, else of its own. A
-    split's frame statistics are computed once, by its task before it
-    trains (here when several tasks train it), and its relevance, when a
-    config weighs statistically, by a task that trains all its modalities,
-    else on first use.
+    Every split's frame statistics are merged here, before any task, from
+    its train run's sequence moments, and its validation run's window time
+    means, standardized by them, must lie within Z_BOUND. The one training
+    planner; its tasks run on ``threads`` workers (``map_ordered``).
+    Pooled kinds train on time means: each group of splits that share a
+    train window count is cut into at most ``threads`` contiguous chunks
+    of at most LOCKSTEP_SPLITS, and a chunk is a task and one
+    ``fit_lockstep``. A cnn1d model trains alone on the WindowSet, in a
+    task of its split when the splits fill the pool, else of its own. A
+    split's relevance, when a config weighs statistically, is computed by
+    a task that trains all its modalities, else on first use.
 
     The splits' classifiers must agree but for the seed. Returns per split
     its TrainedSplit, or its first error, prefixed with the stage: a
-    DataError for a validation run with a window time mean too large to
-    square (that split is not trained) or a train run whose frame
-    statistics overflow, the NumericError of its first diverging modality,
-    named, or the error its task's relevance raised; the other splits train
-    on. Other errors raise, with the stage prefixed."""
+    DataError for a train run whose frame statistics overflow or a
+    validation run with a non-finite or out-of-bound standardized window
+    time mean (such a split is not trained), the NumericError of its
+    first diverging modality, named, or the error its task's relevance
+    raised; the other splits train on. Other errors raise, with the stage
+    prefixed."""
     spec = splits[0][2].classifier
     if any(replace(base.classifier, seed=spec.seed) != spec for _, _, base in splits):
         raise ConfigError("models trained in lockstep must share every spec field but the seed")
@@ -305,17 +317,21 @@ def train_split(splits, configs, threads: int) -> list:
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     weighs = any(c.weighting == STATISTICAL for c in configs)
-    # A validation window mean too large to square would saturate every
-    # probability of its windows; that split is not trained.
-    per_split, relevances = [[] for _ in splits], [None] * len(splits)
-    for i, (_, valid, _) in enumerate(splits):
-        with np.errstate(over="ignore"):
-            peak = np.abs(valid.means).max(axis=0)
-            overflowed = np.flatnonzero(~np.isfinite(peak * peak))
-        if len(overflowed):
+    per_split, relevances, stats = [[] for _ in splits], [None] * len(splits), {}
+    for i, (train, valid, _) in enumerate(splits):
+        try:
+            mean, std = stats[i] = merge_moments(train.moments())
+        except DataError as exc:
+            per_split[i].append(DataError(f"training: {exc}"))
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.abs((valid.means - mean) / std).max(axis=0)
+        beyond = np.flatnonzero(~(peak <= Z_BOUND))
+        if len(beyond):
+            j = beyond[0]
             per_split[i].append(DataError(
-                f"validation: feature column {overflowed[0]}: window time mean overflows "
-                "when squared (values too large in magnitude)"
+                f"validation: feature column {j}: standardized window time mean of "
+                f"magnitude {peak[j]:.3g} exceeds {Z_BOUND:g} (values too large in magnitude)"
             ))
     live = [i for i, outcomes in enumerate(per_split) if not outcomes]
     pooled = spec.kind in POOLED_KINDS
@@ -331,17 +347,6 @@ def train_split(splits, configs, threads: int) -> list:
         tasks = [([i], keys) for i in live]
     else:
         tasks = [([i], [key]) for i in live for key in keys]
-    shared = len(tasks) > len(live)  # each split is several tasks, one per modality
-
-    def split_statistics(i):
-        """Split i's train frame statistics, or the DataError they raise, with
-        the stage prefixed."""
-        try:
-            return frame_statistics(splits[i][0].windows)
-        except DataError as exc:
-            return DataError(f"training: {exc}")
-
-    stats = {i: split_statistics(i) for i in live} if shared else {}
 
     def inputs(run: WindowedRun):
         return run.means if pooled else run.windows
@@ -350,20 +355,18 @@ def train_split(splits, configs, threads: int) -> list:
         """Per split of the task, its index, its relevance or None, and its
         (model, validation probabilities) pairs and errors in order."""
         indices, task_keys = task
-        own = {i: stats.get(i) or split_statistics(i) for i in indices}
-        done = {i: [own[i]] if isinstance(own[i], DataError) else [] for i in indices}
-        ready = [i for i in indices if not done[i]]
+        done = {i: [] for i in indices}
 
         def training_set(i, part_keys):
             train, _, base = splits[i]
             models = [(derive_seed(base.classifier.seed, "clf:" + n), c) for n, c in part_keys]
-            return inputs(train), train.labels, own[i], models
+            return inputs(train), train.labels, stats[i], models
 
         # A cnn1d model holds all of its modality's frames, so it trains alone.
         if pooled:
-            parts = [(ready, task_keys)] if ready else []
+            parts = [(indices, task_keys)]
         else:
-            parts = [([i], [k]) for i in ready for k in task_keys]
+            parts = [([i], [k]) for i in indices for k in task_keys]
         for part, part_keys in parts:
             # fit_lockstep reads the sets one at a time, so each train run's
             # time means are joined only while its models' inputs are built.
@@ -376,9 +379,9 @@ def train_split(splits, configs, threads: int) -> list:
                     done[i] += [(model, model.predict_proba_windows(valid_X)) for model in models]
 
         def relevance(i):
-            """The split's relevance, if this task computes it; an error it
-            raises ends the split's outcomes."""
-            if weighs and not shared and i in ready:
+            """The split's relevance, if this task trains all its modalities;
+            an error it raises ends the split's outcomes."""
+            if weighs and len(task_keys) == len(keys):
                 try:
                     return _stage("weighting", splits[i][0].relevance)
                 except PainFusionError as exc:

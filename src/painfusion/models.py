@@ -506,24 +506,53 @@ def _frame_sum(windows: WindowSet, center=None) -> np.ndarray:
     return total
 
 
-def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and std over every frame of every window (a frame
-    shared by overlapping windows counts once per window), with the std
-    floored at STD_FLOOR to keep constant features harmless. For two or
-    more columns both equal ``mean``/``std(axis=(0, 1))`` of the joined
-    tensor bit for bit. A column whose sums overflow, from values too
-    large to square, raises DataError."""
+def sequence_moments(windows) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per sequence with a window, in sequence order, the moments of its
+    frames over its windows alone: (frame count, per-feature mean, sum of
+    squared deviations from that mean), by ``_frame_sum``. A frame shared
+    by overlapping windows counts once per window that holds it."""
     windows = _as_windows(windows)
-    count = len(windows) * windows.shape[1]
+    (_, length, width), moments = windows.shape, []
     with np.errstate(over="ignore"):
-        mean = _frame_sum(windows) / count
-        std = np.sqrt(_frame_sum(windows, mean) / count)
+        for frames, count in zip(windows.frames, windows.counts):
+            if count:
+                alone = WindowSet([frames], length, windows.stride, width)
+                mean = _frame_sum(alone) / (count * length)
+                moments.append((count * length, mean, _frame_sum(alone, mean)))
+    return moments
+
+
+def merge_moments(moments: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and std of the frames of a list of
+    ``sequence_moments`` entries, merged in order by Chan, Golub and
+    LeVeque's pairwise update (1983), with the std floored at STD_FLOOR to
+    keep constant features harmless. One entry gives its own mean and sqrt(m2 / count): for one
+    sequence of two or more columns, ``mean``/``std(axis=(0, 1))`` of its
+    joined window tensor bit for bit. No entry, or a column whose sums
+    overflow, from values too large to square, raises DataError."""
+    if not moments:
+        raise DataError("no window to take frame statistics from")
+    count, mean, m2 = moments[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, other_mean, other_m2 in moments[1:]:
+            total = count + n
+            delta = other_mean - mean
+            mean = mean + delta * (n / total)
+            m2 = m2 + other_m2 + delta * delta * (count * n / total)
+            count = total
+        std = np.sqrt(m2 / count)
     overflowed = np.flatnonzero(~np.isfinite(std))
     if len(overflowed):
         raise DataError(
             f"feature column {overflowed[0]}: frame std overflows (values too large in magnitude)"
         )
     return mean, np.maximum(std, STD_FLOOR)
+
+
+def frame_statistics(windows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and std over every frame of every window, each
+    sequence's moments merged in order (``merge_moments``)."""
+    return merge_moments(sequence_moments(windows))
 
 
 def _model_input(kind: str, windows, mean, std, width: int, columns=None):

@@ -259,3 +259,31 @@ def frame_sum_oracle(frames, length, stride, block_windows, center=None):
         rows[0] += total
         total = np.add.reduce(rows, axis=0)
     return total
+
+
+def merged_statistics_oracle(frames, length, stride, block_windows, floor):
+    """Per-feature frame mean and std of the windows of several sequences:
+    each sequence's count, mean (``frame_sum_oracle`` over its own windows,
+    divided by its count) and sum of squared deviations, merged column by
+    column in Python floats, in sequence order, by Chan, Golub and
+    LeVeque's pairwise update; a sequence with no window is skipped. The
+    std is sqrt(m2 / count), floored at ``floor``."""
+    merged = None
+    for f in frames:
+        count = max(0, (len(f) - length) // stride + 1) * length
+        if count == 0:
+            continue
+        mean = frame_sum_oracle([f], length, stride, block_windows) / count
+        m2 = frame_sum_oracle([f], length, stride, block_windows, mean)
+        if merged is None:
+            merged = count, mean.tolist(), m2.tolist()
+            continue
+        n, means, m2s = merged
+        total = n + count
+        for j, (a, b, sa, sb) in enumerate(zip(means, mean.tolist(), m2s, m2.tolist())):
+            delta = b - a
+            means[j] = a + delta * (count / total)
+            m2s[j] = sa + sb + delta * delta * (n * count / total)
+        merged = total, means, m2s
+    n, means, m2s = merged
+    return np.array(means), np.array([max(math.sqrt(s / n), floor) for s in m2s])

@@ -343,15 +343,15 @@ class TestFailureModes:
             )
 
     @staticmethod
-    def _huge_value_corpus(ini, tmp_path, subject):
-        """A synthetic corpus with 1e300 in column 3 of one frame of
+    def _huge_value_corpus(ini, tmp_path, subject, value="1e300"):
+        """A synthetic corpus with ``value`` in column 3 of one frame of
         ``subject``'s file; returns its manifest path."""
         corpus = tmp_path / "corpus"
         assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
         path = corpus / f"{subject}.csv"
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[5].split(",")
-        fields[3] = "1e300"
+        fields[3] = value
         lines[5] = ",".join(fields)
         path.write_text("".join(lines))
         return corpus / "manifest.csv"
@@ -433,8 +433,8 @@ class TestFailureModes:
         manifest = self._huge_value_corpus(ini, tmp_path, "S05")
         assert ",valid,S05.csv\n" in manifest.read_text()
         validation = (
-            "validation: feature column 3: window time mean overflows when squared "
-            "(values too large in magnitude)"
+            "validation: feature column 3: standardized window time mean of magnitude "
+            "5.07e+298 exceeds 1e+06 (values too large in magnitude)"
         )
         expected = {
             "evaluate": validation,
@@ -442,6 +442,28 @@ class TestFailureModes:
             "loocv": "fold S01: training: feature column 3: frame std overflows "
             "(values too large in magnitude)",
         }
+        for command, message in expected.items():
+            for threads in (1, 2):
+                argv = [command, "--config", ini, "--threads", str(threads),
+                        "--manifest", str(manifest)]
+                line = self._child_error(argv, tmp_path / f"{command}{threads}")
+                assert line == "error[data]: " + message
+
+    def test_squarable_validation_value_names_its_column(self, ini, tmp_path):
+        """1e150 in a frame of S05 squares to a finite value, yet it lies
+        about 5e148 train stds from the train mean of column 3: evaluate
+        and matrix exit 3 naming the column. In loocv the folds that train
+        on S05 take its frame into a finite std and train, so S05's own
+        fold is the one named."""
+        manifest = self._huge_value_corpus(ini, tmp_path, "S05", "1e150")
+        assert ",valid,S05.csv\n" in manifest.read_text()
+        expected = {
+            "evaluate": "validation: feature column 3: standardized window time mean of "
+            "magnitude 5.07e+148 exceeds 1e+06 (values too large in magnitude)",
+            "loocv": "fold S05: validation: feature column 3: standardized window time mean "
+            "of magnitude 5.11e+148 exceeds 1e+06 (values too large in magnitude)",
+        }
+        expected["matrix"] = expected["evaluate"]
         for command, message in expected.items():
             for threads in (1, 2):
                 argv = [command, "--config", ini, "--threads", str(threads),

@@ -43,6 +43,7 @@ from painfusion.evaluate import (
     window_run,
 )
 from painfusion.modality import SEGMENTS
+from painfusion.models import WindowSet, frame_statistics, merge_moments
 from painfusion.stats import feature_relevance, modality_weights, spearman_rho
 from painfusion.presets import synthetic_split
 
@@ -416,7 +417,8 @@ class TestPooledPath:
         the split's 70-column frame statistics. Under a joint map that
         scatters every segment over the columns, its parameters,
         standardization constants and validation probabilities equal those
-        of ``fit`` and ``predict_proba_windows`` on its own joined windows."""
+        of ``fit`` on a WindowSet of its columns of each train sequence and
+        of ``predict_proba_windows`` on its own joined validation windows."""
         seqs = _corpus()
         joint_map = JointSegmentMap({j: SEGMENTS[j % 3] for j in range(22)})
         config = replace(_config(hidden_units=4), joint_map=joint_map)
@@ -428,10 +430,9 @@ class TestPooledPath:
             for name, model in result.classifiers.items():
                 columns = scheme.modalities[name]
                 labels = window_run(seqs[:4], config).labels
-                train, valid = (
-                    joined_windows_oracle([make_windows(s, *rule)[0] for s in split], columns)
-                    for split in (seqs[:4], seqs[4:])
-                )
+                frames = [s.features[:, list(columns)] for s in seqs[:4]]
+                train = WindowSet(frames, *rule, len(columns))
+                valid = joined_windows_oracle([make_windows(s, *rule)[0] for s in seqs[4:]], columns)
                 seed = derive_seed(config.classifier.seed, "clf:" + name)
                 alone = fit(train, labels, replace(config.classifier, seed=seed))
                 assert np.array_equal(model.params, alone.params)
@@ -724,14 +725,16 @@ class TestLoocv:
 
     @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
     def test_each_split_has_its_statistics_and_relevance_once(self, kind, tmp_path, monkeypatch):
-        """Every fold's frame statistics and relevance are computed once,
-        by the task that trains the fold, so a loocv at three threads
-        computes none of them in the calling process. A loocv whose only
-        arm weighs by average computes no relevance. A cnn1d matrix at two
-        threads trains its split in six tasks, so it computes the split's
-        statistics and its relevance in the calling process, once each."""
+        """A training run's sequence moments are summed once, in the calling
+        process, before any task, and every fold's frame statistics merge
+        their entries. Every fold's relevance is computed once, by the task
+        that trains the fold, so a loocv at three threads computes none of
+        them in the calling process. A loocv whose only arm weighs by
+        average computes no relevance. A cnn1d matrix at two threads trains
+        its split in six tasks, so it computes the split's relevance in the
+        calling process, once."""
         log = tmp_path / "calls"
-        for name in ("frame_statistics", "ranked_relevance"):
+        for name in ("sequence_moments", "ranked_relevance"):
 
             def recording(*args, _real=getattr(evaluate_module, name), _name=name):
                 with open(log, "a", encoding="utf-8") as fh:
@@ -750,16 +753,16 @@ class TestLoocv:
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", epochs=1)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
-        each = [("frame_statistics", True)] * 4 + [("ranked_relevance", True)] * 4
+        moments = [("sequence_moments", True)]
+        each = [("ranked_relevance", True)] * 4 + moments
         assert calls(lambda: loocv(seqs, config, threads=1)) == each
-        in_workers = [(name, False) for name, _ in each]
+        in_workers = [("ranked_relevance", False)] * 4 + moments
         assert calls(lambda: loocv(seqs, config, threads=3)) == in_workers
         average = replace(config, weighting="average")
         for threads in (1, 3):
-            names = [name for name, _ in calls(lambda: loocv(seqs, average, threads=threads))]
-            assert names == ["frame_statistics"] * 4
+            assert calls(lambda: loocv(seqs, average, threads=threads)) == moments
         matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
-        assert matrix == [("frame_statistics", True), ("ranked_relevance", True)]
+        assert matrix == [("ranked_relevance", True)] + moments
 
     def test_relevance_error_names_its_fold(self):
         """A fold whose training task computes its relevance and fails
@@ -874,6 +877,37 @@ class TestFoldRelevance:
         result = loocv(seqs, replace(_config(), reduction=reduction), threads=1)
         assert len(result.folds) == 4
         assert sorts == [sum(len(make_windows(s, 20, 10)[1]) for s in seqs)]
+
+
+class TestFoldStatistics:
+    def test_picked_runs_get_the_statistics_of_their_own_sequences(self):
+        """Every run that ``_pick`` builds takes its sequences' moments
+        from the run it is picked from, in pick order, and merges them to
+        the bits of a ``window_run`` of its own sequences, which equal
+        ``frame_statistics`` of its windows: subject folds (S01's two
+        sequences are not adjacent), sequence folds, their held-out runs
+        and a pick out of run order, over sequences of unequal lengths."""
+        lengths = [300, 220, 260, 300, 240]
+        sequences = [
+            replace(s, subject_id=k, features=s.features[:n], labels=s.labels[:n],
+                    extras=s.extras[:n])
+            for s, k, n in zip(_corpus(n_subjects=5), ["S01", "S02", "S01", "S03", "S04"], lengths)
+        ]
+        config = _config()
+        run = window_run(sequences, config)
+        subjects = [s.subject_id for s in sequences]
+        held_out = [[i for i, s in enumerate(subjects) if s == k] for k in sorted(set(subjects))]
+        held_out += [[i] for i in range(len(sequences))]
+        picks = [[i for i in range(len(sequences)) if i not in out] for out in held_out]
+        picks += held_out + [[3, 0, 2]]
+        for indices in picks:
+            fold = _pick(run, indices)
+            alone = window_run([sequences[i] for i in indices], config)
+            expected = merge_moments(alone.moments())
+            for got, want, direct in zip(
+                merge_moments(fold.moments()), expected, frame_statistics(alone.windows)
+            ):
+                assert got.tobytes() == want.tobytes() == direct.tobytes()
 
 
 class TestReportRendering:

@@ -4,6 +4,7 @@ import ctypes
 import gc
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     conv_weight_grad_oracle,
     frame_sum_oracle,
     joined_windows_oracle,
+    merged_statistics_oracle,
     pool_windows_oracle,
     sgd_oracle,
     stacked_windows_oracle,
@@ -622,14 +624,17 @@ class TestWindowBlocks:
     )
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_joined_tensor(self, length, stride, extra_frames, block, columns, seed):
-        """Time reductions and frame statistics read block by block from
-        per-sequence frames equal those of the joined C-ordered tensor of
-        ``make_windows`` views bit for bit, for blocks smaller than, equal
-        to and larger than the first sequence's window count, and for all
-        70 columns, the contiguous sEMG and the scattered trunk columns
-        picked from them; so do the blocks themselves and a model's input
-        from those columns: the pooled kinds' time means, and the
-        convolution's frame columns gathered by window frame rows."""
+        """Time reductions read block by block from per-sequence frames
+        equal those of the joined C-ordered tensor of ``make_windows`` views
+        bit for bit, for blocks smaller than, equal to and larger than the
+        first sequence's window count, and for all 70 columns, the
+        contiguous sEMG and the scattered trunk columns picked from them;
+        so do the blocks themselves and a model's input from those columns:
+        the pooled kinds' time means, and the convolution's frame columns
+        gathered by window frame rows. So do the frame statistics of one
+        sequence; those of several are its sequences' moments merged in
+        order, bit for bit, and lie within 1e-11 std of the joined
+        tensor's, or for the mean within the rounding of a sum of frames."""
         rng = np.random.default_rng(seed)
         selected = None if columns is None else quadrifurcated_scheme().modalities[columns]
         frames, parts = [], []
@@ -662,8 +667,21 @@ class TestWindowBlocks:
                 pooled = pool_windows(windows, reduction)
                 assert np.array_equal(pooled[:, pick], getattr(joined, reduction)(axis=1))
             mean, std = frame_statistics(windows)
-        assert np.array_equal(mean[pick], joined.mean(axis=(0, 1)))
-        assert np.array_equal(std[pick], np.maximum(joined.std(axis=(0, 1)), STD_FLOOR))
+            merged = merged_statistics_oracle(frames, length, stride, size, STD_FLOOR)
+            first = frame_statistics(WindowSet(frames[:1], length, stride, 70))
+        assert np.array_equal(mean, merged[0])
+        assert np.array_equal(std, merged[1])
+        joined_std = np.maximum(joined.std(axis=(0, 1)), STD_FLOOR)
+        # Summing n frames, joined or per sequence, rounds a mean by up to
+        # about n * eps * mean|x|, more than 1e-11 std where a column's
+        # spread is 1e-3 of its offset of 5.
+        rounding = len(windows) * length * np.finfo(float).eps * np.abs(joined).mean(axis=(0, 1))
+        bound = np.maximum(1e-11 * joined_std, rounding)
+        assert np.all(np.abs(mean[pick] - joined.mean(axis=(0, 1))) <= bound)
+        assert np.all(np.abs(std[pick] - joined_std) <= 1e-11 * joined_std)
+        alone = joined_windows_oracle(parts[:1], selected)
+        assert np.array_equal(first[0][pick], alone.mean(axis=(0, 1)))
+        assert np.array_equal(first[1][pick], np.maximum(alone.std(axis=(0, 1)), STD_FLOOR))
         blocks = stacked_windows_oracle(frames, length, stride)
         assert np.array_equal(blocks, joined_windows_oracle(parts))
         assert np.array_equal(blocks[:, :, pick], joined)
@@ -678,9 +696,12 @@ class TestInPlaceReductions:
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_equal_block_copies(self, width, layout, block):
-        """Pooling (mean, max, std) and the frame statistics, read in place
-        from strided views of the frames, equal bit for bit the block-copy
-        reading that copied every window: for one to 70 columns, C- and
+        """Pooling (mean, max, std), the frame sums and the frame statistics
+        of one sequence, read in place from strided views of the frames,
+        equal bit for bit the block-copy reading that copied every window;
+        those of several sequences are the block-copy moments of each
+        sequence merged in order, bit for bit, within 1e-11 std of the
+        block-copy sums over all of them: for one to 70 columns, C- and
         Fortran-ordered frames, BLOCK_WINDOWS of 1, 7 and 256, a sequence
         with no window, and a stride shorter than, equal to and longer than
         the window."""
@@ -707,9 +728,39 @@ class TestInPlaceReductions:
                 count = len(windows) * length
                 squares = frame_sum_oracle(frames, length, stride, block, total / count)
                 mean, std = frame_statistics(windows)
-            assert mean.tobytes() == (total / count).tobytes()
-            floored = np.maximum(np.sqrt(squares / count), STD_FLOOR)
-            assert std.tobytes() == floored.tobytes()
+                merged = merged_statistics_oracle(frames, length, stride, block, STD_FLOOR)
+                first = frame_statistics(WindowSet(frames[:1], length, stride, width))
+                first_total = frame_sum_oracle(frames[:1], length, stride, block)
+                first_count = (len(frames[0]) - length) // stride * length + length
+                first_squares = frame_sum_oracle(
+                    frames[:1], length, stride, block, first_total / first_count
+                )
+            assert mean.tobytes() == merged[0].tobytes()
+            assert std.tobytes() == merged[1].tobytes()
+            joined_std = np.maximum(np.sqrt(squares / count), STD_FLOOR)
+            assert np.all(np.abs(mean - total / count) <= 1e-11 * joined_std)
+            assert np.all(np.abs(std - joined_std) <= 1e-11 * joined_std)
+            assert first[0].tobytes() == (first_total / first_count).tobytes()
+            floored = np.maximum(np.sqrt(first_squares / first_count), STD_FLOOR)
+            assert first[1].tobytes() == floored.tobytes()
+
+    def test_no_window_raises_data_error(self):
+        """Frame statistics skip a sequence with no window, so a set whose
+        first sequence is shorter than a window gets the bits of the set
+        without it; a set with no window at all, of no sequence or of only
+        short ones, raises DataError, with no NumPy warning."""
+        rng = np.random.default_rng(3)
+        frames = [rng.standard_normal((n, 4)) + 2.0 for n in (5, 40, 23)]
+        short_first = frame_statistics(WindowSet(frames, 6, 3, 4))
+        rest = frame_statistics(WindowSet(frames[1:], 6, 3, 4))
+        for got, expected in zip(short_first, rest):
+            assert got.tobytes() == expected.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for empty in (WindowSet([], 6, 3, 4), WindowSet(frames[:1], 6, 3, 4)):
+                assert len(empty) == 0
+                with pytest.raises(DataError, match="^no window to take frame statistics from$"):
+                    frame_statistics(empty)
 
 
 class TestGradients:
