@@ -40,7 +40,7 @@ from .evaluate import (
     weights_csv,
     window_run,
 )
-from .errors import DataError, PainFusionError, ZeroVariance
+from .errors import ConfigError, DataError, PainFusionError, ZeroVariance
 from .modality import scheme_by_name
 from .presets import synthetic_split
 from .stats import fusion_weights, normality_report, recommend_method
@@ -100,6 +100,15 @@ def _train_split(run: RunConfig):
     if not train:
         raise DataError("train split is empty: no sequence is assigned to train")
     return train
+
+
+def _check_out(out_dir: str) -> None:
+    """--out must name a directory, or a missing path whose nearest existing ancestor is one."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
 
 
 def _write(run: RunConfig, name: str, text: str) -> str:
@@ -243,6 +252,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = load_run_config(args.config, args.out, args.seed, args.threads)
+        _check_out(run.out_dir)
         if args.manifest is not None:
             run = replace(run, manifest=args.manifest)
         return _COMMANDS[args.command](run, args)

@@ -418,29 +418,25 @@ def read_text(path, error, what: str, newline=None) -> str:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    if not os.path.exists(path):
-        raise DataError(f"manifest not found: {path}")
     entries = []
     text = read_text(path, DataError, "manifest", newline="")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(MANIFEST_FIELDS):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if [f.strip() for f in next(reader, [])] != list(MANIFEST_FIELDS):
         raise DataError(
             f"manifest {path}: header must be {','.join(MANIFEST_FIELDS)}"
         )
-    for lineno, row in enumerate(reader, start=2):
-        if None in row.values():
-            raise DataError(
-                f"manifest {path} line {lineno}: need {len(MANIFEST_FIELDS)} fields"
-            )
-        group = row["group"].strip()
-        split = row["split"].strip()
+    for row in filter(None, reader):
+        where = f"manifest {path} line {reader.line_num}"
+        if len(row) != len(MANIFEST_FIELDS):
+            raise DataError(f"{where}: need exactly {len(MANIFEST_FIELDS)} fields, got {len(row)}")
+        subject_id, group, split, file = (f.strip() for f in row)
+        if not subject_id:
+            raise DataError(f"{where}: empty subject_id")
         if group not in GROUPS:
-            raise DataError(f"manifest {path} line {lineno}: bad group {group!r}")
+            raise DataError(f"{where}: bad group {group!r}")
         if split not in SPLITS:
-            raise DataError(f"manifest {path} line {lineno}: bad split {split!r}")
-        entries.append(
-            ManifestEntry(row["subject_id"].strip(), group, split, row["path"].strip())
-        )
+            raise DataError(f"{where}: bad split {split!r}")
+        entries.append(ManifestEntry(subject_id, group, split, file))
     if not entries:
         raise DataError(f"manifest {path}: no records")
     return entries

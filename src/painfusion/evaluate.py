@@ -261,14 +261,14 @@ def _pick(run: WindowedRun, indices) -> WindowedRun:
 class TrainedSplit:
     """A trained train/valid split: (model, validation probabilities) per
     distinct (modality name, columns), the train window count, the
-    validation labels and subjects, and ``relevance()``, the train run's
-    cached ``WindowedRun.relevance`` under the base config's reduction."""
+    validation labels and subjects, and ``relevance``: the train run's
+    relevance, or None when no arm weighs statistically."""
 
     models: dict[tuple[str, tuple[int, ...]], tuple[TrainedClassifier, np.ndarray]]
     n_train_windows: int
     valid_labels: np.ndarray
     valid_subjects: tuple[str, ...]
-    relevance: Callable[[], np.ndarray]
+    relevance: np.ndarray | None
 
 
 LOCKSTEP_SPLITS = 6  # the most splits whose inputs one pooled lockstep holds
@@ -287,21 +287,21 @@ def train_split(splits, configs, threads: int) -> list:
     Every split's frame statistics are merged here, before any task, from
     its train run's sequence moments, and its validation run's window time
     means, standardized by them, must lie within Z_BOUND. The one training
-    planner; its tasks run on ``threads`` workers (``map_ordered``).
-    Pooled kinds train on time means: each group of splits that share a
-    train window count is cut into at most ``threads`` contiguous chunks
-    of at most LOCKSTEP_SPLITS, and a chunk is a task and one
-    ``fit_lockstep``. A cnn1d model trains alone on the WindowSet, in a
-    task of its split when the splits fill the pool, else of its own. A
-    split's relevance, when a config weighs statistically, is computed by
-    a task that trains all its modalities, else on first use.
+    planner; its tasks run on ``threads`` workers (``map_ordered``), and
+    every task is one ``fit_lockstep``. Pooled kinds train on time means:
+    each group of splits that share a train window count is cut into at
+    most ``threads`` contiguous chunks of at most LOCKSTEP_SPLITS, and a
+    chunk is a task. A cnn1d model trains alone on the WindowSet, so a
+    cnn1d task is one (split, modality) pair. When a config weighs
+    statistically, the task that trains a split's first modality computes
+    the split's relevance too; otherwise none is computed.
 
     The splits' classifiers must agree but for the seed. Returns per split
     its TrainedSplit, or its first error, prefixed with the stage: a
     DataError for a train run whose frame statistics overflow or a
     validation run with a non-finite or out-of-bound standardized window
     time mean (such a split is not trained), the NumericError of its
-    first diverging modality, named, or the error its task's relevance
+    first diverging modality, named, or else the error its relevance
     raised; the other splits train on. Other errors raise, with the stage
     prefixed."""
     spec = splits[0][2].classifier
@@ -343,71 +343,63 @@ def train_split(splits, configs, threads: int) -> list:
         for group in by_size.values():
             n = max(min(threads, len(group)), -(-len(group) // LOCKSTEP_SPLITS))
             tasks += [(group[len(group) * j // n : len(group) * (j + 1) // n], keys) for j in range(n)]
-    elif len(live) >= threads:
-        tasks = [([i], keys) for i in live]
     else:
+        # A cnn1d model holds all of its modality's frames, so it trains alone.
         tasks = [([i], [key]) for i in live for key in keys]
 
     def inputs(run: WindowedRun):
         return run.means if pooled else run.windows
 
+    def training_set(i, task_keys):
+        train, _, base = splits[i]
+        models = [(derive_seed(base.classifier.seed, "clf:" + n), c) for n, c in task_keys]
+        return inputs(train), train.labels, stats[i], models
+
+    def relevance_of(i):
+        try:
+            return _stage("weighting", splits[i][0].relevance)
+        except PainFusionError as exc:
+            return exc
+
     def train_task(task):
-        """Per split of the task, its index, its relevance or None, and its
-        (model, validation probabilities) pairs and errors in order."""
+        """Per split of the task: its index, its (model, validation
+        probabilities) pairs or its error, and, when an arm weighs
+        statistically and the task trains its first modality, its relevance
+        or the error it raised, else None."""
         indices, task_keys = task
-        done = {i: [] for i in indices}
-
-        def training_set(i, part_keys):
-            train, _, base = splits[i]
-            models = [(derive_seed(base.classifier.seed, "clf:" + n), c) for n, c in part_keys]
-            return inputs(train), train.labels, stats[i], models
-
-        # A cnn1d model holds all of its modality's frames, so it trains alone.
-        if pooled:
-            parts = [(indices, task_keys)]
-        else:
-            parts = [([i], [k]) for i in indices for k in task_keys]
-        for part, part_keys in parts:
-            # fit_lockstep reads the sets one at a time, so each train run's
-            # time means are joined only while its models' inputs are built.
-            sets = (training_set(i, part_keys) for i in part)
-            for i, models in zip(part, fit_lockstep(spec, sets)):
-                if isinstance(models, NumericError):
-                    done[i].append(NumericError(f"training: {part_keys[models.model][0]}: {models}"))
-                else:
-                    valid_X = inputs(splits[i][1])
-                    done[i] += [(model, model.predict_proba_windows(valid_X)) for model in models]
-
-        def relevance(i):
-            """The split's relevance, if this task trains all its modalities;
-            an error it raises ends the split's outcomes."""
-            if weighs and len(task_keys) == len(keys):
-                try:
-                    return _stage("weighting", splits[i][0].relevance)
-                except PainFusionError as exc:
-                    done[i].append(exc)
-
-        return [(i, relevance(i), done[i]) for i in indices]
+        computes = weighs and task_keys[0] == keys[0]
+        # fit_lockstep reads the sets one at a time, so each train run's
+        # time means are joined only while its models' inputs are built.
+        sets = (training_set(i, task_keys) for i in indices)
+        done = []
+        for i, models in zip(indices, fit_lockstep(spec, sets)):
+            if isinstance(models, NumericError):
+                outcomes = [NumericError(f"training: {task_keys[models.model][0]}: {models}")]
+            else:
+                valid_X = inputs(splits[i][1])
+                outcomes = [(model, model.predict_proba_windows(valid_X)) for model in models]
+            done.append((i, outcomes, relevance_of(i) if computes else None))
+        return done
 
     for results in _stage("training", lambda: map_ordered(train_task, tasks, threads)):
-        for i, relevance, outcomes in results:
+        for i, outcomes, relevance in results:
             per_split[i] += outcomes
-            relevances[i] = relevance
+            if relevance is not None:
+                relevances[i] = relevance
     trained = []
-    for (train, valid, base), outcomes, relevance in zip(splits, per_split, relevances):
-        errors = [o for o in outcomes if isinstance(o, PainFusionError)]
+    for (train, valid, _), outcomes, relevance in zip(splits, per_split, relevances):
+        errors = [o for o in outcomes + [relevance] if isinstance(o, PainFusionError)]
         if errors:
             trained.append(errors[0])
             continue
         subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
-        lazy = cache(train.relevance)
         trained.append(
             TrainedSplit(
                 models=dict(zip(keys, outcomes)),
                 n_train_windows=len(train.labels),
                 valid_labels=valid.labels.astype(np.int64),
                 valid_subjects=tuple(subjects.tolist()),
-                relevance=lazy if relevance is None else lambda r=relevance: r,
+                relevance=relevance,
             )
         )
     return trained
@@ -418,8 +410,8 @@ def score_arm(split: TrainedSplit, config: ExperimentConfig) -> ExperimentResult
     weights of the config's scheme under its weighting rule, the vote of
     the scheme's modalities' validation probabilities, and the confusion
     matrix and metrics against the validation labels."""
-    scheme = scheme_by_name(config.scheme_name, config.joint_map)
-    weights = _stage("weighting", lambda: fusion_weights(config.weighting, scheme, split.relevance))
+    scheme, rule = scheme_by_name(config.scheme_name, config.joint_map), config.weighting
+    weights = _stage("weighting", lambda: fusion_weights(rule, scheme, lambda: split.relevance))
     outcomes = {name: split.models[name, scheme.modalities[name]] for name in sorted(scheme.names)}
     probas = {name: p for name, (_, p) in outcomes.items()}
     threshold, mode = config.decision_threshold, config.vote_mode

@@ -194,6 +194,54 @@ class TestFailureModes:
             "error[data]: train split is empty: no sequence is assigned to train"
         ]
 
+    @pytest.mark.parametrize("command", ["analyze", "weights", "synth", "evaluate", "matrix", "loocv"])
+    @pytest.mark.parametrize("under", ["", "sub/dir"])
+    def test_unusable_out_exits_2_before_loading(
+        self, ini, tmp_path, capsys, monkeypatch, command, under
+    ):
+        """An --out that names an existing file, or a path under one, fails
+        every command with one config line naming the path, before the
+        dataset is generated or read, and creates nothing."""
+
+        def unreachable(*args):
+            raise AssertionError("the dataset was loaded")
+
+        for name in ("generate_synthetic", "load_sequences"):
+            monkeypatch.setattr(painfusion.cli, name, unreachable)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = os.path.join(str(blocker), under)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, "--config", ini, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error[config]: --out {out}: {blocker} exists and is not a directory"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("S01,healthy,train,S01.csv,extra", "need exactly 4 fields, got 5"),
+            (" ,healthy,train,S01.csv", "empty subject_id"),
+        ],
+    )
+    def test_bad_manifest_row_exits_3(self, ini, tmp_path, capsys, row, message):
+        """A manifest row with an extra field, or with an empty subject_id,
+        fails a loocv with the data exit code, naming its line."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = row
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["loocv", "--config", ini, "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[data]: manifest {manifest} line 3: {message}"
+        ]
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nseed = 1\nlearning = 0.5\n")

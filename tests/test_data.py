@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -556,6 +557,36 @@ class TestManifest:
         )
         with pytest.raises(DataError, match="line 2: bad split 'test'"):
             read_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("P0,healthy,train,x.csv,extra", "line 3: need exactly 4 fields, got 5"),
+            ("P0,healthy,train", "line 3: need exactly 4 fields, got 3"),
+            (",healthy,train,x.csv", "line 3: empty subject_id"),
+            ("  ,healthy,train,x.csv", "line 3: empty subject_id"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        """A row needs exactly the header's fields and a subject_id; a
+        blank line is skipped but counted, so the line named is the file's."""
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"subject_id,group,split,path\n\n{row}\n")
+        with pytest.raises(DataError, match=f"^manifest {re.escape(str(manifest))} {message}$"):
+            read_manifest(manifest)
+
+    def test_header_fields_may_be_padded(self, tmp_path):
+        """Header fields are compared stripped, and the rows read by them."""
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("subject_id, group, split, path\nP0,healthy,train,x.csv\n")
+        assert read_manifest(manifest) == [ManifestEntry("P0", "healthy", "train", "x.csv")]
+
+    def test_one_subject_may_be_listed_under_two_groups(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "subject_id,group,split,path\nP0,healthy,train,a.csv\nP0,chronic_pain,valid,b.csv\n"
+        )
+        assert [e.group for e in read_manifest(manifest)] == ["healthy", "chronic_pain"]
 
 
 class TestMapOrdered:

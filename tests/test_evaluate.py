@@ -445,26 +445,44 @@ class TestPooledPath:
         assert checked == {"all", "coords", "semg", *SEGMENTS}
 
     def test_cnn1d_matrix_trains_on_one_round(self, monkeypatch):
-        """cnn1d puts every distinct modality of a matrix, one model per
-        task, on a single ``map_ordered`` round when the one split cannot
-        fill the pool. A task is (split indices, modality keys), and its
-        models are every pair of the two. A loocv whose folds fill the
-        pool makes each fold one task, of all its modalities."""
-        real_map, rounds = evaluate_module.map_ordered, []
+        """Every task that ``train_split`` hands ``map_ordered`` is one
+        ``fit_lockstep``. A task is (split indices, modality keys), and its
+        models are every pair of the two; a cnn1d task is one (split,
+        modality) pair at every thread count, so a matrix trains its six
+        modalities in six tasks on one round, and a loocv its four folds'
+        two modalities in eight. A pooled loocv at three threads cuts its
+        four equal folds into three chunks."""
+        real_map, real_fit = evaluate_module.map_ordered, evaluate_module.fit_lockstep
+        rounds, fits = [], []
+
+        def recording_fit(spec, sets):
+            fits.append(spec)
+            return real_fit(spec, sets)
 
         def recording_map(fn, items, workers):
-            rounds.append([(len(indices), len(keys)) for indices, keys in items])
-            return real_map(fn, items, workers)
+            def counted(item):
+                fits.clear()
+                return fn(item), len(fits)
 
+            results = real_map(counted, items, workers)
+            rounds.append([(len(i), len(k), n) for (i, k), (_, n) in zip(items, results)])
+            return [result for result, _ in results]
+
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", recording_fit)
         monkeypatch.setattr(evaluate_module, "map_ordered", recording_map)
         seqs = _corpus(n_subjects=4, frames=120)
         config = _config(epochs=1)
-        config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
-        run_matrix(seqs[:3], seqs[3:], config, threads=2)
-        assert rounds == [[(1, 1)] * 6]
+        cnn = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
+        for threads in (1, 2, 3):
+            rounds.clear()
+            run_matrix(seqs[:3], seqs[3:], cnn, threads=threads)
+            assert rounds == [[(1, 1, 1)] * 6]
+            rounds.clear()
+            loocv(seqs, cnn, threads=threads)
+            assert rounds == [[(1, 1, 1)] * 8]
         rounds.clear()
         loocv(seqs, config, threads=3)
-        assert rounds == [[(1, 2)] * 4]
+        assert rounds == [[(1, 2, 1), (1, 2, 1), (2, 2, 1)]]
 
 
 class TestLoocv:
@@ -730,9 +748,10 @@ class TestLoocv:
         their entries. Every fold's relevance is computed once, by the task
         that trains the fold, so a loocv at three threads computes none of
         them in the calling process. A loocv whose only arm weighs by
-        average computes no relevance. A cnn1d matrix at two threads trains
-        its split in six tasks, so it computes the split's relevance in the
-        calling process, once."""
+        average computes no relevance. A cnn1d matrix at two threads computes
+        its split's relevance once, in the worker that trains its first
+        modality; a logistic one trains its one split in one task, which
+        ``map_ordered`` runs in the calling process."""
         log = tmp_path / "calls"
         for name in ("sequence_moments", "ranked_relevance"):
 
@@ -762,7 +781,7 @@ class TestLoocv:
         for threads in (1, 3):
             assert calls(lambda: loocv(seqs, average, threads=threads)) == moments
         matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
-        assert matrix == [("ranked_relevance", True)] + moments
+        assert matrix == [("ranked_relevance", kind == "logistic")] + moments
 
     def test_relevance_error_names_its_fold(self):
         """A fold whose training task computes its relevance and fails
@@ -781,6 +800,26 @@ class TestLoocv:
                 assert str(caught.value) == "fold S01: weighting: need at least 3 samples, got 2"
                 with pytest.raises(DataError, match="^weighting: need at least 3 samples, got 2$"):
                     run_matrix(seqs[:2], seqs[2:], config, threads=threads)
+
+    def test_model_error_comes_before_relevance_error(self):
+        """A cnn1d split whose models diverge and whose relevance fails too
+        (two train windows are too few to rank) reports the NumericError
+        of its first diverging modality, at one thread and at three."""
+        seqs = [
+            replace(s, features=s.features[:20], labels=s.labels[:20], extras=s.extras[:20])
+            for s in _corpus(n_subjects=3)
+        ]
+        config = _config(epochs=4, learning_rate=1e200)
+        config = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
+        for run in (lambda t: run_matrix(seqs[:2], seqs[2:], config, threads=t),
+                    lambda t: loocv(seqs, config, threads=t)):
+            messages = []
+            for threads in (1, 3):
+                with pytest.raises(NumericError) as caught:
+                    run(threads)
+                messages.append(str(caught.value))
+            assert re.match(r"^(fold S01: )?training: \w+: epoch \d+: ", messages[0]), messages[0]
+            assert messages[0] == messages[1]
 
     def test_threads_do_not_change_folds(self):
         seqs = _corpus(n_subjects=4)
