@@ -25,7 +25,17 @@ from painfusion.config import KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 KINDS = ("logistic", "mlp", "cnn1d")
-CORPORA = ("synth", "uneven", "twice", "spaces")
+CORPORA = ("synth", "uneven", "twice", "spaces", "variants")
+# Spellings of a data file that read as the comma-separated original, one
+# per subject file in turn. The first row picks the delimiter, so tabs get
+# files of their own.
+SPELLINGS = (
+    lambda data: data.replace(b"\n", b"\r\n"),
+    lambda data: data.replace(b"\n", b"\n \t\n", 1),
+    lambda data: data.replace(b"\n", b",\n"),
+    lambda data: data.replace(b"\n", b",0.5\n"),
+    lambda data: data.replace(b",", b"\t"),
+)
 
 # config: configs/<config>.ini or None; overrides: "section.key=value"; corpus: in CORPORA or None
 Row = collections.namedtuple(
@@ -38,6 +48,7 @@ ROWS = [
     Row("weights", "weights"),
     Row("evaluate", "evaluate", corpus="synth"),
     Row("evaluate-spaces", "evaluate", corpus="spaces", threads=(1,)),
+    Row("evaluate-variants", "evaluate", corpus="variants", threads=(1,)),
     *(Row(f"seven-{command}", command, overrides=("synthetic.n_subjects=7",), threads=(1, 3))
       for command in ("synth", "matrix", "analyze")),
     Row("default-matrix", "matrix", "default", threads=(2,)),
@@ -77,6 +88,7 @@ WEIGHTS = "weights_bifurcated_statistical.csv"
 SAME = [
     ("weights-seed7", "weights-default"),
     ("evaluate-spaces", "evaluate"),
+    ("evaluate-variants", "evaluate"),
     ("cnn1d-matrix-blas1", "cnn1d-matrix"),
     *((f"{k}-max-weights/weights.csv", f"{k}-max-matrix/{WEIGHTS}") for k in ("logistic", "cnn1d")),
 ]
@@ -111,8 +123,9 @@ def cli(what, args, out, env=None):
 
 
 def build_corpora(root):
-    """quick.ini's synth and three copies: S02 and S05 cut short (uneven),
-    S04's manifest row renamed S01 (twice), every comma a space (spaces)."""
+    """quick.ini's synth and four copies: S02 and S05 cut short (uneven),
+    S04's manifest row renamed S01 (twice), every comma a space (spaces),
+    each file in one of SPELLINGS (variants)."""
     synth = root / "synth"
     cli("corpus synth", ["synth", "--config", CONFIGS / "quick.ini"], synth)
     for name in CORPORA[1:]:
@@ -123,10 +136,11 @@ def build_corpora(root):
     manifest = (synth / "manifest.csv").read_bytes().replace(b"\nS04,", b"\nS01,")
     assert manifest.count(b"\nS01,") == 2, "the twice manifest has no second S01 row"
     (root / "twice" / "manifest.csv").write_bytes(manifest)
-    for path in synth.glob("S*.csv"):
+    for i, path in enumerate(sorted(synth.glob("S*.csv"))):
         data = path.read_bytes()
         assert b"," in data, f"{path.name} has no comma to replace"
         (root / "spaces" / path.name).write_bytes(data.replace(b",", b" "))
+        (root / "variants" / path.name).write_bytes(SPELLINGS[i % len(SPELLINGS)](data))
 
 
 def digest_tree(root):

@@ -48,10 +48,7 @@ def _path(raw: str, base_dir: str) -> str:
 
 
 def _joint_map(raw: str, base_dir: str):
-    path = _path(raw, base_dir)
-    if not os.path.exists(path):
-        raise ConfigError(f"joint_map file not found: {path}")
-    return parse_joint_segment_map(read_text(path, ConfigError, "joint_map file"))
+    return parse_joint_segment_map(read_text(_path(raw, base_dir), ConfigError, "joint_map file"))
 
 
 # (section, key) -> (target, field, parser). A target names the object the
@@ -110,8 +107,6 @@ def _read_ini(path: str | None) -> dict[str, dict]:
     fields = {"run": {}, "experiment": {}, "classifier": {}, "synthetic": {}}
     if not path:
         return fields
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     text = read_text(path, ConfigError, "config")

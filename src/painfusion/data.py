@@ -11,7 +11,6 @@ import hashlib
 import io
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +61,29 @@ class SequenceData:
         return self.features.shape[0]
 
 
-def _locate_bad_token(rows: list[list[str]]) -> tuple[int, int, str]:
-    for i, row in enumerate(rows):
-        for j, token in enumerate(row):
-            try:
-                value = float(token)
-            except ValueError:
-                return i, j, token
-            if not math.isfinite(value):
-                return i, j, token
-    raise AssertionError("no bad token found")  # pragma: no cover
+def _loads(line: str, sep, columns) -> bool:
+    try:
+        np.loadtxt([line], delimiter=sep, usecols=columns, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _locate(lines: list[str], sep, matrix) -> str:
+    """The error for rows that ``np.loadtxt`` refused (``matrix`` is None)
+    or read as non-finite: the first row with too few fields, else the first
+    field that does not parse on its own, else the first non-finite value."""
+    if matrix is not None:
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        return f"row {i + 1}, column {j + 1}: non-finite value {lines[i].split(sep)[j]!r}"
+    for i, line in enumerate(lines):
+        if (n := len(line.split(sep))) < _MIN_COLUMNS:
+            return f"row {i + 1}: {n} columns, need {_MIN_COLUMNS}"
+    for i, line in enumerate(lines):
+        if not _loads(line, sep, range(_MIN_COLUMNS)):
+            j = next(j for j in range(_MIN_COLUMNS) if not _loads(line, sep, [j]))
+            return f"row {i + 1}, column {j + 1}: cannot parse {line.split(sep)[j]!r}"
+    raise AssertionError("np.loadtxt refused the rows together, none alone")  # pragma: no cover
 
 
 def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
@@ -88,50 +100,28 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
         raise DataError(f"no data rows for subject {subject_id!r}")
 
     sep = "," if "," in lines[0] else None  # None -> any whitespace
-    try:  # one bulk parse; text that it refuses or reads otherwise goes row by row
+    try:  # one row per line, so the rows are numbered as the non-blank lines
         matrix = np.loadtxt(
-            io.StringIO(data), delimiter=sep, usecols=range(_MIN_COLUMNS), comments=None, ndmin=2
+            lines, delimiter=sep, usecols=range(_MIN_COLUMNS), comments=None, ndmin=2
         )
     except ValueError:
         matrix = None
-    if matrix is None or len(matrix) != len(lines) or not np.isfinite(matrix).all():
-        rows = []
-        for i, line in enumerate(lines):
-            tokens = [t for t in line.split(sep) if t != ""]
-            if len(tokens) < _MIN_COLUMNS:
-                raise DataError(
-                    f"row {i + 1}: {len(tokens)} columns, need {_MIN_COLUMNS}"
-                )
-            rows.append(tokens[:_MIN_COLUMNS])
-        try:
-            matrix = np.array(rows, dtype=np.float64)
-        except ValueError:
-            i, j, token = _locate_bad_token(rows)
-            raise DataError(
-                f"row {i + 1}, column {j + 1}: cannot parse {token!r}"
-            ) from None
-        if not np.isfinite(matrix).all():
-            i, j = np.argwhere(~np.isfinite(matrix))[0]
-            raise DataError(
-                f"row {i + 1}, column {j + 1}: non-finite value {rows[i][j]!r}"
-            )
+    if matrix is None or not np.isfinite(matrix).all():
+        raise DataError(_locate(lines, sep, matrix))
 
     raw_labels = matrix[:, 72]
-    labels = np.empty(len(matrix), dtype=np.int8)
     near_zero = np.abs(raw_labels) <= _LABEL_TOL
     near_one = np.abs(raw_labels - 1.0) <= _LABEL_TOL
     bad = ~(near_zero | near_one)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise DataError(f"row {i + 1}: label {float(raw_labels[i])!r} not in {{0, 1}}")
-    labels[near_zero] = 0
-    labels[near_one] = 1
 
     return SequenceData(
         subject_id=subject_id,
         group=group,
         features=matrix[:, :N_FEATURES].copy(),
-        labels=labels,
+        labels=near_one.astype(np.int8),
         extras=matrix[:, 70:72].copy(),
     )
 
@@ -305,15 +295,15 @@ def _draw_bouts(rng, n_frames: int, positive_rate: float, mean_positive: float):
 def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[SequenceData]:
     """Deterministic synthetic dataset; a pure function of the config.
 
-    Subjects are built on up to ``min(workers, n_subjects)`` threads,
-    subject i on thread i % workers: NumPy's random fills and large ufuncs
-    release the interpreter lock, so the threads overlap, and a forked
-    worker would cost more to send its subjects back than to build them.
-    Subject i draws from the i-th child of the seed's SeedSequence on any
-    thread and writes only its own arrays, so the result is the same bytes
-    at any count. Every thread has ended when this returns, so a caller
-    may fork afterwards. The first subject, in subject order, whose build
-    raises raises here."""
+    Subjects are built on a ``ThreadPoolExecutor`` of up to
+    ``min(workers, n_subjects)`` threads: NumPy's random fills and large
+    ufuncs release the interpreter lock, so the threads overlap, and a
+    forked worker would cost more to send its subjects back than to build
+    them. Subject i draws from the i-th child of the seed's SeedSequence on
+    any thread and writes only its own arrays, so the result is the same
+    bytes at any count. The pool is shut down, its threads joined, when
+    this returns, so a caller may fork afterwards. The first subject, in
+    subject order, whose build raises raises here."""
     config.validate()
     index_map = _snr_index_map()
     patterns = {
@@ -366,31 +356,10 @@ def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[Sequen
     count = min(workers, config.n_subjects)
     if count <= 1:
         return [subject(i) for i in range(config.n_subjects)]
-    sequences: list = [None] * config.n_subjects
+    from concurrent.futures import ThreadPoolExecutor  # here, so serial runs skip its import
 
-    def build(first: int) -> None:
-        for i in range(first, config.n_subjects, count):
-            try:
-                sequences[i] = subject(i)
-            except Exception as exc:  # raised by the caller, in subject order
-                sequences[i] = exc
-                return
-
-    threads = []
-    try:
-        for k in range(count):
-            thread = threading.Thread(target=build, args=(k,))
-            thread.start()
-            threads.append(thread)
-    finally:  # joined even when a thread cannot start
-        for thread in threads:
-            thread.join()
-    # A thread stops at its first failure, so a subject left unbuilt comes
-    # after a failure in subject order.
-    for result in sequences:
-        if isinstance(result, Exception):
-            raise result
-    return sequences
+    with ThreadPoolExecutor(count) as pool:
+        return list(pool.map(subject, range(config.n_subjects)))
 
 
 # --- manifests ------------------------------------------------------------
@@ -407,10 +376,10 @@ class ManifestEntry:
 
 
 def read_text(path, error, what: str, newline=None) -> str:
-    """The UTF-8 text of an existing file; a file that cannot be opened
-    or decoded raises ``error`` naming it."""
+    """The UTF-8 text of a file, without a leading byte-order mark; a file
+    that cannot be opened or decoded raises ``error`` naming it."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
@@ -432,6 +401,10 @@ def read_manifest(path) -> list[ManifestEntry]:
         subject_id, group, split, file = (f.strip() for f in row)
         if not subject_id:
             raise DataError(f"{where}: empty subject_id")
+        if set(subject_id) & set(',"\r\n'):  # it is written unquoted into CSV artifacts
+            raise DataError(
+                f"{where}: subject_id {subject_id!r} holds a comma, quote or line break"
+            )
         if group not in GROUPS:
             raise DataError(f"{where}: bad group {group!r}")
         if split not in SPLITS:
@@ -482,25 +455,22 @@ def map_ordered(fn, items, workers: int) -> list:
         return list(pool.map(_apply, range(len(items))))
 
 
-def _load_entry(job: tuple[ManifestEntry, str]) -> SequenceData:
-    entry, path = job
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
-    text = read_text(path, DataError, "data file", newline="")
-    try:
-        return parse_emopain_file(text, entry.subject_id, entry.group)
-    except DataError as exc:
-        raise DataError(f"data file {path}: {exc}") from None
-
-
 def load_sequences(manifest_path, workers: int = 1) -> list[tuple[ManifestEntry, SequenceData]]:
     """Read a manifest and parse every referenced data file, on up to
     ``workers`` processes; relative paths resolve against the manifest's
     directory. The first bad entry in manifest order raises."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    jobs = [(entry, os.path.join(base, entry.path)) for entry in entries]
-    return list(zip(entries, map_ordered(_load_entry, jobs, workers)))
+
+    def load(entry: ManifestEntry) -> SequenceData:
+        path = os.path.join(base, entry.path)
+        text = read_text(path, DataError, "data file", newline="")
+        try:
+            return parse_emopain_file(text, entry.subject_id, entry.group)
+        except DataError as exc:
+            raise DataError(f"data file {path}: {exc}") from None
+
+    return list(zip(entries, map_ordered(load, entries, workers)))
 
 
 def split_by_manifest(

@@ -224,11 +224,14 @@ class TestFailureModes:
         [
             ("S01,healthy,train,S01.csv,extra", "need exactly 4 fields, got 5"),
             (" ,healthy,train,S01.csv", "empty subject_id"),
+            ('"S,01",healthy,train,S01.csv',
+             "subject_id 'S,01' holds a comma, quote or line break"),
         ],
     )
     def test_bad_manifest_row_exits_3(self, ini, tmp_path, capsys, row, message):
-        """A manifest row with an extra field, or with an empty subject_id,
-        fails a loocv with the data exit code, naming its line."""
+        """A manifest row with an extra field, with an empty subject_id, or
+        with one that would split a row of a CSV artifact, fails a loocv
+        with the data exit code, naming its line."""
         corpus = tmp_path / "corpus"
         assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
         manifest = corpus / "manifest.csv"
@@ -389,6 +392,48 @@ class TestFailureModes:
             assert err_lines[0] == (
                 f"error[data]: data file {corpus / 'S02.csv'}: row 2, column 4: cannot parse 'x3'"
             )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_field_exits_3(self, ini, tmp_path, capsys, threads):
+        """With a 74th column on every row, an empty field 4 on row 11 of
+        S01.csv fails evaluate, naming the file, row and column, rather
+        than reading the row's later fields one column to the left."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        for path in corpus.glob("S*.csv"):
+            lines = [line + ",0" for line in path.read_text().splitlines()]
+            if path.name == "S01.csv":
+                fields = lines[10].split(",")
+                fields[3] = ""
+                lines[10] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["evaluate", "--config", ini, "--out", str(tmp_path / "o"),
+                "--threads", str(threads), "--manifest", str(corpus / "manifest.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[data]: data file {corpus / 'S01.csv'}: row 11, column 4: cannot parse ''"
+        ]
+
+    @pytest.mark.parametrize("kind", ["config", "joint map", "manifest", "data file"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, kind):
+        """Each input file, started with a UTF-8 byte-order mark as
+        spreadsheet exports often are, gives evaluate the same outputs as
+        the file without one."""
+        (tmp_path / "map.txt").write_text(
+            "".join(f"{j} {segment}\n" for j, segment in JOINT_MAP.assignments.items())
+        )
+        ini = tmp_path / "run.ini"
+        ini.write_text(SMALL_INI + "\n[paths]\njoint_map = map.txt\n")
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", str(ini), "--out", str(corpus)]) == 0
+        argv = ["evaluate", "--config", str(ini), "--manifest", str(corpus / "manifest.csv")]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        path = {"config": ini, "joint map": tmp_path / "map.txt",
+                "manifest": corpus / "manifest.csv", "data file": corpus / "S01.csv"}[kind]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([*argv, "--out", str(tmp_path / "marked")]) == 0
+        assert _read_all(tmp_path / "marked") == _read_all(tmp_path / "plain")
 
     @staticmethod
     def _huge_value_corpus(ini, tmp_path, subject, value="1e300"):

@@ -33,6 +33,7 @@ from painfusion.data import (
     load_sequences,
     map_ordered,
     read_manifest,
+    read_text,
     write_manifest,
     write_sequence_file,
 )
@@ -130,62 +131,55 @@ class TestParser:
         with pytest.raises(DataError, match="unknown group 'patients'"):
             parse_emopain_file(_row(range(70)), "P1", "patients")
 
-    _GOOD = _row([i * 0.37 - 5.0 for i in range(70)], extras=(1.5, -2.0), label=1.0)
-    _BULK_CASES = {
-        # case: (text, parsed in bulk, expected error or None)
-        "blank lines": (f"\n{_GOOD}\n\n{_GOOD}\n\n", True, None),
-        "whitespace line": (f"{_GOOD}\n   \n{_GOOD}\n", False, None),
-        "hash": ("#5" + _GOOD[_GOOD.index(","):], False, "row 1, column 1: cannot parse '#5'"),
-        "underscore": ("1_0" + _GOOD[_GOOD.index(","):], False, None),
-        "quoted": ('"5"' + _GOOD[_GOOD.index(","):], False, "cannot parse '\"5\"'"),
-        "nan": (f"{_GOOD}\nnan" + _GOOD[_GOOD.index(","):], False, "row 2, column 1: non-finite"),
-        "74 columns": (f"{_GOOD},7.5\n{_GOOD},x\n", True, None),
-        "70 columns": (",".join(["0.5"] * 70) + "\n", False, "row 1: 70 columns, need 73"),
-        "crlf": (f"{_GOOD}\r\n{_GOOD}\r\n", True, None),
-        "whitespace": (_GOOD.replace(",", " ") + "\n" + _GOOD.replace(",", "\t"), True, None),
+    _VALUES = [i * 0.37 - 5.0 for i in range(70)]
+    _GOOD = _row(_VALUES, extras=(1.5, -2.0), label=1.0)
+    _TAIL = _GOOD[_GOOD.index(",") :]
+    _BLANK4 = ",".join(field if j != 3 else "" for j, field in enumerate(_GOOD.split(",")))
+    _PARSE_CASES = {
+        # case: (file text, the number of _GOOD rows it reads as, or the error)
+        "blank lines": (f"\n{_GOOD}\n\n{_GOOD}\n\n", 2),
+        "whitespace line": (f"{_GOOD}\n   \n{_GOOD}\n", 2),
+        "whitespace only": (" \t\n  \n", "no data rows for subject 'P1'"),
+        "hash": ("#5" + _TAIL, "row 1, column 1: cannot parse '#5'"),
+        "underscore": ("1_0" + _TAIL, "row 1, column 1: cannot parse '1_0'"),
+        "quoted": ('"5"' + _TAIL, "row 1, column 1: cannot parse '\"5\"'"),
+        "nan": (f"{_GOOD}\nnan" + _TAIL, "row 2, column 1: non-finite value 'nan'"),
+        "74 columns": (f"{_GOOD},7.5\n{_GOOD},x\n", 2),
+        "70 columns": (",".join(["0.5"] * 70) + "\n", "row 1: 70 columns, need 73"),
+        "empty field": (f"{_GOOD}\n{_BLANK4}\n", "row 2, column 4: cannot parse ''"),
+        "empty field, 74 columns": (
+            f"{_GOOD},0\n{_BLANK4},0\n", "row 2, column 4: cannot parse ''"
+        ),
+        "crlf": (f"{_GOOD}\r\n{_GOOD}\r\n", 2),
+        "whitespace": (_GOOD.replace(",", " ") + "\n" + _GOOD.replace(",", "\t"), 2),
+        "comma space": (_GOOD.replace(",", ", ") + "\n", 1),
+        "trailing comma": (f"{_GOOD},\n{_GOOD},\n", 2),
+        "bom": (f"\ufeff{_GOOD}\n", 1),
     }
 
-    @pytest.mark.parametrize("case", sorted(_BULK_CASES))
-    def test_bulk_parse_matches_row_parse(self, case, monkeypatch):
-        """Clean text is parsed by one ``np.loadtxt``; text that it refuses,
-        splits into another row count or reads as non-finite is parsed row
-        by row. Either way the values, or the error message, are those of
-        the row by row parse alone."""
-        text, in_bulk, error = self._BULK_CASES[case]
-        real_loadtxt, bulk = np.loadtxt, []
-
-        def spying(*args, **kwargs):
-            try:
-                bulk.append(real_loadtxt(*args, **kwargs))
-            except ValueError:
-                bulk.append(None)
-                raise
-            return bulk[-1]
-
-        def refusing(*args, **kwargs):
-            raise ValueError("refused")
-
-        def outcome():
-            try:
-                seq = parse_emopain_file(text, "P1", "healthy")
-            except DataError as exc:
-                return str(exc)
-            return seq.features.tobytes(), seq.labels.tobytes(), seq.extras.tobytes()
-
-        monkeypatch.setattr(data_module.np, "loadtxt", spying)
-        got = outcome()
-        (matrix,) = bulk
-        n_rows = len([line for line in text.splitlines() if line.strip()])
-        accepted = matrix is not None and len(matrix) == n_rows and np.isfinite(matrix).all()
-        assert accepted == in_bulk
-        monkeypatch.setattr(data_module.np, "loadtxt", refusing)
-        assert got == outcome()
-        if error is None:
-            assert isinstance(got, tuple)
-        else:
-            assert error in got
-        if case == "underscore":
-            assert np.frombuffer(got[0])[0] == 10.0
+    @pytest.mark.parametrize("case", sorted(_PARSE_CASES))
+    def test_bulk_parse_matches_row_parse(self, case, tmp_path, monkeypatch):
+        """A data file, read as the loader reads it, is parsed by one
+        ``np.loadtxt`` call into the values written on each of its rows;
+        text that it refuses or reads as non-finite fails naming the row,
+        and the column where there is one."""
+        text, expected = self._PARSE_CASES[case]
+        path = tmp_path / "p1.csv"
+        path.write_bytes(text.encode("utf-8"))
+        real_loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(
+            data_module.np, "loadtxt", lambda *a, **k: calls.append(a) or real_loadtxt(*a, **k)
+        )
+        try:
+            text = read_text(path, DataError, "data file", newline="")
+            seq = parse_emopain_file(text, "P1", "healthy")
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+        assert len(calls) == 1
+        assert seq.features.tobytes() == np.array([self._VALUES] * expected).tobytes()
+        assert seq.extras.tobytes() == np.array([[1.5, -2.0]] * expected).tobytes()
+        assert seq.labels.tobytes() == np.ones(expected, dtype=np.int8).tobytes()
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300),
@@ -500,6 +494,9 @@ class TestSynthetic:
         good.validate()
 
 
+_UNQUOTABLE = "holds a comma, quote or line break"
+
+
 class TestManifest:
     def _write_corpus(self, tmp_path, n=3):
         entries = []
@@ -531,7 +528,8 @@ class TestManifest:
     def test_missing_data_file(self, tmp_path):
         manifest, _ = self._write_corpus(tmp_path)
         (tmp_path / "p1.csv").unlink()
-        with pytest.raises(DataError, match="data file not found: .*p1.csv"):
+        message = "cannot read data file .*p1.csv: No such file or directory"
+        with pytest.raises(DataError, match=message):
             load_sequences(manifest)
 
     def test_worker_processes_return_read_only_sequences(self, tmp_path):
@@ -565,11 +563,15 @@ class TestManifest:
             ("P0,healthy,train", "line 3: need exactly 4 fields, got 3"),
             (",healthy,train,x.csv", "line 3: empty subject_id"),
             ("  ,healthy,train,x.csv", "line 3: empty subject_id"),
+            ('"S,01",healthy,train,x.csv', f"line 3: subject_id 'S,01' {_UNQUOTABLE}"),
+            ('"S""01",healthy,train,x.csv', f"line 3: subject_id 'S\"01' {_UNQUOTABLE}"),
+            ('"S\n01",healthy,train,x.csv', rf"line 4: subject_id 'S\\n01' {_UNQUOTABLE}"),
         ],
     )
     def test_bad_row_names_its_line(self, tmp_path, row, message):
-        """A row needs exactly the header's fields and a subject_id; a
-        blank line is skipped but counted, so the line named is the file's."""
+        """A row needs exactly the header's fields and a subject_id that
+        artifacts can write unquoted; a blank line is skipped but counted,
+        so the line named is the file's, where a record ends."""
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(f"subject_id,group,split,path\n\n{row}\n")
         with pytest.raises(DataError, match=f"^manifest {re.escape(str(manifest))} {message}$"):
