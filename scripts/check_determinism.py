@@ -49,6 +49,9 @@ ROWS = [
     Row("evaluate", "evaluate", corpus="synth"),
     Row("evaluate-spaces", "evaluate", corpus="spaces", threads=(1,)),
     Row("evaluate-variants", "evaluate", corpus="variants", threads=(1,)),
+    Row("cnn1d-evaluate-corpus", "evaluate", overrides=("classifier.kind=cnn1d",), corpus="synth"),
+    Row("logistic-std-evaluate-corpus", "evaluate", corpus="synth",
+        overrides=("classifier.kind=logistic", "run.reduction=std"), threads=(1, 2, 3)),
     *(Row(f"seven-{command}", command, overrides=("synthetic.n_subjects=7",), threads=(1, 3))
       for command in ("synth", "matrix", "analyze")),
     Row("default-matrix", "matrix", "default", threads=(2,)),
@@ -89,6 +92,10 @@ SAME = [
     ("weights-seed7", "weights-default"),
     ("evaluate-spaces", "evaluate"),
     ("evaluate-variants", "evaluate"),
+    # A corpus's pieces are made in parse workers, a generated one's on
+    # generator threads: both give the same artifacts.
+    ("evaluate", "logistic-evaluate"),
+    ("cnn1d-evaluate-corpus", "cnn1d-evaluate"),
     ("cnn1d-matrix-blas1", "cnn1d-matrix"),
     *((f"{k}-max-weights/weights.csv", f"{k}-max-matrix/{WEIGHTS}") for k in ("logistic", "cnn1d")),
 ]

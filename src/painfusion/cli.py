@@ -30,6 +30,7 @@ from .data import (
     write_sequence_file,
 )
 from .evaluate import (
+    as_pieces,
     confusion_csv,
     loocv,
     metrics_csv,
@@ -39,11 +40,13 @@ from .evaluate import (
     run_matrix,
     weights_csv,
     window_run,
+    window_sequence,
 )
 from .errors import ConfigError, DataError, PainFusionError, ZeroVariance
 from .modality import scheme_by_name
+from .models import POOLED_KINDS
 from .presets import synthetic_split
-from .stats import fusion_weights, normality_report, recommend_method
+from .stats import STATISTICAL, fusion_weights, normality_report, recommend_method
 
 _POOLED_QQ_POINTS = 512
 _FEATURE_QQ_POINTS = 64
@@ -80,23 +83,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(run: RunConfig):
+def _load_dataset(run: RunConfig, window=None):
     """Resolve the data source: manifest if configured, otherwise the
-    synthetic generator. Returns (train, valid, all_sequences)."""
+    synthetic generator. Returns (train, valid, all) sequences or, given
+    ``window(sequence, trains)``, what it makes of each sequence on the
+    thread or worker that generates or parses it, ``trains`` telling
+    whether the sequence is in the train split."""
     if run.manifest is not None:
-        pairs = load_sequences(run.manifest, run.threads)
+        each = None if window is None else lambda entry, seq: window(seq, entry.split == "train")
+        pairs = load_sequences(run.manifest, run.threads, each)
         train, valid = split_by_manifest(pairs)
         return train, valid, [seq for _, seq in pairs]
-    sequences = generate_synthetic(run.synthetic, run.threads)
     train_ids, valid_ids = synthetic_split(run.synthetic.n_subjects)
+    each = None if window is None else lambda seq: window(seq, seq.subject_id in train_ids)
+    sequences = generate_synthetic(run.synthetic, run.threads, each)
     train, valid = split_train_valid(sequences, train_ids, valid_ids)
     return train, valid, sequences
 
 
-def _train_split(run: RunConfig):
+def _window(config, trains: bool | None = None, weighs: bool | None = None):
+    """A ``_load_dataset`` window: each sequence's piece under the config
+    (``window_sequence``), with its moments when it is in the train split,
+    or always or never when ``trains`` is given, and the reduction that
+    the statistical weighting reads when the config, or ``weighs``, says
+    that it weighs statistically. None for a kind that reads frames
+    (``cnn1d``): its pieces keep them, so making them on the generator's
+    threads saves nothing, and the run windows its sequences here."""
+    if config.classifier.kind not in POOLED_KINDS:
+        return None
+    if weighs is None:
+        weighs = config.weighting == STATISTICAL
+    return lambda seq, train: window_sequence(
+        seq, config, train if trains is None else trains, weighs
+    )
+
+
+def _train_split(run: RunConfig, window=None):
     """The train split, which ``analyze`` and ``weights`` read; an empty
     one raises DataError."""
-    train = _load_dataset(run)[0]
+    train = _load_dataset(run, window)[0]
     if not train:
         raise DataError("train split is empty: no sequence is assigned to train")
     return train
@@ -151,12 +176,11 @@ def cmd_analyze(run: RunConfig, args) -> int:
 
 
 def cmd_weights(run: RunConfig, args) -> int:
-    train = _train_split(run)
     config = run.experiment
+    train = _train_split(run, _window(config, trains=False))
     scheme = scheme_by_name(config.scheme_name, config.joint_map)
-    weights = fusion_weights(
-        config.weighting, scheme, lambda: window_run(train, config).relevance()
-    )
+    relevance = lambda: window_run(as_pieces(train, config, False, True)).relevance()
+    weights = fusion_weights(config.weighting, scheme, relevance)
     _write(run, "weights.csv", weights_csv(weights))
     _write(run, "weights.txt", weights.to_text())
     print(weights.to_text(), end="")
@@ -202,7 +226,7 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     if getattr(args, "weighting", None):
         config = replace(config, weighting=args.weighting)
     config.validate()
-    train, valid, _ = _load_dataset(run)
+    train, valid, _ = _load_dataset(run, _window(config))
     result = run_experiment(train, valid, config, threads=run.threads)
     name = f"{config.scheme_name}_{config.weighting}"
     _write(run, "weights.csv", weights_csv(result.weights))
@@ -211,7 +235,7 @@ def cmd_evaluate(run: RunConfig, args) -> int:
 
 
 def cmd_matrix(run: RunConfig, args) -> int:
-    train, valid, _ = _load_dataset(run)
+    train, valid, _ = _load_dataset(run, _window(run.experiment, weighs=True))
     results = run_matrix(train, valid, run.experiment, threads=run.threads)
     for arm_name, result in results:
         _write(run, f"weights_{arm_name}.csv", weights_csv(result.weights))
@@ -222,8 +246,8 @@ def cmd_matrix(run: RunConfig, args) -> int:
 
 def cmd_loocv(run: RunConfig, args) -> int:
     granularity = getattr(args, "granularity", None) or run.granularity
-    _, _, sequences = _load_dataset(run)
-    result = loocv(sequences, run.experiment, granularity, threads=run.threads)
+    pieces = _load_dataset(run, _window(run.experiment, trains=True))[2]
+    result = loocv(pieces, run.experiment, granularity, threads=run.threads)
     rows = [
         (f.fold_id, f.result.config, f.result.confusion_matrix, f.result.metric_set)
         for f in result.folds

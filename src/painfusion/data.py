@@ -69,20 +69,21 @@ def _loads(line: str, sep, columns) -> bool:
     return True
 
 
-def _locate(lines: list[str], sep, matrix) -> str:
+def _locate(lines: list[str], numbers: list[int], sep, matrix) -> str:
     """The error for rows that ``np.loadtxt`` refused (``matrix`` is None)
     or read as non-finite: the first row with too few fields, else the first
-    field that does not parse on its own, else the first non-finite value."""
+    field that does not parse on its own, else the first non-finite value.
+    A row is named by ``numbers``, its 1-based line in the file."""
     if matrix is not None:
         i, j = np.argwhere(~np.isfinite(matrix))[0]
-        return f"row {i + 1}, column {j + 1}: non-finite value {lines[i].split(sep)[j]!r}"
+        return f"row {numbers[i]}, column {j + 1}: non-finite value {lines[i].split(sep)[j]!r}"
     for i, line in enumerate(lines):
         if (n := len(line.split(sep))) < _MIN_COLUMNS:
-            return f"row {i + 1}: {n} columns, need {_MIN_COLUMNS}"
+            return f"row {numbers[i]}: {n} columns, need {_MIN_COLUMNS}"
     for i, line in enumerate(lines):
         if not _loads(line, sep, range(_MIN_COLUMNS)):
             j = next(j for j in range(_MIN_COLUMNS) if not _loads(line, sep, [j]))
-            return f"row {i + 1}, column {j + 1}: cannot parse {line.split(sep)[j]!r}"
+            return f"row {numbers[i]}, column {j + 1}: cannot parse {line.split(sep)[j]!r}"
     raise AssertionError("np.loadtxt refused the rows together, none alone")  # pragma: no cover
 
 
@@ -91,23 +92,25 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
 
     The field delimiter (comma or whitespace) is auto-detected from the
     first data row. Rows need at least 73 columns; extra columns are
-    ignored. The label column must be 0 or 1 within 1e-9.
+    ignored. The label column must be 0 or 1 within 1e-9. An error names
+    the bad row by its line in the file, blank lines counted.
     """
     if group not in GROUPS:
         raise DataError(f"unknown group {group!r}; expected one of {GROUPS}")
-    lines = [ln for ln in data.splitlines() if ln.strip()]
-    if not lines:
+    kept = [(number, ln) for number, ln in enumerate(data.splitlines(), 1) if ln.strip()]
+    if not kept:
         raise DataError(f"no data rows for subject {subject_id!r}")
+    numbers, lines = (list(column) for column in zip(*kept))
 
     sep = "," if "," in lines[0] else None  # None -> any whitespace
-    try:  # one row per line, so the rows are numbered as the non-blank lines
+    try:  # one row per non-blank line
         matrix = np.loadtxt(
             lines, delimiter=sep, usecols=range(_MIN_COLUMNS), comments=None, ndmin=2
         )
     except ValueError:
         matrix = None
     if matrix is None or not np.isfinite(matrix).all():
-        raise DataError(_locate(lines, sep, matrix))
+        raise DataError(_locate(lines, numbers, sep, matrix))
 
     raw_labels = matrix[:, 72]
     near_zero = np.abs(raw_labels) <= _LABEL_TOL
@@ -115,7 +118,7 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
     bad = ~(near_zero | near_one)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise DataError(f"row {i + 1}: label {float(raw_labels[i])!r} not in {{0, 1}}")
+        raise DataError(f"row {numbers[i]}: label {float(raw_labels[i])!r} not in {{0, 1}}")
 
     return SequenceData(
         subject_id=subject_id,
@@ -146,7 +149,8 @@ def split_train_valid(
     train_subjects: list[str],
     valid_subjects: list[str],
 ) -> tuple[list[SequenceData], list[SequenceData]]:
-    """Split sequences by subject according to an explicit assignment."""
+    """Split sequences, or anything else with a ``subject_id``, by subject
+    according to an explicit assignment."""
     overlap = set(train_subjects) & set(valid_subjects)
     if overlap:
         raise DataError(f"subject(s) in both splits: {sorted(overlap)}")
@@ -292,7 +296,7 @@ def _draw_bouts(rng, n_frames: int, positive_rate: float, mean_positive: float):
     return labels, bouts
 
 
-def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[SequenceData]:
+def generate_synthetic(config: SyntheticConfig, workers: int = 1, each=None) -> list:
     """Deterministic synthetic dataset; a pure function of the config.
 
     Subjects are built on a ``ThreadPoolExecutor`` of up to
@@ -303,7 +307,10 @@ def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[Sequen
     any thread and writes only its own arrays, so the result is the same
     bytes at any count. The pool is shut down, its threads joined, when
     this returns, so a caller may fork afterwards. The first subject, in
-    subject order, whose build raises raises here."""
+    subject order, whose build raises raises here. ``each``, when given,
+    maps every subject on the thread that built it, and the results stand
+    in for the subjects: a subject whose result keeps no frame is let go
+    as soon as it is mapped."""
     config.validate()
     index_map = _snr_index_map()
     patterns = {
@@ -353,13 +360,14 @@ def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list[Sequen
             extras=np.zeros((n, 2)),
         )
 
+    build = subject if each is None else lambda i: each(subject(i))
     count = min(workers, config.n_subjects)
     if count <= 1:
-        return [subject(i) for i in range(config.n_subjects)]
+        return [build(i) for i in range(config.n_subjects)]
     from concurrent.futures import ThreadPoolExecutor  # here, so serial runs skip its import
 
     with ThreadPoolExecutor(count) as pool:
-        return list(pool.map(subject, range(config.n_subjects)))
+        return list(pool.map(build, range(config.n_subjects)))
 
 
 # --- manifests ------------------------------------------------------------
@@ -455,27 +463,31 @@ def map_ordered(fn, items, workers: int) -> list:
         return list(pool.map(_apply, range(len(items))))
 
 
-def load_sequences(manifest_path, workers: int = 1) -> list[tuple[ManifestEntry, SequenceData]]:
+def load_sequences(
+    manifest_path, workers: int = 1, each=None
+) -> list[tuple[ManifestEntry, object]]:
     """Read a manifest and parse every referenced data file, on up to
     ``workers`` processes; relative paths resolve against the manifest's
-    directory. The first bad entry in manifest order raises."""
+    directory. The first bad entry in manifest order raises. ``each``,
+    when given, maps every entry and its sequence in the worker that
+    parsed it, and the result stands in for the sequence, so that a
+    worker sends back only that."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    def load(entry: ManifestEntry) -> SequenceData:
+    def load(entry: ManifestEntry):
         path = os.path.join(base, entry.path)
         text = read_text(path, DataError, "data file", newline="")
         try:
-            return parse_emopain_file(text, entry.subject_id, entry.group)
+            seq = parse_emopain_file(text, entry.subject_id, entry.group)
         except DataError as exc:
             raise DataError(f"data file {path}: {exc}") from None
+        return seq if each is None else each(entry, seq)
 
     return list(zip(entries, map_ordered(load, entries, workers)))
 
 
-def split_by_manifest(
-    pairs: list[tuple[ManifestEntry, SequenceData]],
-) -> tuple[list[SequenceData], list[SequenceData]]:
+def split_by_manifest(pairs: list[tuple[ManifestEntry, object]]) -> tuple[list, list]:
     train_ids = sorted({e.subject_id for e, _ in pairs if e.split == "train"})
     valid_ids = sorted({e.subject_id for e, _ in pairs if e.split == "valid"})
     sequences = [seq for _, seq in pairs]

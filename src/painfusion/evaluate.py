@@ -197,29 +197,100 @@ def _stage(name: str, fn):
 
 
 @dataclass(frozen=True)
-class WindowedRun:
-    """Sequences windowed once (see ``window_run``): the sequences, their
-    windows as one WindowSet over the 70 feature columns (each model reads
-    its own), the int8 window labels and ``means``, the [n_windows, 70]
-    window time means: the ``rows`` slices of ``pooled``, joined on each
-    use (one slice is a view), so that a run holds no copy of them.
-    ``sort()``, cached per process, is ``sort_columns`` of the reduced
-    matrix of the ``window_run`` run that ``pooled`` pools, and
-    ``moments()`` the ``sequence_moments`` entries of the run's sequences,
-    in order, taken from that run's cached ones."""
+class Piece:
+    """One sequence windowed under a run's rule (``window_sequence``): what
+    a run reads of it. ``labels`` are its int8 window labels, ``means`` its
+    [n_windows, 70] window time means, and ``reduced``, when the
+    statistical weighting reads the sequence, its windows reduced under the
+    config's reduction (``means`` themselves under ``mean``), else None.
+    ``moments`` is its ``sequence_moments`` entry when a split trains on
+    it, else None, and ``windows`` its one-sequence WindowSet when the
+    model reads frames (``cnn1d``), else None: a pooled-kind piece holds no
+    frame. A sequence that cannot be windowed leaves a piece of its
+    ``error`` alone, which ``window_run`` raises."""
 
-    sequences: tuple[SequenceData, ...]
-    windows: WindowSet
+    subject_id: str
+    labels: np.ndarray | None = None
+    means: np.ndarray | None = None
+    reduced: np.ndarray | None = None
+    moments: tuple | None = None
+    windows: WindowSet | None = None
+    error: PainFusionError | None = None
+
+
+def window_sequence(
+    seq: SequenceData, config: ExperimentConfig, trains: bool = True, weighs: bool = True
+) -> Piece:
+    """Window one sequence into a Piece under the config's window rule,
+    reduction and classifier kind; ``trains`` says whether a split trains
+    on it and ``weighs`` whether the statistical weighting reads it. Every
+    array is reduced one sequence at a time, so joined pieces hold the bits
+    of the same reductions over a WindowSet of all their sequences."""
+    rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
+    try:
+        labels = make_windows(seq, *rule)[1]
+    except PainFusionError as exc:
+        return Piece(seq.subject_id, error=exc)
+    windows = WindowSet([seq.features], *rule[:2], N_FEATURES)
+    means, r = pool_windows(windows), config.reduction
+    return Piece(
+        seq.subject_id,
+        labels,
+        means,
+        (means if r == "mean" else pool_windows(windows, r)) if weighs else None,
+        sequence_moments(windows)[0] if trains else None,
+        None if config.classifier.kind in POOLED_KINDS else windows,
+    )
+
+
+def as_pieces(items, config: ExperimentConfig, trains: bool, weighs: bool) -> list[Piece]:
+    """Pieces as they are, and sequences windowed into pieces in this thread."""
+    return [
+        item if isinstance(item, Piece) else window_sequence(item, config, trains, weighs)
+        for item in items
+    ]
+
+
+def _join(arrays) -> np.ndarray:
+    """[n, 70] arrays joined by rows; one is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate([np.zeros((0, N_FEATURES))] + arrays)
+
+
+@dataclass(frozen=True)
+class WindowedRun:
+    """Pieces joined into a run (see ``window_run``): the pieces, their
+    joined int8 window labels, ``rows``, the slices of ``sort``'s matrix
+    that hold the run's windows, and ``sort``, cached per process,
+    ``sort_columns`` of the joined ``reduced`` matrices of the
+    ``window_run`` run whose pieces these are. The run holds no joined copy
+    of its pieces' time means: ``means`` joins them on each use (one
+    piece's are its own array), and ``windows`` joins their frames."""
+
+    pieces: tuple[Piece, ...]
     labels: np.ndarray
-    pooled: np.ndarray
     rows: tuple[slice, ...]
     sort: Callable[[], tuple[np.ndarray, np.ndarray]]
-    moments: Callable[[], list]
+
+    @property
+    def subjects(self) -> tuple[str, ...]:
+        return tuple(p.subject_id for p in self.pieces)
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(p.labels) for p in self.pieces)
 
     @property
     def means(self) -> np.ndarray:
-        parts = [self.pooled[r] for r in self.rows]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _join([p.means for p in self.pieces])
+
+    @property
+    def windows(self) -> WindowSet:
+        """The pieces' frames as one WindowSet; every piece must have kept its own."""
+        (_, length, width), stride = self.pieces[0].windows.shape, self.pieces[0].windows.stride
+        return WindowSet([p.windows.frames[0] for p in self.pieces], length, stride, width)
+
+    def moments(self) -> list:
+        return [p.moments for p in self.pieces]
 
     def relevance(self) -> np.ndarray:
         """``feature_relevance`` of the run under its reduction, bit for
@@ -227,34 +298,26 @@ class WindowedRun:
         return ranked_relevance(*self.sort(), self.labels, self.rows)
 
 
-def window_run(sequences, config: ExperimentConfig) -> WindowedRun:
-    """Window and pool sequences once under the config's window rule. The
-    WindowSet copies nothing: it holds each sequence's read-only frames. The
-    run reduces by the config's reduction. A sequence shorter than a window
-    raises, with the stage prefixed, so every sequence has its entry of
-    ``moments()``, which sums its frames on first use only."""
-    rule = (config.window_length, config.window_stride, config.positive_fraction_threshold)
-    labels = _stage("windowing", lambda: [make_windows(seq, *rule)[1] for seq in sequences])
-    windows = WindowSet([seq.features for seq in sequences], *rule[:2], N_FEATURES)
-    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + labels)
-    pooled = pool_windows(windows)
-    r = config.reduction
-    sort = cache(lambda: sort_columns(pooled if r == "mean" else pool_windows(windows, r)))
-    moments = cache(lambda: sequence_moments(windows))
-    return WindowedRun(tuple(sequences), windows, labels, pooled, (slice(None),), sort, moments)
+def window_run(pieces) -> WindowedRun:
+    """Join pieces (``window_sequence``) into a run: the one windowing path.
+    The first piece that carries an error raises it, with the stage
+    prefixed. The sort joins the pieces' ``reduced`` matrices on first use."""
+    pieces = tuple(pieces)
+    for piece in pieces:
+        if piece.error is not None:
+            raise type(piece.error)(f"windowing: {piece.error}") from piece.error
+    labels = np.concatenate([np.zeros(0, dtype=np.int8)] + [p.labels for p in pieces])
+    sort = cache(lambda: sort_columns(_join([p.reduced for p in pieces])))
+    return WindowedRun(pieces, labels, (slice(None),), sort)
 
 
 def _pick(run: WindowedRun, indices) -> WindowedRun:
-    """The run of the sequences at ``indices`` of a run that ``window_run``
-    made, in that order, windowed, pooled, sorted and summed by ``run``."""
-    starts = np.cumsum((0,) + run.windows.counts).tolist()
+    """The run of the pieces at ``indices`` of a run that ``window_run``
+    made, in that order, ranked from ``run``'s sort."""
+    starts = np.cumsum((0,) + run.counts).tolist()
     rows = tuple(slice(starts[i], starts[i + 1]) for i in indices)
-    sequences = tuple(run.sequences[i] for i in indices)
-    rule = (run.windows.shape[1], run.windows.stride, N_FEATURES)
-    windows = WindowSet([s.features for s in sequences], *rule)
     labels = np.concatenate([run.labels[r] for r in rows])
-    picked = lambda: [run.moments()[i] for i in indices]
-    return WindowedRun(sequences, windows, labels, run.pooled, rows, run.sort, picked)
+    return WindowedRun(tuple(run.pieces[i] for i in indices), labels, rows, run.sort)
 
 
 @dataclass(frozen=True)
@@ -308,11 +371,11 @@ def train_split(splits, configs, threads: int) -> list:
     if any(replace(base.classifier, seed=spec.seed) != spec for _, _, base in splits):
         raise ConfigError("models trained in lockstep must share every spec field but the seed")
     for train, valid, _ in splits:
-        train_ids, valid_ids = ({s.subject_id for s in run.sequences} for run in (train, valid))
+        train_ids, valid_ids = (set(run.subjects) for run in (train, valid))
         if train_ids & valid_ids:
             raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
         for name, run in (("train", train), ("validation", valid)):
-            if not run.sequences:
+            if not run.pieces:
                 raise DataError(f"windowing: {name} split produced no windows")
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
@@ -392,7 +455,7 @@ def train_split(splits, configs, threads: int) -> list:
         if errors:
             trained.append(errors[0])
             continue
-        subjects = np.repeat([s.subject_id for s in valid.sequences], valid.windows.counts)
+        subjects = np.repeat(valid.subjects, valid.counts)
         trained.append(
             TrainedSplit(
                 models=dict(zip(keys, outcomes)),
@@ -433,17 +496,22 @@ def score_arm(split: TrainedSplit, config: ExperimentConfig) -> ExperimentResult
 
 
 def _run_arms(
-    train_seqs: list[SequenceData],
-    valid_seqs: list[SequenceData],
+    train_seqs: list[SequenceData | Piece],
+    valid_seqs: list[SequenceData | Piece],
     configs: list[ExperimentConfig],
     threads: int,
 ) -> list[ExperimentResult]:
     """One result per config, the configs differing in scheme and weighting
     only: each split windowed once (``window_run``), trained once
-    (``train_split``) and scored per config (``score_arm``)."""
+    (``train_split``) and scored per config (``score_arm``). The splits
+    are sequences or their pieces, windowed under the first config."""
     for config in configs:
         config.validate()
-    train, valid = (window_run(seqs, configs[0]) for seqs in (train_seqs, valid_seqs))
+    weighs = any(c.weighting == STATISTICAL for c in configs)
+    train, valid = (
+        window_run(as_pieces(items, configs[0], trains, weighs))
+        for items, trains in ((train_seqs, True), (valid_seqs, False))
+    )
     (split,) = train_split([(train, valid, configs[0])], configs, threads)
     if isinstance(split, PainFusionError):
         raise split
@@ -451,8 +519,8 @@ def _run_arms(
 
 
 def run_experiment(
-    train_seqs: list[SequenceData],
-    valid_seqs: list[SequenceData],
+    train_seqs: list[SequenceData | Piece],
+    valid_seqs: list[SequenceData | Piece],
     config: ExperimentConfig,
     threads: int = 1,
 ) -> ExperimentResult:
@@ -471,8 +539,8 @@ MATRIX_ARMS = (
 
 
 def run_matrix(
-    train_seqs: list[SequenceData],
-    valid_seqs: list[SequenceData],
+    train_seqs: list[SequenceData | Piece],
+    valid_seqs: list[SequenceData | Piece],
     base: ExperimentConfig,
     threads: int = 1,
 ) -> list[tuple[str, ExperimentResult]]:
@@ -506,16 +574,17 @@ GRANULARITIES = ("subject", "sequence")
 
 
 def loocv(
-    sequences: list[SequenceData],
+    sequences: list[SequenceData | Piece],
     config: ExperimentConfig,
     granularity: str = "subject",
     threads: int = 1,
 ) -> LoocvResult:
     """Leave-one-out cross validation, by subject (default) or by
-    individual sequence. The run is windowed once, before any fold
-    (``window_run``); each fold picks its train and its held-out run from
-    it and redoes standardization and training from its own train part,
-    with a classifier seed derived from (config.seed, fold id). One
+    individual sequence, of sequences or their pieces. The run is windowed
+    once, before any fold (``window_run``); each fold picks its train and
+    its held-out run from it and redoes standardization and training from
+    its own train part, with a classifier seed derived from (config.seed,
+    fold id). One
     ``train_split`` trains every fold on ``threads`` workers, and each
     fold is scored by ``score_arm`` in this process. The first failing
     fold in fold order raises, named.
@@ -536,7 +605,7 @@ def loocv(
         held_out = {k: [i] for i, k in enumerate(keys)}
     if len(keys) < 2:
         raise DataError(f"cross validation needs at least 2 folds, got {len(keys)}")
-    run = window_run(sequences, config)
+    run = window_run(as_pieces(sequences, config, True, config.weighting == STATISTICAL))
     splits = []
     for key in keys:
         train = [i for i in range(len(sequences)) if i not in held_out[key]]

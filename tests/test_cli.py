@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,6 +658,39 @@ class TestEvaluate:
             "error[data]: windowing: window length 20 > 5 frames in subject 'S01'"
         ]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
+    @pytest.mark.parametrize("command", ["evaluate", "weights", "matrix", "loocv"])
+    def test_parse_error_outranks_an_earlier_short_file(
+        self, tmp_path, capsys, command, kind, threads
+    ):
+        """A short S02 is windowed where it is parsed, and carries its
+        windowing error until the run is joined, so a malformed S05 still
+        fails first, with its parse error; without S05's bad row, S02's
+        windowing error is the one reported."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(SMALL_INI.replace("kind = logistic", f"kind = {kind}"))
+        corpus = tmp_path / "corpus"
+        main(["synth", "--config", str(ini), "--out", str(corpus)])
+        short, bad = corpus / "S02.csv", corpus / "S05.csv"
+        short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
+        good = bad.read_text()
+        lines = good.splitlines(keepends=True)
+        lines[6] = "x" + lines[6][lines[6].index(","):]
+        bad.write_text("".join(lines))
+        argv = [command, "--config", str(ini), "--threads", str(threads)]
+        argv += ["--out", str(tmp_path / "o"), "--manifest", str(corpus / "manifest.csv")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[data]: data file {bad}: row 7, column 1: cannot parse 'x'"
+        ]
+        bad.write_text(good)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: windowing: window length 20 > 5 frames in subject 'S02'"
+        ]
+
     def test_manifest_run_matches_in_memory_run(self, ini, tmp_path):
         """Serialize, parse, train: the manifest path must reproduce the
         in-memory synthetic run byte for byte."""
@@ -679,6 +713,28 @@ class TestEvaluate:
 
 
 class TestMatrix:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_logistic_matrix_holds_no_corpus_of_frames(self, tmp_path, threads):
+        """A logistic matrix windows each subject where it is generated and
+        keeps per-window summaries only, so its tracemalloc peak stays below
+        the byte size of all subjects' [n_frames, 70] frames."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            SMALL_INI.replace("n_subjects = 6", "n_subjects = 12")
+            .replace("frames_per_subject = 300", "frames_per_subject = 1500")
+        )
+        run = load_run_config(str(ini), "unused", None, threads)
+        assert (run.synthetic.n_subjects, run.experiment.classifier.kind) == (12, "logistic")
+        frame_bytes = 12 * 1500 * 70 * 8
+        argv = ["matrix", "--config", str(ini), "--out", str(tmp_path / "m")]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--threads", str(threads)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_bytes
+
     def test_all_arms_reported(self, ini, tmp_path):
         out = tmp_path / "m"
         assert main(["matrix", "--config", ini, "--out", str(out)]) == 0

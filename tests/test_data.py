@@ -38,7 +38,7 @@ from painfusion.data import (
     write_sequence_file,
 )
 from painfusion import data as data_module
-from painfusion.evaluate import window_run
+from painfusion.evaluate import window_run, window_sequence
 from painfusion.models import _model_input
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.errors import ConfigError, DataError
@@ -150,6 +150,18 @@ class TestParser:
         "empty field, 74 columns": (
             f"{_GOOD},0\n{_BLANK4},0\n", "row 2, column 4: cannot parse ''"
         ),
+        "blank line, then empty field": (
+            f"{_GOOD},0\n\n{_BLANK4},0\n", "row 3, column 4: cannot parse ''"
+        ),
+        "blank lines, then nan": (
+            f"\n{_GOOD}\r\n\r\nnan" + _TAIL, "row 4, column 1: non-finite value 'nan'"
+        ),
+        "blank line, then 70 columns": (
+            f"{_GOOD}\n \n" + ",".join(["0.5"] * 70), "row 3: 70 columns, need 73"
+        ),
+        "blank line, then bad label": (
+            f"\n{_GOOD.rsplit(',', 1)[0]},0.5\n", "row 2: label 0.5 not in {0, 1}"
+        ),
         "crlf": (f"{_GOOD}\r\n{_GOOD}\r\n", 2),
         "whitespace": (_GOOD.replace(",", " ") + "\n" + _GOOD.replace(",", "\t"), 2),
         "comma space": (_GOOD.replace(",", ", ") + "\n", 1),
@@ -161,8 +173,9 @@ class TestParser:
     def test_bulk_parse_matches_row_parse(self, case, tmp_path, monkeypatch):
         """A data file, read as the loader reads it, is parsed by one
         ``np.loadtxt`` call into the values written on each of its rows;
-        text that it refuses or reads as non-finite fails naming the row,
-        and the column where there is one."""
+        text that it refuses or reads as non-finite fails naming the row by
+        its line in the file, blank lines counted, and the column where there
+        is one."""
         text, expected = self._PARSE_CASES[case]
         path = tmp_path / "p1.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -331,13 +344,13 @@ class TestWindows:
         config = ExperimentConfig(
             scheme_name="quadrifurcated",
             weighting="statistical",
-            classifier=ClassifierSpec(kind="logistic", seed=0),
+            classifier=ClassifierSpec(kind="cnn1d", seed=0),
             seed=0,
             window_length=length,
             window_stride=stride,
             positive_fraction_threshold=threshold,
         )
-        run = window_run([seq], config)
+        run = window_run([window_sequence(seq, config)])
         windows, labels = run.windows, run.labels
         views = [make_windows(seq, length, stride, threshold)[0]]
         tensor = joined_windows_oracle(views, idx)

@@ -41,6 +41,7 @@ from painfusion.evaluate import (
     train_split,
     weights_csv,
     window_run,
+    window_sequence,
 )
 from painfusion.modality import SEGMENTS
 from painfusion.models import WindowSet, frame_statistics, merge_moments
@@ -74,6 +75,17 @@ def _config(scheme="bifurcated", weighting="statistical", seed=0, **clf):
         window_length=20,
         window_stride=10,
     )
+
+
+def _windowed(seqs, config, trains=True):
+    """The run of the sequences' pieces (``window_sequence``)."""
+    return window_run([window_sequence(s, config, trains) for s in seqs])
+
+
+def _frames(seqs, config=None):
+    """The WindowSet of the sequences' frames under the config's rule."""
+    config = config or _config()
+    return WindowSet([s.features for s in seqs], config.window_length, config.window_stride, 70)
 
 
 class TestConfusion:
@@ -242,8 +254,8 @@ class TestRunExperiment:
     def test_weights_are_modality_weights_of_train_windows(self, reduction, kind):
         """A statistical run's weights equal ``modality_weights`` on its
         joined train windows under the config's reduction bit for bit, for
-        every reduction and kind: under ``mean`` ``train_split`` reads
-        ``window_run``'s time means, else it reduces the train windows."""
+        every reduction and kind: under ``mean`` the relevance reads the
+        pieces' time means, else their windows reduced once more."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", epochs=1)
         classifier = replace(config.classifier, kind=kind)
@@ -315,7 +327,7 @@ class TestRunExperiment:
         weightings = ("statistical", "average")
         configs = [_config(scheme="quadrifurcated", weighting=w) for w in weightings]
         expected = [run_experiment(seqs[:4], seqs[4:], config) for config in configs]
-        train, valid = (window_run(part, configs[0]) for part in (seqs[:4], seqs[4:]))
+        train, valid = _windowed(seqs[:4], configs[0]), _windowed(seqs[4:], configs[0], False)
         (split,) = train_split([(train, valid, configs[0])], configs, 1)
 
         def no_training(*args, **kwargs):
@@ -429,7 +441,7 @@ class TestPooledPath:
             scheme = scheme_by_name(result.config.scheme_name, joint_map)
             for name, model in result.classifiers.items():
                 columns = scheme.modalities[name]
-                labels = window_run(seqs[:4], config).labels
+                labels = _windowed(seqs[:4], config).labels
                 frames = [s.features[:, list(columns)] for s in seqs[:4]]
                 train = WindowSet(frames, *rule, len(columns))
                 valid = joined_windows_oracle([make_windows(s, *rule)[0] for s in seqs[4:]], columns)
@@ -532,8 +544,9 @@ class TestLoocv:
     @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
     def test_folds_reuse_pooled_rows(self, kind, monkeypatch):
         """A loocv call windows and pools every sequence once, not once per
-        fold: every kind pools every window once, in ``window_run``, and the
-        statistical weighting of each fold reads those time means. Every
+        fold: every kind pools every window once, a sequence at a time, in
+        ``window_sequence``, and the statistical weighting of each fold
+        reads those time means. Every
         fold equals a standalone ``run_experiment`` on its split and fold
         config bit for bit."""
         seqs = _corpus(n_subjects=4)
@@ -560,7 +573,7 @@ class TestLoocv:
         monkeypatch.undo()
         assert windowed == [s.subject_id for s in seqs]
         counts = [len(make_windows(s, 20, 10)[1]) for s in seqs]
-        assert pooled == [("painfusion.evaluate", sum(counts))]
+        assert pooled == [("painfusion.evaluate", count) for count in counts]
 
         for fold in result.folds:
             train = [s for s in seqs if s.subject_id != fold.fold_id]
@@ -743,9 +756,10 @@ class TestLoocv:
 
     @pytest.mark.parametrize("kind", ["logistic", "cnn1d"])
     def test_each_split_has_its_statistics_and_relevance_once(self, kind, tmp_path, monkeypatch):
-        """A training run's sequence moments are summed once, in the calling
-        process, before any task, and every fold's frame statistics merge
-        their entries. Every fold's relevance is computed once, by the task
+        """A training run's sequence moments are summed once per sequence,
+        in the calling process, as it is windowed, before any task, and
+        every fold's frame statistics merge their entries; a validation
+        sequence of a matrix sums none. Every fold's relevance is computed once, by the task
         that trains the fold, so a loocv at three threads computes none of
         them in the calling process. A loocv whose only arm weighs by
         average computes no relevance. A cnn1d matrix at two threads computes
@@ -772,7 +786,7 @@ class TestLoocv:
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", epochs=1)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
-        moments = [("sequence_moments", True)]
+        moments = [("sequence_moments", True)] * 4
         each = [("ranked_relevance", True)] * 4 + moments
         assert calls(lambda: loocv(seqs, config, threads=1)) == each
         in_workers = [("ranked_relevance", False)] * 4 + moments
@@ -781,7 +795,7 @@ class TestLoocv:
         for threads in (1, 3):
             assert calls(lambda: loocv(seqs, average, threads=threads)) == moments
         matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
-        assert matrix == [("ranked_relevance", kind == "logistic")] + moments
+        assert matrix == [("ranked_relevance", kind == "logistic")] + moments[:3]
 
     def test_relevance_error_names_its_fold(self):
         """A fold whose training task computes its relevance and fails
@@ -859,7 +873,7 @@ class TestFoldRelevance:
         and a pick out of run order; with tied time means, a constant
         column and a fold with one train class."""
         sequences = _tied_corpus()
-        run = window_run(sequences, replace(_config(), reduction=reduction))
+        run = _windowed(sequences, replace(_config(), reduction=reduction))
         subjects = [s.subject_id for s in sequences]
         held_out = [[i for i, s in enumerate(subjects) if s == k] for k in sorted(set(subjects))]
         held_out += [[i] for i in range(len(sequences))]
@@ -869,7 +883,8 @@ class TestFoldRelevance:
         for indices in picks:
             fold = _pick(run, indices)
             assert fold.sort is run.sort
-            reduced = models_module.pool_windows(fold.windows, reduction)
+            picked = _frames([sequences[i] for i in indices])
+            reduced = models_module.pool_windows(picked, reduction)
             expected = feature_relevance(reduced, fold.labels)
             assert fold.relevance().tobytes() == expected.tobytes()
             rhos = [spearman_rho(column, fold.labels) for column in reduced.T]
@@ -890,14 +905,15 @@ class TestFoldRelevance:
         features[7, 2] = np.nan
         sequences[3] = replace(sequences[3], features=features)
         for reduction in ("mean", "max", "std"):
-            run = window_run(sequences, replace(_config(), reduction=reduction))
+            run = _windowed(sequences, replace(_config(), reduction=reduction))
             for indices in ([0, 1, 2, 4], [3], [0, 3]):
                 fold = _pick(run, indices)
                 if 3 in indices:
                     with pytest.raises(DataError, match=r"^input contains NaN or Inf$"):
                         fold.relevance()
                 else:
-                    expected = feature_relevance(fold.windows, fold.labels, reduction)
+                    picked = _frames([sequences[i] for i in indices])
+                    expected = feature_relevance(picked, fold.labels, reduction)
                     assert fold.relevance().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
@@ -918,6 +934,42 @@ class TestFoldRelevance:
         assert sorts == [sum(len(make_windows(s, 20, 10)[1]) for s in seqs)]
 
 
+class TestPieces:
+    @pytest.mark.parametrize("reduction", ["mean", "max", "std"])
+    def test_joined_pieces_are_the_reductions_of_all_frames(self, reduction):
+        """Pieces windowed a sequence at a time and joined by ``window_run``
+        hold, byte for byte, the time means, moments, sort and labels that
+        ``pool_windows``, ``sequence_moments``, ``sort_columns`` and
+        ``make_windows`` give over a WindowSet of all the frames of an
+        uneven-length corpus. A pooled-kind piece keeps no frame, a cnn1d
+        one its sequence's own, and a piece that no split trains on or that
+        no statistical weighting reads has no moments or reduction."""
+        lengths = [300, 220, 260, 300, 240]
+        sequences = [
+            replace(s, features=s.features[:n], labels=s.labels[:n], extras=s.extras[:n])
+            for s, n in zip(_corpus(n_subjects=5), lengths)
+        ]
+        config = replace(_config(), reduction=reduction)
+        run, frames = _windowed(sequences, config), _frames(sequences)
+        assert run.means.tobytes() == models_module.pool_windows(frames).tobytes()
+        expected = stats_module.sort_columns(models_module.pool_windows(frames, reduction))
+        for got, want in zip(run.sort(), expected, strict=True):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(run.moments(), models_module.sequence_moments(frames), strict=True):
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+        labels = [make_windows(s, 20, 10)[1] for s in sequences]
+        assert run.labels.tobytes() == np.concatenate(labels).tobytes()
+        assert all(piece.windows is None for piece in run.pieces)
+
+        cnn1d = replace(config, classifier=replace(config.classifier, kind="cnn1d"))
+        kept = _windowed(sequences, cnn1d).windows
+        assert all(a is b.features for a, b in zip(kept.frames, sequences, strict=True))
+        assert (kept.shape, kept.stride) == (frames.shape, frames.stride)
+        bare = window_sequence(sequences[0], config, trains=False, weighs=False)
+        assert (bare.moments, bare.reduced) == (None, None)
+
+
 class TestFoldStatistics:
     def test_picked_runs_get_the_statistics_of_their_own_sequences(self):
         """Every run that ``_pick`` builds takes its sequences' moments
@@ -933,7 +985,7 @@ class TestFoldStatistics:
             for s, k, n in zip(_corpus(n_subjects=5), ["S01", "S02", "S01", "S03", "S04"], lengths)
         ]
         config = _config()
-        run = window_run(sequences, config)
+        run = _windowed(sequences, config)
         subjects = [s.subject_id for s in sequences]
         held_out = [[i for i, s in enumerate(subjects) if s == k] for k in sorted(set(subjects))]
         held_out += [[i] for i in range(len(sequences))]
@@ -941,10 +993,10 @@ class TestFoldStatistics:
         picks += held_out + [[3, 0, 2]]
         for indices in picks:
             fold = _pick(run, indices)
-            alone = window_run([sequences[i] for i in indices], config)
-            expected = merge_moments(alone.moments())
+            picked = [sequences[i] for i in indices]
+            expected = merge_moments(_windowed(picked, config).moments())
             for got, want, direct in zip(
-                merge_moments(fold.moments()), expected, frame_statistics(alone.windows)
+                merge_moments(fold.moments()), expected, frame_statistics(_frames(picked))
             ):
                 assert got.tobytes() == want.tobytes() == direct.tobytes()
 

@@ -21,7 +21,14 @@ from painfusion import (
 from painfusion import models
 from painfusion.data import SequenceData, SyntheticConfig, generate_synthetic
 from painfusion.errors import ConfigError, DataError, NumericError
-from painfusion.evaluate import ExperimentConfig, confusion, metrics, train_split, window_run
+from painfusion.evaluate import (
+    ExperimentConfig,
+    confusion,
+    metrics,
+    train_split,
+    window_run,
+    window_sequence,
+)
 from painfusion.modality import quadrifurcated_scheme
 from painfusion.models import STD_FLOOR, WindowSet, fit_lockstep, frame_statistics, pool_windows
 
@@ -430,7 +437,8 @@ class TestLockstep:
         seqs = generate_synthetic(corpus)
         spec = ClassifierSpec(kind="logistic", seed=1)
         config = ExperimentConfig("singular", "average", spec, 0, 20, 10)
-        train, valid = window_run(seqs[:2], config), window_run(seqs[2:], config)
+        train, valid = (window_run(window_sequence(s, config) for s in part)
+                        for part in (seqs[:2], seqs[2:]))
         other = replace(config, classifier=replace(spec, seed=2, learning_rate=0.01))
         with pytest.raises(ConfigError, match="share every spec field but the seed"):
             train_split([(train, valid, config), (train, valid, other)], [config], 1)
