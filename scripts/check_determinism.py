@@ -43,7 +43,7 @@ Row = collections.namedtuple(
     defaults=("quick", (), None, (), {}, (1, 2)),
 )
 ROWS = [
-    Row("synth", "synth"),
+    Row("synth", "synth", threads=(1, 2, 3)),
     Row("analyze", "analyze"),
     Row("weights", "weights"),
     Row("evaluate", "evaluate", corpus="synth"),

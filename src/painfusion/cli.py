@@ -26,6 +26,7 @@ from .data import (
     map_ordered,
     split_by_manifest,
     split_train_valid,
+    subject_builder,
     write_manifest,
     write_sequence_file,
 )
@@ -61,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for training tasks and corpus files, and threads "
-        "building synthetic subjects",
+        help="worker processes for training tasks, corpus files to parse and synth's "
+        "subjects (each built and written in its worker), and threads building "
+        "synthetic subjects for the other commands",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -188,21 +190,26 @@ def cmd_weights(run: RunConfig, args) -> int:
 
 
 def cmd_synth(run: RunConfig, args) -> int:
-    sequences = generate_synthetic(run.synthetic, run.threads)
+    subject = subject_builder(run.synthetic)
     train_ids = set(synthetic_split(run.synthetic.n_subjects)[0])
     os.makedirs(run.out_dir, exist_ok=True)
-    entries, jobs = [], []
-    for seq in sequences:
+
+    def write(i: int):
+        """Build subject i and write its file, in the worker that maps it;
+        only the manifest entry and counts go back."""
+        seq = subject(i)
         filename = f"{seq.subject_id}.csv"
+        write_sequence_file(seq, os.path.join(run.out_dir, filename))
         split = "train" if seq.subject_id in train_ids else "valid"
-        entries.append(ManifestEntry(seq.subject_id, seq.group, split, filename))
-        jobs.append((seq, os.path.join(run.out_dir, filename)))
-    map_ordered(lambda job: write_sequence_file(*job), jobs, run.threads)
+        entry = ManifestEntry(seq.subject_id, seq.group, split, filename)
+        return entry, seq.n_frames, int(seq.labels.sum())
+
+    written = map_ordered(write, range(run.synthetic.n_subjects), run.threads)
+    entries, frames, positives = zip(*written)
     write_manifest(entries, os.path.join(run.out_dir, "manifest.csv"))
 
-    total = sum(seq.n_frames for seq in sequences)
-    positives = sum(int(seq.labels.sum()) for seq in sequences)
-    print(f"wrote {len(sequences)} sequences, {total} frames, manifest.csv")
+    total, positives = sum(frames), sum(positives)
+    print(f"wrote {len(entries)} sequences, {total} frames, manifest.csv")
     print(f"frame positive rate = {positives / total!r} (target {run.synthetic.positive_rate!r})")
     return 0
 

@@ -129,19 +129,20 @@ def parse_emopain_file(data: str, subject_id: str, group: str) -> SequenceData:
     )
 
 
-def serialize_sequence(seq: SequenceData) -> str:
-    """Render a sequence back to comma-separated row-per-frame text;
-    parsing the result reproduces the sequence exactly (floats via
-    shortest round-trip repr)."""
-    cells = np.concatenate([seq.features, seq.extras], axis=1)
-    labels = seq.labels.tolist()
-    out = [",".join(map(repr, row.tolist())) + f",{label}" for row, label in zip(cells, labels)]
-    return "\n".join(out) + "\n"
+_BLOCK_ROWS = 128  # a block's floats and text stay under 1 MB at 72 columns
 
 
 def write_sequence_file(seq: SequenceData, path) -> None:
+    """Write a sequence as comma-separated row-per-frame text; parsing the
+    file reproduces the sequence exactly (floats via shortest round-trip
+    repr). Rows are rendered and written ``_BLOCK_ROWS`` at a time, so the
+    file's text is never held whole."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_sequence(seq))
+        for start in range(0, seq.n_frames, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            cells = np.concatenate([seq.features[block], seq.extras[block]], axis=1)
+            rows = zip(cells.tolist(), seq.labels[block].tolist())
+            fh.write("".join(",".join(map(repr, row)) + f",{label}\n" for row, label in rows))
 
 
 def split_train_valid(
@@ -296,21 +297,11 @@ def _draw_bouts(rng, n_frames: int, positive_rate: float, mean_positive: float):
     return labels, bouts
 
 
-def generate_synthetic(config: SyntheticConfig, workers: int = 1, each=None) -> list:
-    """Deterministic synthetic dataset; a pure function of the config.
-
-    Subjects are built on a ``ThreadPoolExecutor`` of up to
-    ``min(workers, n_subjects)`` threads: NumPy's random fills and large
-    ufuncs release the interpreter lock, so the threads overlap, and a
-    forked worker would cost more to send its subjects back than to build
-    them. Subject i draws from the i-th child of the seed's SeedSequence on
-    any thread and writes only its own arrays, so the result is the same
-    bytes at any count. The pool is shut down, its threads joined, when
-    this returns, so a caller may fork afterwards. The first subject, in
-    subject order, whose build raises raises here. ``each``, when given,
-    maps every subject on the thread that built it, and the results stand
-    in for the subjects: a subject whose result keeps no frame is let go
-    as soon as it is mapped."""
+def subject_builder(config: SyntheticConfig):
+    """The builder of the config's synthetic subjects: ``subject(i)`` is
+    subject i, drawn from the i-th child of the seed's SeedSequence and
+    writing only its own arrays, so it is the same bytes on any thread or
+    process. The config is validated here, before any subject is built."""
     config.validate()
     index_map = _snr_index_map()
     patterns = {
@@ -360,6 +351,24 @@ def generate_synthetic(config: SyntheticConfig, workers: int = 1, each=None) -> 
             extras=np.zeros((n, 2)),
         )
 
+    return subject
+
+
+def generate_synthetic(config: SyntheticConfig, workers: int = 1, each=None) -> list:
+    """Deterministic synthetic dataset; a pure function of the config.
+
+    Subjects come from ``subject_builder`` and are built on a
+    ``ThreadPoolExecutor`` of up to ``min(workers, n_subjects)`` threads:
+    NumPy's random fills and large ufuncs release the interpreter lock, so
+    the threads overlap, and a forked worker would cost more to send its
+    subjects back than to build them. The result is the same bytes at any
+    count. The pool is shut down, its threads joined, when this returns, so
+    a caller may fork afterwards. The first subject, in subject order,
+    whose build raises raises here. ``each``, when given, maps every
+    subject on the thread that built it, and the results stand in for the
+    subjects: a subject whose result keeps no frame is let go as soon as it
+    is mapped."""
+    subject = subject_builder(config)
     build = subject if each is None else lambda i: each(subject(i))
     count = min(workers, config.n_subjects)
     if count <= 1:

@@ -112,6 +112,80 @@ class TestSynth:
         assert self._synth_then_evaluate(ini, tmp_path / "two", 2) == [5, 3]
         assert "a process pool was opened" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_synth_holds_no_corpus_of_frames(self, tmp_path, threads):
+        """Each subject is built and written in the worker that maps it,
+        in blocks of rows, so synth's tracemalloc peak stays below a quarter
+        of all subjects' [n_frames, 72] cells: at one thread it holds one
+        subject and one block, at two the calling process holds neither."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            SMALL_INI.replace("n_subjects = 6", "n_subjects = 12")
+            .replace("frames_per_subject = 300", "frames_per_subject = 1500")
+        )
+        run = load_run_config(str(ini), "unused", None, threads)
+        assert (run.synthetic.n_subjects, run.synthetic.frames_per_subject) == (12, 1500)
+        cell_bytes = 12 * 1500 * 72 * 8
+        argv = ["synth", "--config", str(ini), "--out", str(tmp_path / "corpus")]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--threads", str(threads)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cell_bytes / 4
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_files_manifest_and_summary_at_every_thread_count(
+        self, tmp_path, capsys, threads
+    ):
+        """Seven subjects, so that workers write unequal shares: every file
+        is the row-by-row repr rendering of its generated subject, and the
+        manifest and the printed summary are those of one thread."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(SMALL_INI.replace("n_subjects = 6", "n_subjects = 7"))
+        flags = ["synth", "--config", str(ini)]
+        assert main([*flags, "--out", str(tmp_path / "one")]) == 0
+        serial = capsys.readouterr().out
+        out = tmp_path / "many"
+        assert main([*flags, "--threads", str(threads), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(serial.splitlines()) == 2
+        assert multiprocessing.active_children() == []
+        manifest = (out / "manifest.csv").read_bytes()
+        assert manifest == (tmp_path / "one" / "manifest.csv").read_bytes()
+
+        run = load_run_config(str(ini), "unused", None, 1)
+        sequences = generate_synthetic(run.synthetic)
+        assert [e.subject_id for e in read_manifest(out / "manifest.csv")] == [
+            seq.subject_id for seq in sequences
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.csv", *(f"{seq.subject_id}.csv" for seq in sequences)]
+        )
+        for seq in sequences:
+            cells = np.concatenate([seq.features, seq.extras], axis=1).tolist()
+            text = "".join(
+                ",".join(map(repr, row)) + f",{label}\n"
+                for row, label in zip(cells, seq.labels.tolist())
+            )
+            assert (out / f"{seq.subject_id}.csv").read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_unwritable_subject_file_names_the_first(self, ini, tmp_path, capsys, threads):
+        """S03.csv and S05.csv are directories: synth exits 5 naming S03's
+        path, the first in subject order, and leaves no worker behind."""
+        out = tmp_path / "corpus"
+        for name in ("S03.csv", "S05.csv"):
+            (out / name).mkdir(parents=True)
+        argv = ["synth", "--config", ini, "--threads", str(threads), "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error[internal]: IsADirectoryError") and err.count("\n") == 1
+        assert str(out / "S03.csv") in err and "S05" not in err
+        assert not (out / "manifest.csv").exists()
+        assert multiprocessing.active_children() == []
+
 
 class TestWeights:
     def test_singular_weight_is_one(self, ini, tmp_path, capsys):

@@ -23,7 +23,6 @@ from painfusion import (
     generate_synthetic,
     make_windows,
     parse_emopain_file,
-    serialize_sequence,
     spearman_rho,
     split_train_valid,
 )
@@ -204,9 +203,10 @@ class TestParser:
     @example([1e16], 0)
     @example([1.7e308, -1.7e308], 0)
     @settings(max_examples=60, deadline=None)
-    def test_serialize_round_trip(self, values, seed):
-        """Every finite float64, in features and extras alike, comes back
-        bit for bit, and the text is the per-scalar repr rendering."""
+    def test_serialize_round_trip(self, tmp_path_factory, values, seed):
+        """Every finite float64, in features and extras alike, written to a
+        file comes back bit for bit, and the file's text is the per-scalar
+        repr rendering."""
         n_frames = len(values) // 72 + 1
         cells = np.resize(np.array(values), (n_frames, 72))
         rng = np.random.default_rng(seed)
@@ -217,7 +217,9 @@ class TestParser:
             labels=(rng.random(n_frames) < 0.5).astype(np.int8),
             extras=cells[:, 70:].copy(),
         )
-        text = serialize_sequence(seq)
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_sequence_file(seq, path)
+        text = read_text(path, DataError, "data file", newline="")
         assert text == serialize_oracle(seq.features, seq.extras, seq.labels)
         back = parse_emopain_file(text, "P9", "healthy")
         for name in ("features", "labels", "extras"):
