@@ -53,7 +53,7 @@ ROWS = [
     Row("logistic-std-evaluate-corpus", "evaluate", corpus="synth",
         overrides=("classifier.kind=logistic", "run.reduction=std"), threads=(1, 2, 3)),
     *(Row(f"seven-{command}", command, overrides=("synthetic.n_subjects=7",), threads=(1, 3))
-      for command in ("synth", "matrix", "analyze")),
+      for command in ("synth", "matrix", "analyze", "weights", "evaluate", "loocv")),
     Row("default-matrix", "matrix", "default", threads=(2,)),
     Row("default-loocv", "loocv", "default"),
     Row("default-mlp-loocv", "loocv", "default", ("classifier.kind=mlp",)),
@@ -92,8 +92,8 @@ SAME = [
     ("weights-seed7", "weights-default"),
     ("evaluate-spaces", "evaluate"),
     ("evaluate-variants", "evaluate"),
-    # A corpus's pieces are made in parse workers, a generated one's on
-    # generator threads: both give the same artifacts.
+    # A corpus's pieces are made in parse workers, a generated one's in
+    # subject workers: both give the same artifacts.
     ("evaluate", "logistic-evaluate"),
     ("cnn1d-evaluate-corpus", "cnn1d-evaluate"),
     ("cnn1d-matrix-blas1", "cnn1d-matrix"),

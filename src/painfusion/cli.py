@@ -62,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for training tasks, corpus files to parse and synth's "
-        "subjects (each built and written in its worker), and threads building "
-        "synthetic subjects for the other commands",
+        help="worker processes for training tasks, corpus files to parse and synthetic "
+        "subjects (each built, and written or windowed, in its worker), and threads "
+        "building the synthetic subjects that analyze and cnn1d runs keep whole",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -85,20 +85,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _map_subjects(run: RunConfig, fn) -> list:
+    """``fn(subject)`` for every synthetic subject, in subject order. Each
+    subject is built and mapped in the worker that maps its index
+    (``map_ordered`` on ``--threads`` forked workers), so only what ``fn``
+    returns comes back, and the calling process holds no subject's frames."""
+    subject = subject_builder(run.synthetic)
+    return map_ordered(lambda i: fn(subject(i)), range(run.synthetic.n_subjects), run.threads)
+
+
 def _load_dataset(run: RunConfig, window=None):
     """Resolve the data source: manifest if configured, otherwise the
     synthetic generator. Returns (train, valid, all) sequences or, given
-    ``window(sequence, trains)``, what it makes of each sequence on the
-    thread or worker that generates or parses it, ``trains`` telling
-    whether the sequence is in the train split."""
+    ``window(sequence, trains)``, what it makes of each sequence in the
+    worker that parses or builds it, ``trains`` telling whether the
+    sequence is in the train split. Without ``window``, synthetic subjects
+    are built on ``generate_synthetic``'s threads and kept whole."""
     if run.manifest is not None:
         each = None if window is None else lambda entry, seq: window(seq, entry.split == "train")
         pairs = load_sequences(run.manifest, run.threads, each)
         train, valid = split_by_manifest(pairs)
         return train, valid, [seq for _, seq in pairs]
     train_ids, valid_ids = synthetic_split(run.synthetic.n_subjects)
-    each = None if window is None else lambda seq: window(seq, seq.subject_id in train_ids)
-    sequences = generate_synthetic(run.synthetic, run.threads, each)
+    if window is None:
+        sequences = generate_synthetic(run.synthetic, run.threads)
+    else:
+        sequences = _map_subjects(run, lambda seq: window(seq, seq.subject_id in train_ids))
     train, valid = split_train_valid(sequences, train_ids, valid_ids)
     return train, valid, sequences
 
@@ -109,8 +121,8 @@ def _window(config, trains: bool | None = None, weighs: bool | None = None):
     or always or never when ``trains`` is given, and the reduction that
     the statistical weighting reads when the config, or ``weighs``, says
     that it weighs statistically. None for a kind that reads frames
-    (``cnn1d``): its pieces keep them, so making them on the generator's
-    threads saves nothing, and the run windows its sequences here."""
+    (``cnn1d``): its pieces keep them, so making them in a worker would
+    only send the frames back, and the run windows its sequences here."""
     if config.classifier.kind not in POOLED_KINDS:
         return None
     if weighs is None:
@@ -190,22 +202,19 @@ def cmd_weights(run: RunConfig, args) -> int:
 
 
 def cmd_synth(run: RunConfig, args) -> int:
-    subject = subject_builder(run.synthetic)
     train_ids = set(synthetic_split(run.synthetic.n_subjects)[0])
     os.makedirs(run.out_dir, exist_ok=True)
 
-    def write(i: int):
-        """Build subject i and write its file, in the worker that maps it;
-        only the manifest entry and counts go back."""
-        seq = subject(i)
+    def write(seq):
+        """Write a subject's file in the worker that built it; only the
+        manifest entry and counts go back."""
         filename = f"{seq.subject_id}.csv"
         write_sequence_file(seq, os.path.join(run.out_dir, filename))
         split = "train" if seq.subject_id in train_ids else "valid"
         entry = ManifestEntry(seq.subject_id, seq.group, split, filename)
         return entry, seq.n_frames, int(seq.labels.sum())
 
-    written = map_ordered(write, range(run.synthetic.n_subjects), run.threads)
-    entries, frames, positives = zip(*written)
+    entries, frames, positives = zip(*_map_subjects(run, write))
     write_manifest(entries, os.path.join(run.out_dir, "manifest.csv"))
 
     total, positives = sum(frames), sum(positives)

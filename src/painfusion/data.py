@@ -354,29 +354,28 @@ def subject_builder(config: SyntheticConfig):
     return subject
 
 
-def generate_synthetic(config: SyntheticConfig, workers: int = 1, each=None) -> list:
+def generate_synthetic(config: SyntheticConfig, workers: int = 1) -> list:
     """Deterministic synthetic dataset; a pure function of the config.
 
     Subjects come from ``subject_builder`` and are built on a
     ``ThreadPoolExecutor`` of up to ``min(workers, n_subjects)`` threads:
     NumPy's random fills and large ufuncs release the interpreter lock, so
     the threads overlap, and a forked worker would cost more to send its
-    subjects back than to build them. The result is the same bytes at any
-    count. The pool is shut down, its threads joined, when this returns, so
-    a caller may fork afterwards. The first subject, in subject order,
-    whose build raises raises here. ``each``, when given, maps every
-    subject on the thread that built it, and the results stand in for the
-    subjects: a subject whose result keeps no frame is let go as soon as it
-    is mapped."""
+    subjects' frames back than to build them. The result is the same bytes
+    at any count. The pool is shut down, its threads joined, when this
+    returns, so a caller may fork afterwards. The first subject, in subject
+    order, whose build raises raises here. A caller that keeps only a
+    summary of each subject maps ``subject_builder`` on forked workers
+    instead, as the CLI does: the threads' malloc arenas would keep the
+    memory of the subjects it let go."""
     subject = subject_builder(config)
-    build = subject if each is None else lambda i: each(subject(i))
     count = min(workers, config.n_subjects)
     if count <= 1:
-        return [build(i) for i in range(config.n_subjects)]
+        return [subject(i) for i in range(config.n_subjects)]
     from concurrent.futures import ThreadPoolExecutor  # here, so serial runs skip its import
 
     with ThreadPoolExecutor(count) as pool:
-        return list(pool.map(build, range(config.n_subjects)))
+        return list(pool.map(subject, range(config.n_subjects)))
 
 
 # --- manifests ------------------------------------------------------------

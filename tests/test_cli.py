@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import painfusion
 from painfusion.cli import main
 from painfusion.data import generate_synthetic, read_manifest
 from painfusion.config import KEYS, load_run_config
+from painfusion.evaluate import window_sequence
 from painfusion.modality import JointSegmentMap
 
 SMALL_INI = """\
@@ -276,12 +278,13 @@ class TestFailureModes:
     ):
         """An --out that names an existing file, or a path under one, fails
         every command with one config line naming the path, before the
-        dataset is generated or read, and creates nothing."""
+        dataset is generated or read, and creates nothing: no subject is
+        built on threads, in workers or in this process."""
 
         def unreachable(*args):
             raise AssertionError("the dataset was loaded")
 
-        for name in ("generate_synthetic", "load_sequences"):
+        for name in ("generate_synthetic", "subject_builder", "map_ordered", "load_sequences"):
             monkeypatch.setattr(painfusion.cli, name, unreachable)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -808,6 +811,53 @@ class TestMatrix:
         finally:
             tracemalloc.stop()
         assert peak < frame_bytes
+
+    @pytest.mark.parametrize("command", ["evaluate", "matrix", "loocv", "weights"])
+    def test_pooled_commands_build_subjects_in_workers(
+        self, ini, tmp_path, monkeypatch, capsys, command
+    ):
+        """A pooled-kind command on synthetic data builds every subject once,
+        in the worker that windows it: at two threads none in this process,
+        at one thread all of them here, with the same bytes written."""
+        log = tmp_path / "built.log"
+        real = painfusion.data.subject_builder
+
+        def recording(config):
+            subject = real(config)
+
+            def build(i):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {i}\n")
+                return subject(i)
+
+            return build
+
+        for module in (painfusion.data, painfusion.cli):
+            monkeypatch.setattr(module, "subject_builder", recording)
+        outputs = {}
+        for threads in (1, 2):
+            log.unlink(missing_ok=True)
+            out = tmp_path / f"t{threads}"
+            argv = [command, "--config", ini, "--threads", str(threads), "--out", str(out)]
+            assert main(argv) == 0
+            outputs[threads] = (_read_all(out), capsys.readouterr().out)
+            builds = [line.split() for line in log.read_text().splitlines()]
+            assert sorted(int(i) for _, i in builds) == list(range(6))
+            in_caller = [pid == str(os.getpid()) for pid, _ in builds]
+            assert all(in_caller) if threads == 1 else not any(in_caller)
+        assert outputs[1] == outputs[2]
+
+    def test_piece_sends_its_time_means_once(self, ini):
+        """Under reduction = mean a piece's reduced matrix is its time means;
+        pickled back from a worker it still is, so they travel once."""
+        run = load_run_config(ini, "unused", None, 1)
+        assert run.experiment.reduction == "mean"
+        seq = painfusion.data.subject_builder(run.synthetic)(0)
+        piece = window_sequence(seq, run.experiment)
+        assert piece.reduced is piece.means and piece.windows is None
+        back = pickle.loads(pickle.dumps(piece))
+        assert back.reduced is back.means
+        assert_array_equal(back.means, piece.means)
 
     def test_all_arms_reported(self, ini, tmp_path):
         out = tmp_path / "m"
