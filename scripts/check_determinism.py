@@ -54,7 +54,7 @@ ROWS = [
         overrides=("classifier.kind=logistic", "run.reduction=std"), threads=(1, 2, 3)),
     *(Row(f"seven-{command}", command, overrides=("synthetic.n_subjects=7",), threads=(1, 3))
       for command in ("synth", "matrix", "analyze", "weights", "evaluate", "loocv")),
-    Row("default-matrix", "matrix", "default", threads=(2,)),
+    Row("default-matrix", "matrix", "default", threads=(1, 2)),
     Row("default-loocv", "loocv", "default"),
     Row("default-mlp-loocv", "loocv", "default", ("classifier.kind=mlp",)),
     Row("weights-seed7", "weights", None, flags=("--seed", "7"), threads=(1,)),
@@ -65,11 +65,15 @@ ROWS = [
 ]
 for k in KINDS:
     kind = f"classifier.kind={k}"
+    # A pooled kind cuts a one-split run's keys over the workers, into as
+    # many chunks as there are threads.
+    pooled = k != "cnn1d"
     ROWS += [
         Row(f"{k}-matrix", "matrix", overrides=(kind,),
-            threads=(1, 2, 3) if k == "cnn1d" else (1, 2)),
+            threads=(1, 2, 3, 4) if pooled else (1, 2, 3)),
         Row(f"{k}-loocv", "loocv", overrides=(kind,), threads=(1, 2, 3)),
-        Row(f"{k}-evaluate", "evaluate", overrides=(kind,)),
+        Row(f"{k}-evaluate", "evaluate", overrides=(kind,),
+            threads=(1, 2, 3) if pooled else (1, 2)),
         Row(f"{k}-loocv-sequence", "loocv", overrides=(kind,),
             flags=("--granularity", "sequence"), threads=(1, 3)),
     ]

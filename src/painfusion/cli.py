@@ -62,9 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for training tasks, corpus files to parse and synthetic "
-        "subjects (each built, and written or windowed, in its worker), and threads "
-        "building the synthetic subjects that analyze and cnn1d runs keep whole",
+        help="worker processes for training tasks (a one-split logistic or mlp run spreads "
+        "its modalities over them), corpus files to parse and synthetic subjects (each "
+        "built, and written or windowed, in its worker), and threads building the "
+        "synthetic subjects that analyze and cnn1d runs keep whole",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -142,7 +143,11 @@ def _train_split(run: RunConfig, window=None):
 
 
 def _check_out(out_dir: str) -> None:
-    """--out must name a directory, or a missing path whose nearest existing ancestor is one."""
+    """--out must name a directory, or a missing path whose nearest existing
+    ancestor is one; an empty one names none (abspath would read it as the
+    current directory, and writing would fail)."""
+    if not out_dir:
+        raise ConfigError("--out is empty: name an output directory")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

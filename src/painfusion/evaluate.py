@@ -341,6 +341,11 @@ LOCKSTEP_SPLITS = 6  # the most splits whose inputs one pooled lockstep holds
 Z_BOUND = 1e6
 
 
+def _cut(items, j: int, n: int):
+    """Chunk j of ``items`` cut into n contiguous chunks, in order."""
+    return items[len(items) * j // n : len(items) * (j + 1) // n]
+
+
 def train_split(splits, configs, threads: int) -> list:
     """Train each distinct modality of the configs' schemes once per split
     and predict the split's validation run. A split is a (train, valid,
@@ -351,22 +356,27 @@ def train_split(splits, configs, threads: int) -> list:
     its train run's sequence moments, and its validation run's window time
     means, standardized by them, must lie within Z_BOUND. The one training
     planner; its tasks run on ``threads`` workers (``map_ordered``), and
-    every task is one ``fit_lockstep``. Pooled kinds train on time means:
-    each group of splits that share a train window count is cut into at
-    most ``threads`` contiguous chunks of at most LOCKSTEP_SPLITS, and a
-    chunk is a task. A cnn1d model trains alone on the WindowSet, so a
-    cnn1d task is one (split, modality) pair. When a config weighs
-    statistically, the task that trains a split's first modality computes
-    the split's relevance too; otherwise none is computed.
+    every task is one ``fit_lockstep`` of a (split chunk, key chunk) pair,
+    the keys being the distinct (modality name, columns) pairs in scheme
+    order. Pooled kinds train on time means: each group of splits that
+    share a train window count is cut into at most ``threads`` contiguous
+    chunks of at most LOCKSTEP_SPLITS, and when that leaves workers idle
+    the keys are cut too, into ``threads // split chunks`` contiguous
+    chunks (at most one per key), so that a one-split run trains on every
+    worker. A cnn1d model trains alone on the WindowSet, so a cnn1d task
+    is one (split, key) pair. When a config weighs statistically, the task
+    that trains a split's last key computes the split's relevance too (a
+    matrix's last keys are its lighter chunk at two threads); otherwise
+    none is computed.
 
     The splits' classifiers must agree but for the seed. Returns per split
     its TrainedSplit, or its first error, prefixed with the stage: a
     DataError for a train run whose frame statistics overflow or a
     validation run with a non-finite or out-of-bound standardized window
-    time mean (such a split is not trained), the NumericError of its
-    first diverging modality, named, or else the error its relevance
-    raised; the other splits train on. Other errors raise, with the stage
-    prefixed."""
+    time mean (such a split is not trained), the NumericError of the
+    modality that diverged at the earliest step, the first in key order
+    on a tie, named, or else the error its relevance raised; the other
+    splits train on. Other errors raise, with the stage prefixed."""
     spec = splits[0][2].classifier
     if any(replace(base.classifier, seed=spec.seed) != spec for _, _, base in splits):
         raise ConfigError("models trained in lockstep must share every spec field but the seed")
@@ -396,19 +406,19 @@ def train_split(splits, configs, threads: int) -> list:
                 f"validation: feature column {j}: standardized window time mean of "
                 f"magnitude {peak[j]:.3g} exceeds {Z_BOUND:g} (values too large in magnitude)"
             ))
-    live = [i for i, outcomes in enumerate(per_split) if not outcomes]
-    pooled = spec.kind in POOLED_KINDS
-    if pooled:
-        by_size = {}
-        for i in live:
-            by_size.setdefault(len(splits[i][0].labels), []).append(i)
-        tasks = []
-        for group in by_size.values():
+    pooled, groups, tasks = spec.kind in POOLED_KINDS, {}, []
+    for i, outcomes in enumerate(per_split):
+        if not outcomes:
+            groups.setdefault(len(splits[i][0].labels) if pooled else i, []).append(i)
+    for group in groups.values():
+        if pooled:
             n = max(min(threads, len(group)), -(-len(group) // LOCKSTEP_SPLITS))
-            tasks += [(group[len(group) * j // n : len(group) * (j + 1) // n], keys) for j in range(n)]
-    else:
-        # A cnn1d model holds all of its modality's frames, so it trains alone.
-        tasks = [([i], [key]) for i in live for key in keys]
+            parts = min(max(threads // n, 1), len(keys))
+        else:
+            # A cnn1d model holds all of its modality's frames, so it trains alone.
+            n, parts = 1, len(keys)
+        tasks += [(_cut(group, j, n), _cut(keys, k, parts))
+                  for j in range(n) for k in range(parts)]
 
     def inputs(run: WindowedRun):
         return run.means if pooled else run.windows
@@ -426,18 +436,19 @@ def train_split(splits, configs, threads: int) -> list:
 
     def train_task(task):
         """Per split of the task: its index, its (model, validation
-        probabilities) pairs or its error, and, when an arm weighs
-        statistically and the task trains its first modality, its relevance
-        or the error it raised, else None."""
+        probabilities) pairs or its error, with the ``step`` at which it
+        diverged, and, when an arm weighs statistically and the task trains
+        its last key, its relevance or the error it raised, else None."""
         indices, task_keys = task
-        computes = weighs and task_keys[0] == keys[0]
+        computes = weighs and task_keys[-1] == keys[-1]
         # fit_lockstep reads the sets one at a time, so each train run's
         # time means are joined only while its models' inputs are built.
         sets = (training_set(i, task_keys) for i in indices)
         done = []
         for i, models in zip(indices, fit_lockstep(spec, sets)):
             if isinstance(models, NumericError):
-                outcomes = [NumericError(f"training: {task_keys[models.model][0]}: {models}")]
+                error = NumericError(f"training: {task_keys[models.model][0]}: {models}")
+                error.step, outcomes = models.step, [error]
             else:
                 valid_X = inputs(splits[i][1])
                 outcomes = [(model, model.predict_proba_windows(valid_X)) for model in models]
@@ -451,9 +462,12 @@ def train_split(splits, configs, threads: int) -> list:
                 relevances[i] = relevance
     trained = []
     for (train, valid, _), outcomes, relevance in zip(splits, per_split, relevances):
-        errors = [o for o in outcomes + [relevance] if isinstance(o, PainFusionError)]
-        if errors:
-            trained.append(errors[0])
+        errors = [o for o in outcomes if isinstance(o, PainFusionError)]
+        if errors or isinstance(relevance, PainFusionError):
+            # The earliest diverging step, ties in key order, as one lockstep
+            # of all the keys reports it; then the relevance's error.
+            first = min(errors, key=lambda e: getattr(e, "step", 0)) if errors else relevance
+            trained.append(first)
             continue
         subjects = np.repeat(valid.subjects, valid.counts)
         trained.append(

@@ -119,7 +119,16 @@ class ClassifierSpec:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    # e / d, overwritten by 1 / d where z >= 0: the bits of np.where.
+    return np.divide(1.0, d, out=e / d, where=z >= 0)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite: ``np.isfinite(a).all()``
+    without ``ndarray.all``'s Python wrapper, which a step would pay
+    three times."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 def _he_uniform(rng, fan_in: int, size: int) -> np.ndarray:
@@ -145,11 +154,11 @@ class _Logistic:
 
     def scores(self, parts, X, Z):
         (w,) = parts
-        np.matmul(X, w, out=Z[:, :, None])
+        np.matmul(X, w, out=Z)
 
     def grads(self, parts, X, cache, DZ, grad_parts):
         (gw,) = grad_parts
-        np.matmul(X.transpose(0, 2, 1), DZ[:, :, None], out=gw)
+        np.matmul(X.transpose(0, 2, 1), DZ, out=gw)
 
 
 class _Mlp:
@@ -178,16 +187,16 @@ class _Mlp:
         pre = np.matmul(X, W1)
         pre += b1
         hidden = np.maximum(pre, 0.0)
-        np.matmul(hidden, w2, out=Z[:, :, None])
+        np.matmul(hidden, w2, out=Z)
         return pre, hidden
 
     def grads(self, parts, X, cache, DZ, grad_parts):
         (_, _, w2), (gW1, gb1, gw2), (pre, hidden) = parts, grad_parts, cache
-        dpre = DZ[:, :, None] * w2.transpose(0, 2, 1)
+        dpre = DZ * w2.transpose(0, 2, 1)
         dpre *= pre > 0.0
         np.matmul(X.transpose(0, 2, 1), dpre, out=gW1)
         gb1[:] = np.add.reduce(dpre, axis=1, keepdims=True)
-        np.matmul(hidden.transpose(0, 2, 1), DZ[:, :, None], out=gw2)
+        np.matmul(hidden.transpose(0, 2, 1), DZ, out=gw2)
 
 
 class _Cnn1d:
@@ -261,13 +270,13 @@ class _Cnn1d:
     def scores(self, parts, X, Z):
         caches = []
         for p, x, z in zip(parts, X, Z):
-            z[:], cache = self._forward(p, x)
+            z[:, 0], cache = self._forward(p, x)
             caches.append(cache)
         return caches
 
     def grads(self, parts, X, caches, DZ, grad_parts):
-        for args in zip(parts, X, caches, DZ, grad_parts):
-            self._backward(*args)
+        for p, x, cache, dz, grad in zip(parts, X, caches, DZ, grad_parts):
+            self._backward(p, x, cache, dz[:, 0], grad)
 
     def pool_margin(self, cache) -> float:
         """Smallest gap between the winning and runner-up max-pool
@@ -297,10 +306,11 @@ class _Group:
     pairs from ``_model_input``, which ``batch`` gathers from.
 
     An architecture's ``scores(parts, X, Z)`` writes each model's scores
-    but the output bias into the [models, m] Z and returns a cache, and
+    but the output bias into the [models, m, 1] Z and returns a cache, and
     ``grads(parts, X, cache, DZ, grad_parts)`` the gradient of every part
-    but the output bias, given DZ, that of the scores. Every layout ends
-    with that bias, which ``_scores`` and ``_grads`` handle over all rows."""
+    but the output bias, given DZ, that of the scores, shaped as Z. Every
+    layout ends with that bias, which ``_scores`` and ``_grads`` handle
+    over all rows."""
 
     def __init__(self, arch, rows: slice, P, G, inputs=()):
         self.arch, self.rows, self.inputs, self._buffers = arch, rows, inputs, {}
@@ -336,20 +346,38 @@ def _alone(arch, params) -> _Group:
     return _Group(arch, slice(0, 1), P, np.empty_like(P))
 
 
-def _scores(groups, batches, P):
+class _Stacks:
+    """The step arrays of the models of ``groups`` on batches of m
+    windows: the [M, m] scores Z, their gradient DZ and the [M, 1, 1] L2
+    norms (``norm_column`` their [M] view), with ``views``, each group's
+    rows of the three, Z and DZ as the [models, m, 1] operands of its
+    stacked matmuls. A lockstep builds them once per batch size."""
+
+    def __init__(self, groups, m: int):
+        M = groups[-1].rows.stop
+        self.Z, self.DZ, self.norms = np.empty((M, m)), np.empty((M, m)), np.empty((M, 1, 1))
+        self.norm_column = self.norms[:, 0, 0]
+        self.views = [
+            (self.Z[g.rows, :, None], self.DZ[g.rows, :, None], self.norms[g.rows]) for g in groups
+        ]
+
+
+def _scores(groups, batches, P, stacks=None):
     """The [M, m] scores of the models of ``groups``, whose parameters P
-    holds, on the groups' [models, m, ...] batches, and each group's cache."""
-    Z = np.empty((len(P), len(batches[0][0])))
-    caches = [g.arch.scores(g.parts, X, Z[g.rows]) for g, X in zip(groups, batches)]
-    Z += P[:, -1:]
-    return Z, caches
+    holds, on the groups' [models, m, ...] batches, written into the Z of
+    ``stacks`` (new ones when None), and each group's cache."""
+    stacks = _Stacks(groups, len(batches[0][0])) if stacks is None else stacks
+    caches = [g.arch.scores(g.parts, X, Z) for g, X, (Z, *_) in zip(groups, batches, stacks.views)]
+    stacks.Z += P[:, -1:]
+    return stacks.Z, caches
 
 
-def _grads(groups, batches, caches, DZ, G):
-    """Write into G the gradients, given DZ, of a loss of ``_scores``."""
-    for g, X, cache in zip(groups, batches, caches):
-        g.arch.grads(g.parts, X, cache, DZ[g.rows], g.grad_parts)
-    G[:, -1] = np.add.reduce(DZ, axis=1)
+def _grads(groups, batches, caches, stacks, G):
+    """Write into G the gradients, given the DZ of ``stacks``, of a loss
+    of ``_scores``."""
+    for g, X, cache, (_, DZ, _) in zip(groups, batches, caches, stacks.views):
+        g.arch.grads(g.parts, X, cache, DZ, g.grad_parts)
+    G[:, -1] = np.add.reduce(stacks.DZ, axis=1)
 
 
 def _cross_entropy(Z, y, weight):
@@ -365,7 +393,7 @@ def _cross_entropy(Z, y, weight):
     non-finite score takes the two-term form, whose NaN or inf the
     lockstep reports."""
     scale = np.where(y, weight, 1.0)
-    if np.isfinite(Z).all():
+    if _finite(Z):
         per_example = np.logaddexp(0.0, np.where(y, -Z, Z))
         per_example *= scale
     else:
@@ -373,14 +401,15 @@ def _cross_entropy(Z, y, weight):
     return np.add.reduce(per_example, axis=1) / Z.shape[1], scale
 
 
-def _losses_and_grads(groups, batches, y, weight, l2, P, G):
+def _losses_and_grads(groups, batches, y, weight, l2, P, G, stacks=None):
     """Each of M models' mean class-weighted cross entropy plus its L2
     penalty, with the gradients written into G. Row i of the [M, width]
     stacks P and G holds model i's flat parameters and gradient
     right-aligned, so that the tail of every layout (biases, output
     weights) lines up in columns. ``batches`` holds each ``_Group``'s
     [models, m, ...] batch; ``y`` is the [M, m] boolean labels and
-    ``weight`` the [M, 1] positive weights.
+    ``weight`` the [M, 1] positive weights. The step's arrays are those
+    of ``stacks`` (``_Stacks``; new ones when None).
 
     A group makes one stacked matmul per product (the architecture's,
     and the L2 term's [1, n] @ [n, 1] per row). NumPy's matmul loops over
@@ -388,15 +417,18 @@ def _losses_and_grads(groups, batches, y, weight, l2, P, G):
     lone model makes at the same shape and strides; every other step is
     elementwise or a per-row reduction over the stacks, so model i gets
     the bits it would get alone."""
-    Z, caches = _scores(groups, batches, P)
+    stacks = _Stacks(groups, y.shape[1]) if stacks is None else stacks
+    Z, caches = _scores(groups, batches, P, stacks)
     losses, scale = _cross_entropy(Z, y, weight)
-    norms = np.empty((len(P), 1, 1))
-    for g in groups:
-        np.matmul(*g.norm_operands, out=norms[g.rows])
-    losses += l2 * norms[:, 0, 0]
+    for g, (_, _, norms) in zip(groups, stacks.views):
+        np.matmul(*g.norm_operands, out=norms)
+    losses += l2 * stacks.norm_column
     # (s - y) * scale is weight * y * (s - 1) + (1 - y) * s bit for bit,
     # as 0 * (s - 1) and 0 * s add nothing to a sigmoid s in [0, 1].
-    _grads(groups, batches, caches, (_sigmoid(Z) - y) * scale / Z.shape[1], G)
+    DZ = np.subtract(_sigmoid(Z), y, out=stacks.DZ)
+    DZ *= scale
+    DZ /= Z.shape[1]
+    _grads(groups, batches, caches, stacks, G)
     G += 2.0 * l2 * P
     return losses
 
@@ -694,7 +726,8 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
     Returns, per set, its trained models, or for a set that diverged a
     NumericError for the first of its models, in input order, whose loss
     or gradient left the finite range at the set's first diverging step,
-    with the error's ``model`` that model's index in the set. From that
+    with the error's ``model`` that model's index in the set and its
+    ``step`` that step's count from 0, over all epochs. From that
     step on the set's models are masked: their rows stay in the stacks and
     are computed until the lockstep ends or no set is live, but nothing
     reads them, and every step is elementwise, per row or per model, so
@@ -753,6 +786,9 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
     Y, owners = np.array(ys) == 1.0, np.array(owner)[slots]
     weights = np.array([[m.positive_weight] for m in models])
     n, live, logs, errors = len(ys[0]), np.ones(len(models), bool), [[] for _ in models], {}
+    starts = range(0, n, spec.batch_size)
+    # The step arrays of a full batch and of the last one.
+    stacks = {m: _Stacks(groups, m) for m in (min(spec.batch_size, n), n - starts[-1])}
     # Overflow surfaces as a non-finite loss or gradient, which the checks
     # below report; NumPy's own warning would add a second stderr line.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -760,12 +796,13 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
             order = np.array([rng.permutation(n) for rng in rngs])
             y_epoch = Y[owners[:, None], order]
             totals = np.zeros(len(models))
-            for start in range(0, n, spec.batch_size):
+            for step, start in enumerate(starts, epoch * len(starts)):
                 rows = slice(start, start + spec.batch_size)
                 batches = [group.batch(order, rows) for group in groups]
                 y = y_epoch[:, rows]
-                losses = _losses_and_grads(groups, batches, y, weights, spec.l2, P, G)
-                if not (np.isfinite(losses).all() and np.isfinite(G).all()):
+                step_stacks = stacks[y.shape[1]]
+                losses = _losses_and_grads(groups, batches, y, weights, spec.l2, P, G, step_stacks)
+                if not (_finite(losses) and _finite(G)):
                     finite = np.isfinite(losses) & np.isfinite(G).all(axis=1)
                     # Mask every set that diverges at this step, naming its
                     # first diverging model in input order.
@@ -776,7 +813,7 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
                             if not math.isfinite(loss):
                                 reason = f"loss became {loss!r}"
                             errors[g] = NumericError(f"epoch {epoch}: {reason}")
-                            errors[g].model = owner[:i].count(g)
+                            errors[g].model, errors[g].step = owner[:i].count(g), step
                     live &= ~np.isin(owners, list(errors))
                     if not live.any():
                         break

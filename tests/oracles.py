@@ -169,12 +169,12 @@ def sgd_oracle(arch, X, y, pos_weight, spec, rng):
             batch = order[start : start + spec.batch_size]
             Xb, yb = X[batch], y[batch]
             P, G = params[None], np.empty((1, len(params)))
-            Z = np.empty((1, len(batch)))
+            Z = np.empty((1, len(batch), 1))
             cache = arch.scores(arch.parts(P), Xb[None], Z)
-            z = Z[0] + params[-1]
+            z = Z[0, :, 0] + params[-1]
             loss = weighted_bce_oracle(z, yb, pos_weight) + spec.l2 * float(params @ params)
             dz = bce_dz_oracle(z, yb, pos_weight)
-            arch.grads(arch.parts(P), Xb[None], cache, dz[None], arch.parts(G))
+            arch.grads(arch.parts(P), Xb[None], cache, dz[None, :, None], arch.parts(G))
             grad = G[0]
             grad[-1] = dz.sum()
             grad += 2.0 * spec.l2 * params

@@ -272,14 +272,15 @@ class TestFailureModes:
         ]
 
     @pytest.mark.parametrize("command", ["analyze", "weights", "synth", "evaluate", "matrix", "loocv"])
-    @pytest.mark.parametrize("under", ["", "sub/dir"])
+    @pytest.mark.parametrize("under", ["", "sub/dir", pytest.param(None, id="empty")])
     def test_unusable_out_exits_2_before_loading(
         self, ini, tmp_path, capsys, monkeypatch, command, under
     ):
-        """An --out that names an existing file, or a path under one, fails
-        every command with one config line naming the path, before the
-        dataset is generated or read, and creates nothing: no subject is
-        built on threads, in workers or in this process."""
+        """An --out that names an existing file, or a path under one, or
+        that is empty, fails every command with one config line, naming
+        the path when there is one, before the dataset is generated or
+        read, and creates nothing: no subject is built on threads, in
+        workers or in this process."""
 
         def unreachable(*args):
             raise AssertionError("the dataset was loaded")
@@ -288,13 +289,17 @@ class TestFailureModes:
             monkeypatch.setattr(painfusion.cli, name, unreachable)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        out = os.path.join(str(blocker), under)
+        out = "" if under is None else os.path.join(str(blocker), under)
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
         assert main([command, "--config", ini, "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0] == f"error[config]: --out {out}: {blocker} exists and is not a directory"
+        if under is None:
+            assert err[0] == "error[config]: --out is empty: name an output directory"
+        else:
+            assert err[0] == f"error[config]: --out {out}: {blocker} exists and is not a directory"
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Scoring, the experiment pipeline, and cross validation."""
 
 import concurrent.futures
+import json
 import os
 import re
 import tracemalloc
@@ -287,24 +288,14 @@ class TestRunExperiment:
         assert by_name["singular"].config.scheme_name == "singular"
         assert by_name["quadrifurcated_average"].config.weighting == "average"
 
-    def test_matrix_trains_each_modality_once(self, monkeypatch):
-        """Six distinct modalities give six models in the lockstep, and
-        every arm is bit for bit the standalone run of its own config."""
-        import painfusion.evaluate as evaluate_module
-
+    def test_matrix_trains_each_modality_once(self, tmp_path, monkeypatch):
+        """Six distinct modalities give six models, each trained once (in
+        the two workers at two threads), and every arm is bit for bit the
+        standalone run of its own config."""
         seqs = _corpus()
-        real_fit, calls = evaluate_module.fit_lockstep, []
-
-        def counting_fit(spec, sets):
-            def counted():
-                for training_set in sets:
-                    calls.extend(seed for seed, _ in training_set[3])
-                    yield training_set
-
-            return real_fit(spec, counted())
-
-        monkeypatch.setattr(evaluate_module, "fit_lockstep", counting_fit)
+        fits = _record_fits(monkeypatch, tmp_path / "fits")
         rows = run_matrix(seqs[:4], seqs[4:], _config(), threads=2)
+        calls = [seed for _, sets in fits() for seeds in sets for seed in seeds]
         assert len(calls) == 6
         assert len(set(calls)) == 6
         for _, arm in rows:
@@ -400,6 +391,35 @@ def _count_pools(run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         return run(), len(opened)
+
+
+def _record_fits(monkeypatch, log):
+    """Patch ``fit_lockstep`` so that every call, in this process or in a
+    forked worker, appends its pid and, per set, its models' seeds to the
+    file ``log``. Returns a function that reads the calls made since it
+    last read them: (made in this process, seeds per set) pairs."""
+    real_fit = evaluate_module.fit_lockstep
+
+    def recording_fit(spec, sets):
+        seeds = []
+
+        def recorded():
+            for training_set in sets:
+                seeds.append([seed for seed, _ in training_set[3]])
+                yield training_set
+
+        outcomes = real_fit(spec, recorded())
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), seeds]) + "\n")
+        return outcomes
+
+    def calls():
+        lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        log.write_text("", encoding="utf-8")
+        return [(pid == os.getpid(), seeds) for pid, seeds in map(json.loads, lines)]
+
+    monkeypatch.setattr(evaluate_module, "fit_lockstep", recording_fit)
+    return calls
 
 
 def _assert_same_models(result, reference):
@@ -584,25 +604,24 @@ class TestLoocv:
             _assert_same_models(fold.result, run_experiment(train, valid, fold_config))
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-    def test_pooled_kinds_open_no_process_pool(self, kind, monkeypatch):
-        """The pooled kinds train in the calling process, so a matrix opens
-        no pool whatever ``threads`` is. loocv spreads its folds over one
-        pool at three threads, none at one, and gets the same folds back in
-        fold order."""
+    def test_pooled_matrix_trains_on_one_pool(self, kind):
+        """A pooled-kind matrix trains in the calling process at one
+        thread, opening no pool, and on exactly one pool at two threads
+        and at three, where its keys are cut over the workers, with the
+        same models bit for bit. loocv spreads its folds over one pool at
+        three threads, none at one, and gets the same folds back in fold
+        order."""
         seqs = _corpus(n_subjects=4)
         config = _config(scheme="quadrifurcated", hidden_units=4)
         config = replace(config, classifier=replace(config.classifier, kind=kind))
-        matrix_one = run_matrix(seqs[:3], seqs[3:], config, threads=1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was opened")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        matrix_three = run_matrix(seqs[:3], seqs[3:], config, threads=3)
-        for (name, one), (name_three, three) in zip(matrix_one, matrix_three):
-            assert name == name_three
-            _assert_same_models(three, one)
-        monkeypatch.undo()
+        matrix_one, pools_one = _count_pools(lambda: run_matrix(seqs[:3], seqs[3:], config))
+        assert pools_one == 0
+        for threads in (2, 3):
+            matrix, pools = _count_pools(lambda: run_matrix(seqs[:3], seqs[3:], config, threads))
+            assert pools == 1
+            for (name, one), (name_many, many) in zip(matrix_one, matrix, strict=True):
+                assert name == name_many
+                _assert_same_models(many, one)
 
         loocv_one, pools_one = _count_pools(lambda: loocv(seqs, config, threads=1))
         loocv_three, pools_three = _count_pools(lambda: loocv(seqs, config, threads=3))
@@ -762,10 +781,9 @@ class TestLoocv:
         sequence of a matrix sums none. Every fold's relevance is computed once, by the task
         that trains the fold, so a loocv at three threads computes none of
         them in the calling process. A loocv whose only arm weighs by
-        average computes no relevance. A cnn1d matrix at two threads computes
-        its split's relevance once, in the worker that trains its first
-        modality; a logistic one trains its one split in one task, which
-        ``map_ordered`` runs in the calling process."""
+        average computes no relevance. A matrix at two threads, of either
+        kind, computes its split's relevance once, in the worker that
+        trains its last key, so the calling process computes none."""
         log = tmp_path / "calls"
         for name in ("sequence_moments", "ranked_relevance"):
 
@@ -795,7 +813,7 @@ class TestLoocv:
         for threads in (1, 3):
             assert calls(lambda: loocv(seqs, average, threads=threads)) == moments
         matrix = calls(lambda: run_matrix(seqs[:3], seqs[3:], config, threads=2))
-        assert matrix == [("ranked_relevance", kind == "logistic")] + moments[:3]
+        assert matrix == [("ranked_relevance", False)] + moments[:3]
 
     def test_relevance_error_names_its_fold(self):
         """A fold whose training task computes its relevance and fails
@@ -846,6 +864,124 @@ class TestLoocv:
                 fa.result.fused_probabilities.tobytes()
                 == fb.result.fused_probabilities.tobytes()
             )
+
+
+class TestPlanner:
+    MATRIX_KEYS = ["all", "coords", "semg", "lower_limbs", "trunk", "upper_limbs"]
+
+    def test_every_split_and_key_trains_once(self, tmp_path, monkeypatch):
+        """Every (split, key) pair trains exactly once, in one lockstep per
+        (split chunk, key chunk), and the outcomes keep key order and the
+        bits of one thread. A one-split matrix cuts its six keys into
+        min(threads, 6) contiguous chunks of near-equal size at threads 1
+        to 7, trained in workers from two threads on, so that the calling
+        process trains nothing; a 2-fold loocv at four threads cuts each
+        fold's four keys in two, four tasks on four workers."""
+        fits = _record_fits(monkeypatch, tmp_path / "fits")
+        seqs = _corpus()
+        base = _config(hidden_units=4)
+        configs = [replace(base, scheme_name=s, weighting=w) for _, s, w in MATRIX_ARMS]
+        split = (_windowed(seqs[:4], base), _windowed(seqs[4:], base, False), base)
+        name_of = {derive_seed(base.classifier.seed, "clf:" + n): n for n in self.MATRIX_KEYS}
+        reference = None
+        for threads in range(1, 8):
+            (trained,) = train_split([split], configs, threads)
+            calls = fits()
+            assert [name for name, _ in trained.models] == self.MATRIX_KEYS
+            assert {here for here, _ in calls} == {threads == 1}
+            chunks = sorted(([name_of[seed] for seed in seeds] for _, (seeds,) in calls),
+                            key=lambda chunk: self.MATRIX_KEYS.index(chunk[0]))
+            assert [name for chunk in chunks for name in chunk] == self.MATRIX_KEYS
+            assert len(chunks) == min(threads, 6)
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+            reference = reference or trained
+            for key, (model, probas) in trained.models.items():
+                assert model.params.tobytes() == reference.models[key][0].params.tobytes()
+                assert probas.tobytes() == reference.models[key][1].tobytes()
+            assert trained.relevance.tobytes() == reference.relevance.tobytes()
+
+        seqs, config = _corpus(n_subjects=2), _config(scheme="quadrifurcated")
+        names = sorted(scheme_by_name("quadrifurcated").names)
+        pair_of = {
+            derive_seed(derive_seed(config.seed, "fold:" + fold), "clf:" + name): (fold, name)
+            for fold in ("S01", "S02")
+            for name in names
+        }
+        one = loocv(seqs, config, threads=1)
+        fits()
+        four = loocv(seqs, config, threads=4)
+        calls = fits()
+        assert len(calls) == 4
+        assert not any(here for here, _ in calls)
+        tasks = sorted([pair_of[seed] for seed in seeds] for _, (seeds,) in calls)
+        assert tasks == [[(fold, n) for n in half] for fold in ("S01", "S02")
+                         for half in (names[:2], names[2:])]
+        for fa, fb in zip(one.folds, four.folds, strict=True):
+            assert fa.fold_id == fb.fold_id
+            _assert_same_models(fb.result, fa.result)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "cnn1d"])
+    def test_earliest_diverging_modality_is_reported(self, kind, monkeypatch):
+        """A split reports the modality that diverged at the earliest step,
+        whatever the kind and however its keys are cut into tasks:
+        upper_limbs, the last of the quadrifurcated keys, diverges in epoch
+        0, and lower_limbs, the first, in a later one (their frame std
+        shrunk until they do), so the run names upper_limbs, with one
+        message at one, two and three threads."""
+        seqs = _corpus(n_subjects=5)
+        config = _config(scheme="quadrifurcated", epochs=8, hidden_units=4)
+        spec = replace(config.classifier, kind=kind, kernel_width=3)
+        config = replace(config, classifier=spec)
+        modalities = scheme_by_name("quadrifurcated").modalities
+        columns = {name: list(modalities[name]) for name in ("lower_limbs", "upper_limbs")}
+        train = _windowed(seqs[:4], config)
+        inputs = train.windows if kind == "cnn1d" else train.means
+        mean, std = merge_moments(train.moments())
+        real_fit, factors = evaluate_module.fit_lockstep, {}
+
+        def scaled(std):
+            std = std.copy()
+            for name, factor in factors.items():
+                std[columns[name]] *= factor
+            return std
+
+        def epoch_of(name):
+            """The epoch in which the model of ``name`` diverges alone under
+            ``factors``, or None."""
+            seed = derive_seed(spec.seed, "clf:" + name)
+            training_set = (inputs, train.labels, (mean, scaled(std)), [(seed, columns[name])])
+            (outcome,) = real_fit(spec, [training_set])
+            if not isinstance(outcome, NumericError):
+                return None
+            return int(re.match(r"epoch (\d+): ", str(outcome)).group(1))
+
+        factors["upper_limbs"] = 1e-300
+        assert epoch_of("upper_limbs") == 0
+        low, high = 0.0, 300.0  # log10 shrinks that never diverge and diverge in epoch 0
+        for _ in range(60):
+            factors["lower_limbs"] = 10.0 ** -((low + high) / 2)
+            epoch = epoch_of("lower_limbs")
+            if epoch is None:
+                low = (low + high) / 2
+            elif epoch == 0:
+                high = (low + high) / 2
+            else:
+                break
+        else:
+            raise AssertionError("no std makes lower_limbs diverge after epoch 0")
+
+        def fit_shrunk(spec, sets):
+            return real_fit(spec, ((X, y, (m, scaled(s)), pairs) for X, y, (m, s), pairs in sets))
+
+        # Forked workers inherit the patch and the factors.
+        monkeypatch.setattr(evaluate_module, "fit_lockstep", fit_shrunk)
+        messages = []
+        for threads in (1, 2, 3):
+            with pytest.raises(NumericError) as caught:
+                run_experiment(seqs[:4], seqs[4:], config, threads=threads)
+            messages.append(str(caught.value))
+        assert re.match(r"^training: upper_limbs: epoch 0: ", messages[0]), messages[0]
+        assert messages == messages[:1] * 3
 
 
 def _tied_corpus():

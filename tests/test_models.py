@@ -824,7 +824,7 @@ class TestConvKernel:
         W, b_conv, w, b = arch._unpack(params)
 
         expected_act = conv_taps_oracle(X, W, b_conv)
-        act = arch.scores(arch.parts(params[None]), X[None], np.empty((1, batch)))[0][0]
+        act = arch.scores(arch.parts(params[None]), X[None], np.empty((1, batch, 1)))[0][0]
         _assert_close(act, expected_act)
 
         # Backward through max pooling and ReLU from the reference
