@@ -52,6 +52,9 @@ ROWS = [
     Row("cnn1d-evaluate-corpus", "evaluate", overrides=("classifier.kind=cnn1d",), corpus="synth"),
     Row("logistic-std-evaluate-corpus", "evaluate", corpus="synth",
         overrides=("classifier.kind=logistic", "run.reduction=std"), threads=(1, 2, 3)),
+    *(Row(f"logistic-hard-{command}", command, threads=(1, 3),
+          overrides=("classifier.kind=logistic", "run.vote_mode=hard"))
+      for command in ("evaluate", "matrix")),
     *(Row(f"seven-{command}", command, overrides=("synthetic.n_subjects=7",), threads=(1, 3))
       for command in ("synth", "matrix", "analyze", "weights", "evaluate", "loocv")),
     Row("default-matrix", "matrix", "default", threads=(1, 2)),

@@ -14,6 +14,7 @@ DataError, is the one finer class; ``analyze`` catches it.
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from .data import (
 )
 from .evaluate import (
     as_pieces,
+    check_split,
     confusion_csv,
     loocv,
     metrics_csv,
@@ -135,10 +137,9 @@ def _window(config, trains: bool | None = None, weighs: bool | None = None):
 
 def _train_split(run: RunConfig, window=None):
     """The train split, which ``analyze`` and ``weights`` read; an empty
-    one raises DataError."""
+    one raises DataError (``check_split``)."""
     train = _load_dataset(run, window)[0]
-    if not train:
-        raise DataError("train split is empty: no sequence is assigned to train")
+    check_split(train, "train")
     return train
 
 
@@ -155,11 +156,13 @@ def _check_out(out_dir: str) -> None:
         raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
 
 
-def _write(run: RunConfig, name: str, text: str) -> str:
+def _write(run: RunConfig, name: str, text: str | Iterable[str]) -> str:
+    """Write a text, or the pieces of text that an iterable yields, each
+    as it is made, to ``name`` under --out."""
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
 
 

@@ -7,13 +7,20 @@ Ratios with an empty denominator are reported as 0.0 and flagged, never
 raised, so heavily imbalanced splits still produce a full report.
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
-from .data import SequenceData, _stable_key, check_window_rule, make_windows, map_ordered
+from .data import (
+    _BLOCK_ROWS,
+    SequenceData,
+    _stable_key,
+    check_window_rule,
+    make_windows,
+    map_ordered,
+)
 from .errors import ConfigError, DataError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
@@ -346,6 +353,19 @@ def _cut(items, j: int, n: int):
     return items[len(items) * j // n : len(items) * (j + 1) // n]
 
 
+def _largest_z(run: WindowedRun, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Per column, the largest |(window time mean - mean) / std| of a run,
+    NaN where any is NaN. It is taken one piece at a time in one buffer,
+    so that no joined copy of the run is made."""
+    peak, buffer = np.zeros(N_FEATURES), np.empty((max(run.counts), N_FEATURES))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for piece in run.pieces:
+            z = np.subtract(piece.means, mean, out=buffer[: len(piece.means)])
+            z /= std
+            np.maximum(peak, np.abs(z, out=z).max(axis=0), out=peak)
+    return peak
+
+
 def train_split(splits, configs, threads: int) -> list:
     """Train each distinct modality of the configs' schemes once per split
     and predict the split's validation run. A split is a (train, valid,
@@ -354,20 +374,22 @@ def train_split(splits, configs, threads: int) -> list:
 
     Every split's frame statistics are merged here, before any task, from
     its train run's sequence moments, and its validation run's window time
-    means, standardized by them, must lie within Z_BOUND. The one training
-    planner; its tasks run on ``threads`` workers (``map_ordered``), and
-    every task is one ``fit_lockstep`` of a (split chunk, key chunk) pair,
-    the keys being the distinct (modality name, columns) pairs in scheme
-    order. Pooled kinds train on time means: each group of splits that
-    share a train window count is cut into at most ``threads`` contiguous
-    chunks of at most LOCKSTEP_SPLITS, and when that leaves workers idle
-    the keys are cut too, into ``threads // split chunks`` contiguous
-    chunks (at most one per key), so that a one-split run trains on every
-    worker. A cnn1d model trains alone on the WindowSet, so a cnn1d task
-    is one (split, key) pair. When a config weighs statistically, the task
-    that trains a split's last key computes the split's relevance too (a
-    matrix's last keys are its lighter chunk at two threads); otherwise
-    none is computed.
+    means, standardized by them, must lie within Z_BOUND; they are checked
+    one piece at a time (``_largest_z``), so this process makes no joined
+    copy of a validation run. The one training planner; its tasks run on
+    ``threads`` workers (``map_ordered``), and every task is one
+    ``fit_lockstep`` of a (split chunk, key chunk) pair, the keys being
+    the distinct (modality name, columns) pairs in scheme order. Pooled
+    kinds train on time means: each group of splits that share a train
+    window count is cut into at most ``threads`` contiguous chunks of at
+    most LOCKSTEP_SPLITS, and when that leaves workers idle the keys are
+    cut too, into ``threads // split chunks`` contiguous chunks (at most
+    one per key), so that a one-split run trains on every worker. A cnn1d
+    model trains alone on the WindowSet, so a cnn1d task is one (split,
+    key) pair. When a config weighs statistically, the task that trains a
+    split's last key computes the split's relevance too (a matrix's last
+    keys are its lighter chunk at two threads); otherwise none is
+    computed.
 
     The splits' classifiers must agree but for the seed. Returns per split
     its TrainedSplit, or its first error, prefixed with the stage: a
@@ -384,9 +406,6 @@ def train_split(splits, configs, threads: int) -> list:
         train_ids, valid_ids = (set(run.subjects) for run in (train, valid))
         if train_ids & valid_ids:
             raise DataError(f"subject(s) in both splits: {sorted(train_ids & valid_ids)}")
-        for name, run in (("train", train), ("validation", valid)):
-            if not run.pieces:
-                raise DataError(f"windowing: {name} split produced no windows")
     schemes = [scheme_by_name(c.scheme_name, c.joint_map) for c in configs]
     keys = list(dict.fromkeys(k for s in schemes for k in sorted(s.modalities.items())))
     weighs = any(c.weighting == STATISTICAL for c in configs)
@@ -397,8 +416,7 @@ def train_split(splits, configs, threads: int) -> list:
         except DataError as exc:
             per_split[i].append(DataError(f"training: {exc}"))
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            peak = np.abs((valid.means - mean) / std).max(axis=0)
+        peak = _largest_z(valid, mean, std)
         beyond = np.flatnonzero(~(peak <= Z_BOUND))
         if len(beyond):
             j = beyond[0]
@@ -509,6 +527,13 @@ def score_arm(split: TrainedSplit, config: ExperimentConfig) -> ExperimentResult
     )
 
 
+def check_split(items, split: str) -> None:
+    """DataError when no sequence is assigned to ``split``, "train" or "valid"."""
+    if not items:
+        name = "validation" if split == "valid" else split
+        raise DataError(f"{name} split is empty: no sequence is assigned to {split}")
+
+
 def _run_arms(
     train_seqs: list[SequenceData | Piece],
     valid_seqs: list[SequenceData | Piece],
@@ -518,9 +543,12 @@ def _run_arms(
     """One result per config, the configs differing in scheme and weighting
     only: each split windowed once (``window_run``), trained once
     (``train_split``) and scored per config (``score_arm``). The splits
-    are sequences or their pieces, windowed under the first config."""
+    are sequences or their pieces, windowed under the first config; an
+    empty one raises DataError (``check_split``) before any is windowed."""
     for config in configs:
         config.validate()
+    check_split(train_seqs, "train")
+    check_split(valid_seqs, "valid")
     weighs = any(c.weighting == STATISTICAL for c in configs)
     train, valid = (
         window_run(as_pieces(items, configs[0], trains, weighs))
@@ -705,18 +733,24 @@ def metrics_table(rows: list[tuple[str, ConfusionMatrix, MetricSet]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def predictions_csv(result: ExperimentResult) -> str:
+def predictions_csv(result: ExperimentResult) -> Iterator[str]:
     """Per-window fused decisions: window_index, subject, per-modality
-    probabilities in sorted key order, fused value, label, truth."""
+    probabilities in sorted key order, fused value, label, truth. Yields
+    the header line, then the rows ``_BLOCK_ROWS`` at a time, so that the
+    file's text is never held whole."""
     names = sorted(result.per_modality_probas)
     header = ["window_index", "subject_id"]
     header.extend("proba_" + n for n in names)
     header.extend(["fused_probability", "label", "true_label"])
-    columns = [map(str, range(len(result.valid_labels))), result.valid_subjects]
+    yield ",".join(header) + "\n"
     probas = [result.per_modality_probas[n] for n in names] + [result.fused_probabilities]
-    columns.extend(map(repr, p.tolist()) for p in probas)
-    columns.extend(map(str, y.tolist()) for y in (result.predicted, result.valid_labels))
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    labels = (result.predicted, result.valid_labels)
+    for start in range(0, len(result.valid_labels), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        columns = [map(str, range(len(result.valid_labels))[block]), result.valid_subjects[block]]
+        columns.extend(map(repr, p[block].tolist()) for p in probas)
+        columns.extend(map(str, y[block].tolist()) for y in labels)
+        yield "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def weights_csv(weights: FusionWeights) -> str:

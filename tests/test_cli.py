@@ -249,26 +249,45 @@ class TestFailureModes:
         assert err_lines[0].startswith("error[data]: ")
         assert "manifest.csv" in err_lines[0]
 
-    @pytest.mark.parametrize("command", ["analyze", "weights"])
+    @staticmethod
+    def _one_split_manifest(ini, tmp_path, split):
+        """A synthetic corpus whose manifest assigns every row to ``split``."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
+        manifest = corpus / "manifest.csv"
+        text = manifest.read_text()
+        manifest.write_text(text.replace(",train,", f",{split},").replace(",valid,", f",{split},"))
+        return str(manifest)
+
+    @pytest.mark.parametrize("command", ["analyze", "weights", "evaluate", "matrix"])
     @pytest.mark.parametrize("source", ["one-subject", "all-valid-manifest"])
     def test_empty_train_split_exits_3(self, ini, tmp_path, capsys, command, source):
         """One synthetic subject goes to validation, and a manifest can mark
-        every row valid; either way the train split is named, exit 3."""
+        every row valid; either way every command that reads the train
+        split names it in one line, exit 3."""
         argv = [command, "--out", str(tmp_path / "o")]
         if source == "one-subject":
             one = tmp_path / "one.ini"
             one.write_text(SMALL_INI.replace("n_subjects = 6", "n_subjects = 1"))
             argv += ["--config", str(one)]
         else:
-            corpus = tmp_path / "corpus"
-            assert main(["synth", "--config", ini, "--out", str(corpus)]) == 0
-            manifest = corpus / "manifest.csv"
-            manifest.write_text(manifest.read_text().replace(",train,", ",valid,"))
-            argv += ["--config", ini, "--manifest", str(manifest)]
+            argv += ["--config", ini, "--manifest", self._one_split_manifest(ini, tmp_path, "valid")]
         capsys.readouterr()
         assert main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [
             "error[data]: train split is empty: no sequence is assigned to train"
+        ]
+
+    @pytest.mark.parametrize("command", ["evaluate", "matrix"])
+    def test_empty_validation_split_exits_3(self, ini, tmp_path, capsys, command):
+        """A manifest that marks every row train leaves evaluate and matrix
+        nothing to score: the validation split is named, exit 3."""
+        manifest = self._one_split_manifest(ini, tmp_path, "train")
+        capsys.readouterr()
+        argv = [command, "--config", ini, "--manifest", manifest, "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: validation split is empty: no sequence is assigned to valid"
         ]
 
     @pytest.mark.parametrize("command", ["analyze", "weights", "synth", "evaluate", "matrix", "loocv"])
@@ -792,6 +811,57 @@ class TestEvaluate:
             ]
         )
         assert _read_all(direct) == _read_all(via_files)
+
+
+def _expected_predictions(result) -> str:
+    """A result's predictions file, rendered row by row from its fields."""
+    names = sorted(result.per_modality_probas)
+    columns = ["window_index", "subject_id", *("proba_" + n for n in names)]
+    lines = [",".join(columns + ["fused_probability", "label", "true_label"])]
+    for i, subject in enumerate(result.valid_subjects):
+        probas = [result.per_modality_probas[n][i] for n in names] + [result.fused_probabilities[i]]
+        cells = [str(i), subject, *(repr(float(p)) for p in probas)]
+        cells += [str(int(result.predicted[i])), str(int(result.valid_labels[i]))]
+        lines.append(",".join(cells))
+    assert len(lines) == len(result.valid_labels) + 1
+    return "\n".join(lines) + "\n"
+
+
+class TestPredictionFiles:
+    @pytest.mark.parametrize("command", ["evaluate", "matrix"])
+    def test_files_match_an_independent_rendering(self, tmp_path, monkeypatch, command):
+        """predictions.csv and every predictions_<arm>.csv hold the header,
+        one row per validation window in order, the repr of each
+        probability and a final newline, over validation subjects of 99
+        and 149 windows (more rows than one written block)."""
+        ini = tmp_path / "long.ini"
+        ini.write_text(SMALL_INI.replace("frames_per_subject = 300", "frames_per_subject = 1500"))
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", str(ini), "--out", str(corpus)]) == 0
+        assert [e.split for e in read_manifest(corpus / "manifest.csv")][4:] == ["valid"] * 2
+        lines = (corpus / "S05.csv").read_text().splitlines(keepends=True)
+        (corpus / "S05.csv").write_text("".join(lines[:1000]))
+        results = {}
+
+        def capturing(fn, name):
+            def run(*args, **kwargs):
+                results[name] = fn(*args, **kwargs)
+                return results[name]
+            monkeypatch.setattr(painfusion.cli, name, run)
+
+        capturing(painfusion.cli.run_experiment, "run_experiment")
+        capturing(painfusion.cli.run_matrix, "run_matrix")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(ini), "--manifest", str(corpus / "manifest.csv")]
+        assert main(argv + ["--out", str(out)]) == 0
+        if command == "evaluate":
+            files = {"predictions.csv": results["run_experiment"]}
+        else:
+            files = {f"predictions_{arm}.csv": r for arm, r in results["run_matrix"]}
+            assert len(files) == 4
+        for name, result in files.items():
+            assert [result.valid_subjects.count(s) for s in ("S05", "S06")] == [99, 149]
+            assert (out / name).read_bytes() == _expected_predictions(result).encode()
 
 
 class TestMatrix:

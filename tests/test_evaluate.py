@@ -379,6 +379,48 @@ class TestRunExperiment:
         assert len(held) == 1
         assert held[0] < 1.5 * n_windows * 70 * 8
 
+    def test_bound_check_copies_no_validation_run(self, monkeypatch):
+        """A one-split pooled ``train_split`` at two threads, whose models
+        train in workers, traces under one validation piece's time means
+        plus 128 KB (about 64 KB of it NumPy's ufunc buffers) in this
+        process before its training pool starts: the Z_BOUND check
+        standardizes one piece at a time in one buffer, not a joined copy
+        of the validation run's four pieces."""
+        seqs, config = _corpus(n_subjects=8, frames=3000), _config(epochs=1)
+        train, valid = _windowed(seqs[:4], config), _windowed(seqs[4:], config, False)
+        assert len(valid.pieces) == 4
+        real_map, peaks = evaluate_module.map_ordered, []
+
+        def measuring_map(fn, items, workers):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(evaluate_module, "map_ordered", measuring_map)
+        tracemalloc.start()
+        try:
+            (trained,) = train_split([(train, valid, config)], [config], 2)
+        finally:
+            tracemalloc.stop()
+        assert isinstance(trained, evaluate_module.TrainedSplit)
+        assert len(peaks) == 1
+        assert peaks[0] < valid.pieces[0].means.nbytes + 128 * 1024
+
+    @pytest.mark.parametrize(
+        "first, last, shown", [(1e10, np.nan, "nan"), (np.nan, np.inf, "nan"), (0.0, -np.inf, "inf")]
+    )
+    def test_non_finite_validation_mean_fails_the_bound(self, first, last, shown):
+        """A NaN or infinite validation time mean fails Z_BOUND whichever
+        piece holds it and whatever another piece holds in its column; the
+        error names the column and the magnitude, NaN over infinity."""
+        seqs, config = _corpus(n_subjects=8), _config(epochs=1)
+        train, valid = _windowed(seqs[:4], config), _windowed(seqs[4:], config, False)
+        valid.pieces[0].means[3, 5], valid.pieces[-1].means[1, 5] = first, last
+        (error,) = train_split([(train, valid, config)], [config], 1)
+        assert str(error) == (
+            f"validation: feature column 5: standardized window time mean of magnitude {shown} "
+            "exceeds 1e+06 (values too large in magnitude)"
+        )
+
 
 def _count_pools(run):
     """run() and the number of process pools it opened."""
