@@ -65,6 +65,10 @@ ROWS = [
     Row("cnn1d-default-matrix", "matrix", "cnn1d", threads=(2,)),
     Row("cnn1d-matrix-blas1", "matrix", overrides=("classifier.kind=cnn1d",),
         env={"OPENBLAS_NUM_THREADS": "1"}, threads=(2,)),
+    # One key, so one task, which trains in the calling process at every
+    # thread count, on the frames standardized there.
+    Row("cnn1d-singular-evaluate", "evaluate", overrides=("classifier.kind=cnn1d",),
+        flags=("--scheme", "singular"), threads=(1, 2, 3)),
 ]
 for k in KINDS:
     kind = f"classifier.kind={k}"

@@ -64,10 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for training tasks (a one-split logistic or mlp run spreads "
-        "its modalities over them), corpus files to parse and synthetic subjects (each "
-        "built, and written or windowed, in its worker), and threads building the "
-        "synthetic subjects that analyze and cnn1d runs keep whole",
+        help="worker processes for training tasks (a one-split run spreads its modalities "
+        "over them, and a cnn1d one standardizes its frames once, in this process, before "
+        "they start), corpus files to parse and synthetic subjects (each built, and written "
+        "or windowed, in its worker), and threads building the synthetic subjects that "
+        "analyze keeps whole and that cnn1d runs window in this process",
     )
     shared.add_argument("--manifest", help="dataset manifest CSV (overrides [run] manifest)")
 
@@ -100,20 +101,27 @@ def _map_subjects(run: RunConfig, fn) -> list:
 def _load_dataset(run: RunConfig, window=None):
     """Resolve the data source: manifest if configured, otherwise the
     synthetic generator. Returns (train, valid, all) sequences or, given
-    ``window(sequence, trains)``, what it makes of each sequence in the
-    worker that parses or builds it, ``trains`` telling whether the
-    sequence is in the train split. Without ``window``, synthetic subjects
-    are built on ``generate_synthetic``'s threads and kept whole."""
+    ``window(sequence, trains)``, what it makes of each sequence,
+    ``trains`` telling whether the sequence is in the train split. A
+    corpus file is windowed in the worker that parses it. A synthetic
+    subject of a pooled kind is windowed in the worker that builds it, so
+    only its piece comes back. One that ``analyze`` keeps whole, or whose
+    piece keeps its frames (``cnn1d``), is built on
+    ``generate_synthetic``'s threads, and windowed in this thread as soon
+    as it is had, so that no whole sequence is kept beside its piece."""
     if run.manifest is not None:
         each = None if window is None else lambda entry, seq: window(seq, entry.split == "train")
         pairs = load_sequences(run.manifest, run.threads, each)
         train, valid = split_by_manifest(pairs)
         return train, valid, [seq for _, seq in pairs]
     train_ids, valid_ids = synthetic_split(run.synthetic.n_subjects)
-    if window is None:
-        sequences = generate_synthetic(run.synthetic, run.threads)
-    else:
+    if window is not None and run.experiment.classifier.kind in POOLED_KINDS:
         sequences = _map_subjects(run, lambda seq: window(seq, seq.subject_id in train_ids))
+    else:
+        sequences = generate_synthetic(run.synthetic, run.threads)
+        if window is not None:
+            for i, seq in enumerate(sequences):
+                sequences[i] = window(seq, seq.subject_id in train_ids)
     train, valid = split_train_valid(sequences, train_ids, valid_ids)
     return train, valid, sequences
 
@@ -123,11 +131,9 @@ def _window(config, trains: bool | None = None, weighs: bool | None = None):
     (``window_sequence``), with its moments when it is in the train split,
     or always or never when ``trains`` is given, and the reduction that
     the statistical weighting reads when the config, or ``weighs``, says
-    that it weighs statistically. None for a kind that reads frames
-    (``cnn1d``): its pieces keep them, so making them in a worker would
-    only send the frames back, and the run windows its sequences here."""
-    if config.classifier.kind not in POOLED_KINDS:
-        return None
+    that it weighs statistically. A ``cnn1d`` piece keeps the sequence's
+    frames, which a one-split run then standardizes in place
+    (``train_split``)."""
     if weighs is None:
         weighs = config.weighting == STATISTICAL
     return lambda seq, train: window_sequence(

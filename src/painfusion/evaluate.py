@@ -21,11 +21,11 @@ from .data import (
     make_windows,
     map_ordered,
 )
-from .errors import ConfigError, DataError, NumericError, PainFusionError
+from .errors import ConfigError, DataError, InternalError, NumericError, PainFusionError
 from .fusion import check_mode, check_threshold, fuse_batch
 from .modality import N_FEATURES, JointSegmentMap, SCHEME_NAMES, scheme_by_name
 from .models import POOLED_KINDS, ClassifierSpec, TrainedClassifier, WindowSet
-from .models import fit_lockstep, merge_moments, pool_windows, sequence_moments
+from .models import _same_statistics, fit_lockstep, merge_moments, pool_windows, sequence_moments
 from .stats import (
     AVERAGE,
     REDUCTIONS,
@@ -292,9 +292,14 @@ class WindowedRun:
 
     @property
     def windows(self) -> WindowSet:
-        """The pieces' frames as one WindowSet; every piece must have kept its own."""
-        (_, length, width), stride = self.pieces[0].windows.shape, self.pieces[0].windows.stride
-        return WindowSet([p.windows.frames[0] for p in self.pieces], length, stride, width)
+        """The pieces' frames as one WindowSet; every piece must have kept
+        its own, all raw or all standardized by equal statistics."""
+        first = self.pieces[0].windows
+        if any(not _same_statistics(p.windows.standardized, first.standardized)
+               for p in self.pieces):
+            raise InternalError("a run joins frames standardized by different statistics")
+        (_, length, width), frames = first.shape, [p.windows.frames[0] for p in self.pieces]
+        return WindowSet(frames, length, first.stride, width, first.standardized)
 
     def moments(self) -> list:
         return [p.moments for p in self.pieces]
@@ -366,6 +371,29 @@ def _largest_z(run: WindowedRun, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     return peak
 
 
+def _standardize_frames(sets, mean: np.ndarray, std: np.ndarray) -> None:
+    """Standardize one-sequence WindowSets in place by the per-column
+    ``mean`` and ``std``: the raw ones, in order, fill the consecutive rows
+    of one new [frames, width] array with (frames - mean) / std, the
+    elementwise arithmetic of ``models._model_input``, and each then holds
+    its rows of it in place of its frames, which it lets go as the array
+    fills. A set already standardized by equal statistics is read as it
+    is; by other statistics, it raises InternalError."""
+    raw = []
+    for s in sets:
+        if s.standardized is None:
+            raw.append(s)
+        elif not _same_statistics(s.standardized, (mean, std)):
+            raise InternalError("frames already standardized by other statistics")
+    S, offset = np.empty((sum(len(s.frames[0]) for s in raw), len(mean))), 0
+    for s in raw:
+        rows = S[offset : offset + len(s.frames[0])]
+        np.subtract(s.frames[0], mean, out=rows)
+        rows /= std
+        s.frames, s.standardized = (rows,), (mean, std)
+        offset += len(rows)
+
+
 def train_split(splits, configs, threads: int) -> list:
     """Train each distinct modality of the configs' schemes once per split
     and predict the split's validation run. A split is a (train, valid,
@@ -376,7 +404,16 @@ def train_split(splits, configs, threads: int) -> list:
     its train run's sequence moments, and its validation run's window time
     means, standardized by them, must lie within Z_BOUND; they are checked
     one piece at a time (``_largest_z``), so this process makes no joined
-    copy of a validation run. The one training planner; its tasks run on
+    copy of a validation run. A cnn1d run of one split then standardizes
+    its train and validation runs' frames by those statistics, once each,
+    before the tasks fork: ``_standardize_frames`` fills one array per run
+    a piece at a time and lets each piece's raw frames go, and every model
+    reads its columns of it, through a view of one ascending run of
+    columns (``all``, ``coords``, ``semg``) or a copy of its own (the body
+    segments), to the bits of its own standardized copy. Frames already
+    standardized by equal statistics are read as they are; by other ones,
+    or by a run of many splits, each with its own, they raise
+    InternalError. The one training planner; its tasks run on
     ``threads`` workers (``map_ordered``), and every task is one
     ``fit_lockstep`` of a (split chunk, key chunk) pair, the keys being
     the distinct (modality name, columns) pairs in scheme order. Pooled
@@ -425,6 +462,12 @@ def train_split(splits, configs, threads: int) -> list:
                 f"magnitude {peak[j]:.3g} exceeds {Z_BOUND:g} (values too large in magnitude)"
             ))
     pooled, groups, tasks = spec.kind in POOLED_KINDS, {}, []
+    if len(splits) == 1 and not pooled and not per_split[0]:
+        # Every model of one split standardizes by its statistics, and
+        # elementwise, so one standardized copy of each run, made before
+        # the pool forks, gives every model its bits.
+        for run in splits[0][:2]:
+            _standardize_frames([p.windows for p in run.pieces], *stats[0])
     for i, outcomes in enumerate(per_split):
         if not outcomes:
             groups.setdefault(len(splits[i][0].labels) if pooled else i, []).append(i)

@@ -31,7 +31,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, InternalError, NumericError
 
 CLASSIFIER_KINDS = ("logistic", "mlp", "cnn1d")
 # The kinds that see a window only through its per-column time mean.
@@ -446,21 +446,54 @@ BLOCK_WINDOWS = 256
 
 class WindowSet:
     """An [n, length, width] stack of windows that is never joined: it
-    holds each sequence's read-only [n_frames, width] frames and the
-    window length and stride. ``shape`` is the joined stack's, ``len``
-    its window count and ``counts`` each sequence's.
+    holds each sequence's [n_frames, width] frames and the window length
+    and stride. ``shape`` is the joined stack's, ``len`` its window count
+    and ``counts`` each sequence's. ``standardized`` is None for raw
+    frames, or the (mean, std) by which ``evaluate._standardize_frames``
+    replaced them with their standardized rows.
 
-    Pooling and the frame statistics reduce strided views of the frames
+    Pooling and the frame statistics reduce strided views of raw frames
     (``_spans``), and the convolution reads the frames (``_model_input``).
     """
 
-    def __init__(self, frames, length: int, stride: int, width: int):
-        self.frames, self.stride = tuple(frames), stride
+    def __init__(self, frames, length: int, stride: int, width: int, standardized=None):
+        self.frames, self.stride, self.standardized = tuple(frames), stride, standardized
         self.counts = tuple(max(0, (len(f) - length) // stride + 1) for f in self.frames)
         self.shape = (sum(self.counts), length, width)
 
     def __len__(self) -> int:
         return self.shape[0]
+
+
+def _same_statistics(a, b) -> bool:
+    """Whether two ``WindowSet.standardized`` entries are equal arrays, or both None."""
+    if a is None or b is None:
+        return a is b
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _raw(windows, what: str) -> WindowSet:
+    """Windows as a WindowSet (``_as_windows``) of raw frames: ``what``
+    of standardized frames raises InternalError."""
+    windows = _as_windows(windows)
+    if windows.standardized is not None:
+        raise InternalError(f"{what} of frames that are already standardized")
+    return windows
+
+
+def _joined(frames) -> np.ndarray:
+    """Frames as one [n_frames, width] array: the array whose consecutive
+    rows they are, in order, when ``evaluate._standardize_frames`` filled
+    them together, else a joined copy."""
+    if len(frames) == 1:
+        return frames[0]
+    base, starts = frames[0].base, np.cumsum([0] + [len(f) for f in frames]).tolist()
+    if isinstance(base, np.ndarray) and starts[-1] == len(base) and all(
+        f.base is base and f.ctypes.data == base[start:].ctypes.data
+        for f, start in zip(frames, starts)
+    ):
+        return base
+    return np.concatenate(frames)
 
 
 def _spans(windows: WindowSet):
@@ -512,7 +545,7 @@ def _as_windows(windows, width=None) -> WindowSet:
 def pool_windows(windows, reduction: str = "mean") -> np.ndarray:
     """The [n, columns] reduction of every window over its frames
     (``mean``, ``max`` or ``std``), read in place, a span at a time."""
-    windows = _as_windows(windows)
+    windows = _raw(windows, "pooling")
     pooled = np.empty((len(windows), windows.shape[2]))
     for start, span in _spans(windows):
         view = _windows_of(np.ascontiguousarray(span, dtype=np.float64), windows)
@@ -543,7 +576,7 @@ def sequence_moments(windows) -> list[tuple[int, np.ndarray, np.ndarray]]:
     frames over its windows alone: (frame count, per-feature mean, sum of
     squared deviations from that mean), by ``_frame_sum``. A frame shared
     by overlapping windows counts once per window that holds it."""
-    windows = _as_windows(windows)
+    windows = _raw(windows, "sequence moments")
     (_, length, width), moments = windows.shape, []
     with np.errstate(over="ignore"):
         for frames, count in zip(windows.frames, windows.counts):
@@ -595,7 +628,10 @@ def _model_input(kind: str, windows, mean, std, width: int, columns=None):
     pooled windows) in C order (a Fortran-ordered one takes another BLAS
     path) and the index counts its rows; else it is the [starts, length,
     columns] strided window view of the joined frames, indexed by each
-    window's first frame."""
+    window's first frame. Raw frames are standardized into a copy of the
+    columns; frames standardized by the same statistics are read as they
+    are, through a view of one ascending run of columns or a C-ordered
+    copy of other columns, and by other statistics raise InternalError."""
     index = _column_index(columns)
     if kind in POOLED_KINDS:
         if not (isinstance(windows, np.ndarray) and windows.ndim == 2):
@@ -606,14 +642,24 @@ def _model_input(kind: str, windows, mean, std, width: int, columns=None):
         X /= std
         return X, np.arange(len(X))
     windows = _as_windows(windows, width)
-    X = np.empty((sum(len(f) for f in windows.frames), width if columns is None else len(columns)))
     starts, offset, length = [], 0, windows.shape[1]
     for frames in windows.frames:
-        np.subtract(frames[:, index], mean, out=X[offset : offset + len(frames)])
         starts.append(np.arange(offset, offset + len(frames) - length + 1, windows.stride))
         offset += len(frames)
-    X /= std
     starts = np.concatenate(starts)
+    if windows.standardized is None:
+        X = np.empty((offset, width if columns is None else len(columns)))
+        offset = 0
+        for frames in windows.frames:
+            np.subtract(frames[:, index], mean, out=X[offset : offset + len(frames)])
+            offset += len(frames)
+        X /= std
+    else:
+        recorded_mean, recorded_std = windows.standardized
+        if not _same_statistics((recorded_mean[index], recorded_std[index]), (mean, std)):
+            raise InternalError("frames standardized by other statistics than the model's")
+        X = _joined(windows.frames)
+        X = X[:, index] if isinstance(index, slice) else X.take(index, axis=1)
     if len(X) < length:  # no window, and too few frames for a view
         return np.empty((0, length, X.shape[1])), starts
     return np.lib.stride_tricks.sliding_window_view(X, length, axis=0).transpose(0, 2, 1), starts
@@ -743,8 +789,9 @@ def fit_lockstep(spec: ClassifierSpec, sets) -> list:
         width = len(mean)
         for seed, given in set_models:
             c = list(range(width)) if given is None else list(given)
-            # Each model standardizes its own copy of its columns,
-            # elementwise, so it gets the bits of a model given only those.
+            # Each model standardizes its own copy of its columns, or reads
+            # them of frames standardized once, elementwise either way, so
+            # it gets the bits of a model given only those.
             inputs.append(_model_input(spec.kind, windows, mean[c], std[c], width, c))
             archs.append(_architecture(spec, len(c)))
             models.append(

@@ -30,7 +30,7 @@ from painfusion import models as models_module
 from painfusion import stats as stats_module
 from painfusion.config import load_run_config
 from painfusion.data import SyntheticConfig, generate_synthetic, split_train_valid
-from painfusion.errors import ConfigError, DataError, NumericError
+from painfusion.errors import ConfigError, DataError, InternalError, NumericError
 from painfusion.evaluate import (
     MATRIX_ARMS,
     _pick,
@@ -45,7 +45,8 @@ from painfusion.evaluate import (
     window_sequence,
 )
 from painfusion.modality import SEGMENTS
-from painfusion.models import WindowSet, frame_statistics, merge_moments
+from painfusion.models import BLOCK_WINDOWS, WindowSet, fit_lockstep, frame_statistics
+from painfusion.models import merge_moments
 from painfusion.stats import feature_relevance, modality_weights, spearman_rho
 from painfusion.presets import synthetic_split
 
@@ -969,7 +970,10 @@ class TestPlanner:
         upper_limbs, the last of the quadrifurcated keys, diverges in epoch
         0, and lower_limbs, the first, in a later one (their frame std
         shrunk until they do), so the run names upper_limbs, with one
-        message at one, two and three threads."""
+        message at one, two and three threads. The std is shrunk where the
+        split's statistics are made (``merge_moments``), so it reaches every
+        model, pooled or standardized once for a cnn1d run alike; the
+        Z_BOUND check still reads the split's real statistics."""
         seqs = _corpus(n_subjects=5)
         config = _config(scheme="quadrifurcated", epochs=8, hidden_units=4)
         spec = replace(config.classifier, kind=kind, kernel_width=3)
@@ -1012,11 +1016,18 @@ class TestPlanner:
         else:
             raise AssertionError("no std makes lower_limbs diverge after epoch 0")
 
-        def fit_shrunk(spec, sets):
-            return real_fit(spec, ((X, y, (m, scaled(s)), pairs) for X, y, (m, s), pairs in sets))
+        real_merge, real_largest_z = evaluate_module.merge_moments, evaluate_module._largest_z
 
-        # Forked workers inherit the patch and the factors.
-        monkeypatch.setattr(evaluate_module, "fit_lockstep", fit_shrunk)
+        def merge_shrunk(moments):
+            split_mean, split_std = real_merge(moments)
+            return split_mean, scaled(split_std)
+
+        def largest_z_of_real_std(run, split_mean, _):
+            return real_largest_z(run, split_mean, std)
+
+        # Forked workers inherit the patches and the factors.
+        monkeypatch.setattr(evaluate_module, "merge_moments", merge_shrunk)
+        monkeypatch.setattr(evaluate_module, "_largest_z", largest_z_of_real_std)
         messages = []
         for threads in (1, 2, 3):
             with pytest.raises(NumericError) as caught:
@@ -1146,6 +1157,130 @@ class TestPieces:
         assert (kept.shape, kept.stride) == (frames.shape, frames.stride)
         bare = window_sequence(sequences[0], config, trains=False, weighs=False)
         assert (bare.moments, bare.reduced) == (None, None)
+
+
+def _cnn1d_split(seqs, n_train=4, **fields):
+    """A quadrifurcated cnn1d config, with ``fields`` replaced, and the
+    train and validation runs of the sequences, the first ``n_train`` of
+    them training."""
+    config = replace(_config(scheme="quadrifurcated", epochs=1), **fields)
+    config = replace(config, classifier=replace(config.classifier, kind="cnn1d", kernel_width=3))
+    return config, _windowed(seqs[:n_train], config), _windowed(seqs[n_train:], config, False)
+
+
+class TestStandardizedFrames:
+    """A one-split cnn1d ``train_split`` standardizes each run's frames once,
+    in this process, before its tasks, and every piece's WindowSet holds
+    its rows of the one standardized array in place of its raw frames."""
+
+    def test_models_get_the_bits_of_their_own_standardized_copies(self):
+        """Every model, the segments' included, and its validation
+        probabilities are the bits of ``fit_lockstep`` and
+        ``predict_proba_windows`` on raw frames, which standardize their
+        own copy of the model's columns; a second ``train_split`` on the
+        standardized runs, whose statistics are equal, reads them as they
+        are and gives the same bits again, and so does one whose
+        validation pieces come in another order, which joins a copy."""
+        seqs = _corpus()
+        config, train, valid = _cnn1d_split(seqs)
+        configs = [replace(config, scheme_name=s) for s in ("singular", "bifurcated")]
+        configs.append(config)
+        stats = merge_moments(train.moments())
+        raw_train, raw_valid = _frames(seqs[:4], config), _frames(seqs[4:], config)
+        first, second = (train_split([(train, valid, config)], configs, 1)[0] for _ in range(2))
+        for run in (train, valid):
+            assert all(p.windows.standardized is not None for p in run.pieces)
+            assert run.windows.frames[0].base is run.windows.frames[-1].base
+        assert len(first.models) == 6
+        for (name, columns), (model, proba) in first.models.items():
+            seed = derive_seed(config.classifier.seed, "clf:" + name)
+            training_set = (raw_train, train.labels, stats, [(seed, columns)])
+            ((alone,),) = fit_lockstep(config.classifier, [training_set])
+            again, again_proba = second.models[name, columns]
+            assert model.params.tobytes() == alone.params.tobytes() == again.params.tobytes()
+            assert model.training_log == alone.training_log == again.training_log
+            expected = alone.predict_proba_windows(raw_valid).tobytes()
+            assert proba.tobytes() == expected == again_proba.tobytes()
+        (third,) = train_split([(train, window_run(valid.pieces[::-1]), config)], configs, 1)
+        reversed_valid = _frames(seqs[4:][::-1], config)
+        for key, (model, proba) in third.models.items():
+            assert model.params.tobytes() == first.models[key][0].params.tobytes()
+            assert proba.tobytes() == model.predict_proba_windows(reversed_valid).tobytes()
+
+    def test_standardized_frames_are_not_pooled_or_summed(self):
+        """Pooling or taking the sequence moments of standardized frames
+        raises InternalError, as does ``fit`` without frame statistics."""
+        config, train, valid = _cnn1d_split(_corpus(n_subjects=3), n_train=2)
+        train_split([(train, valid, config)], [config], 1)
+        with pytest.raises(InternalError, match="pooling of frames that are already"):
+            models_module.pool_windows(valid.windows)
+        with pytest.raises(InternalError, match="sequence moments of frames that are already"):
+            models_module.sequence_moments(train.pieces[0].windows)
+        with pytest.raises(InternalError, match="sequence moments"):
+            fit(train.windows, train.labels, config.classifier)
+
+    def test_a_split_with_other_statistics_raises(self):
+        """Frames standardized by one split's statistics are not
+        standardized again: a one-split run whose train run's statistics
+        differ, and a ``loocv`` over the standardized pieces, whose folds
+        have statistics of their own, raise InternalError."""
+        seqs = _corpus()
+        config, train, valid = _cnn1d_split(seqs)
+        train_split([(train, valid, config)], [config], 1)
+        other = _windowed(seqs[:3], config)
+        with pytest.raises(InternalError, match="already standardized by other statistics"):
+            train_split([(other, valid, config)], [config], 1)
+        for threads in (1, 2):
+            with pytest.raises(InternalError, match="^training: frames standardized by other"):
+                loocv(list(train.pieces), config, threads=threads)
+
+    def test_a_callers_sequences_keep_their_raw_frames(self):
+        """A ``run_matrix`` on a caller's sequences leaves their features
+        raw and read-only: the runs standardize copies of them."""
+        seqs = _corpus()
+        config = _cnn1d_split(seqs)[0]
+        before = [s.features.copy() for s in seqs]
+        for threads in (1, 2):
+            run_matrix(seqs[:4], seqs[4:], config, threads=threads)
+            for seq, raw in zip(seqs, before, strict=True):
+                assert not seq.features.flags.writeable
+                assert seq.features.tobytes() == raw.tobytes()
+
+    def test_only_the_segments_copy_their_columns(self, monkeypatch):
+        """A one-split cnn1d ``train_split`` of the matrix's six modalities
+        at one thread traces, above the runs' raw frames, under one
+        standardized copy of both runs plus a body segment's private copy
+        of its columns of the train run and a prediction's largest gather
+        (two blocks of windows). Over its training tasks, it traces under
+        that copy and gather alone: ``all``, ``coords`` and ``semg`` read a
+        view of the standardized frames, and only a segment, whose columns
+        are no one ascending run, copies them, one at a time."""
+        rule = {"window_length": 10, "window_stride": 10}
+        config, train, valid = _cnn1d_split(_corpus(frames=6000), **rule)
+        configs = [replace(config, scheme_name=s) for s in ("singular", "bifurcated")] + [config]
+        real_map, in_tasks = evaluate_module.map_ordered, []
+
+        def measuring_map(fn, items, workers):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results = real_map(fn, items, workers)
+            in_tasks.append(tracemalloc.get_traced_memory()[1] - start)
+            return results
+
+        monkeypatch.setattr(evaluate_module, "map_ordered", measuring_map)
+        frame_bytes = [sum(f.nbytes for f in run.windows.frames) for run in (train, valid)]
+        segment = max(len(scheme_by_name("quadrifurcated").modalities[s]) for s in SEGMENTS)
+        gather = 2 * BLOCK_WINDOWS * config.window_length * 70 * 8
+        tracemalloc.start()
+        try:
+            (trained,) = train_split([(train, valid, config)], configs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trained.models) == 6 and len(in_tasks) == 1
+        copy = frame_bytes[0] * segment / 70
+        assert peak < sum(frame_bytes) + copy + gather
+        assert in_tasks[0] < copy + gather
 
 
 class TestFoldStatistics:
